@@ -121,16 +121,17 @@ def builtin(name: str) -> DigitalImage:
     if name in _FIXED_BUILTINS:
         return _FIXED_BUILTINS[name]()
     head, _, rest = name.partition(":")
-    try:
-        if head == "cycle" and rest:
-            return cycle(int(rest))
-        if head == "discrete" and rest:
-            return discrete(int(rest))
-        if head == "interval" and rest:
-            a_s, _, b_s = rest.partition(":")
-            return interval(int(a_s), int(b_s))
-    except ValueError as exc:
-        raise InvalidInputError(f"bad parameter in builtin name {name!r}") from exc
+    makers = {"cycle": (cycle, 1), "discrete": (discrete, 1), "interval": (interval, 2)}
+    if head in makers and rest:
+        maker, arity = makers[head]
+        parts = rest.split(":")
+        try:
+            params = [int(p) for p in parts]
+        except ValueError as exc:
+            raise InvalidInputError(f"bad parameter in builtin name {name!r}") from exc
+        if len(params) != arity:
+            raise InvalidInputError(f"bad parameter in builtin name {name!r}")
+        return maker(*params)
     raise InvalidInputError(
         f"unknown builtin {name!r}; expected one of {sorted(_FIXED_BUILTINS)} "
         "or cycle:<n>, interval:<a>:<b>, discrete:<m>"

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .enumeration import EnumerationBudget, count_continuous_maps, enumerate_continuous_maps
 from .errors import ContinuityError, InvalidInputError
@@ -44,17 +45,22 @@ UNBUDGETED_MAX_POINTS = 10
 
 
 def _budget_for(args, images) -> EnumerationBudget | None:
-    """Explicit flags win; otherwise big inputs get a safety budget."""
-    if args.budget_nodes is None and args.budget_time is None:
-        largest = max((img.n_points for img in images), default=0)
-        if largest <= UNBUDGETED_MAX_POINTS:
-            return None
-        return EnumerationBudget(
+    """Explicit flags win; otherwise big inputs get a safety budget.
+
+    A ``--limit`` option, where the command has one, caps the result count.
+    """
+    budget = None
+    if args.budget_nodes is not None or args.budget_time is not None:
+        budget = EnumerationBudget(
+            max_nodes=args.budget_nodes, time_budget=args.budget_time
+        )
+    elif max((img.n_points for img in images), default=0) > UNBUDGETED_MAX_POINTS:
+        budget = EnumerationBudget(
             max_nodes=DEFAULT_NODE_BUDGET, time_budget=DEFAULT_TIME_BUDGET
         )
-    return EnumerationBudget(
-        max_nodes=args.budget_nodes, time_budget=args.budget_time
-    )
+    if getattr(args, "limit", None) is not None:
+        budget = replace(budget or EnumerationBudget(), max_results=args.limit)
+    return budget
 
 
 def _emit(args, obj: dict, text: str) -> None:
@@ -201,13 +207,6 @@ def cmd_maps_enumerate(args) -> int:
     x_img = load_image(args.domain)
     y_img = load_image(args.codomain)
     budget = _budget_for(args, [x_img, y_img])
-    if args.limit is not None:
-        base = budget or EnumerationBudget()
-        budget = EnumerationBudget(
-            max_results=args.limit,
-            max_nodes=base.max_nodes,
-            time_budget=base.time_budget,
-        )
     outcome = enumerate_continuous_maps(x_img, y_img, budget)
     for m in outcome.maps:
         if args.format == "json":
@@ -222,13 +221,6 @@ def cmd_maps_enumerate(args) -> int:
 def cmd_homotopy_class(args) -> int:
     f = load_map(args.map)
     budget = _budget_for(args, [f.domain, f.codomain])
-    if args.limit is not None:
-        base = budget or EnumerationBudget()
-        budget = EnumerationBudget(
-            max_results=args.limit,
-            max_nodes=base.max_nodes,
-            time_budget=base.time_budget,
-        )
     cls = homotopy_class(f, budget)
     for m in cls.members:
         if args.format == "json":
@@ -275,16 +267,22 @@ def cmd_contractible(args) -> int:
     return 0
 
 
-def cmd_spectrum_cs(args) -> int:
-    x_img = load_image(args.domain)
-    y_img = load_image(args.codomain)
-    budget = _budget_for(args, [x_img, y_img])
-    if args.union:
-        s = coincidence_spectrum_union(x_img, y_img, args.i_max, budget)
-        kind = f"CS(X,Y) up to arity {args.i_max}"
+def cmd_spectrum_tuple(args) -> int:
+    """CS_i(X,Y) or CFS_i(X), or their union up to --i-max."""
+    if args.command == "cs":
+        images, of = [load_image(args.domain), load_image(args.codomain)], "(X,Y)"
+        single, union = coincidence_spectrum, coincidence_spectrum_union
     else:
-        s = coincidence_spectrum(x_img, y_img, args.i, budget)
-        kind = f"CS_{args.i}(X,Y)"
+        images, of = [load_image(args.source)], "(X)"
+        single, union = common_fixed_spectrum, common_fixed_spectrum_union
+    label = args.command.upper()
+    budget = _budget_for(args, images)
+    if args.union:
+        s = union(*images, args.i_max, budget)
+        kind = f"{label}{of} up to arity {args.i_max}"
+    else:
+        s = single(*images, args.i, budget)
+        kind = f"{label}_{args.i}{of}"
     _emit(args, _spectrum_row(kind, s), _spectrum_text(kind, s))
     return 0
 
@@ -297,41 +295,6 @@ def cmd_spectrum_f(args) -> int:
     return 0
 
 
-def cmd_spectrum_cfs(args) -> int:
-    img = load_image(args.source)
-    budget = _budget_for(args, [img])
-    if args.union:
-        s = common_fixed_spectrum_union(img, args.i_max, budget)
-        kind = f"CFS(X) up to arity {args.i_max}"
-    else:
-        s = common_fixed_spectrum(img, args.i, budget)
-        kind = f"CFS_{args.i}(X)"
-    _emit(args, _spectrum_row(kind, s), _spectrum_text(kind, s))
-    return 0
-
-
-def _load_maps(paths) -> list[DigitalMap]:
-    return [load_map(p) for p in paths]
-
-
-def cmd_hspectrum_hcs(args) -> int:
-    maps = _load_maps(args.maps)
-    budget = _budget_for(args, [maps[0].domain, maps[0].codomain])
-    result = hcs(maps, budget)
-    kind = f"HCS of {len(maps)} maps"
-    _emit(args, _spectrum_row(kind, result.values), _spectrum_text(kind, result.values))
-    return 0
-
-
-def cmd_hspectrum_hfs(args) -> int:
-    maps = _load_maps(args.maps)
-    budget = _budget_for(args, [maps[0].domain])
-    result = hfs(maps, budget)
-    kind = f"HFS of {len(maps)} maps"
-    _emit(args, _spectrum_row(kind, result.values), _spectrum_text(kind, result.values))
-    return 0
-
-
 def _emit_min(args, label: str, value, exact: bool) -> None:
     row = {"kind": label, "value": value, "exact": exact}
     if value is None:
@@ -341,19 +304,20 @@ def _emit_min(args, label: str, value, exact: bool) -> None:
     _emit(args, row, text)
 
 
-def cmd_hspectrum_mc(args) -> int:
-    maps = _load_maps(args.maps)
+def cmd_hspectrum_classes(args) -> int:
+    """HCS, HFS, MC or MCF of the given maps, by subcommand name.
+
+    hfs and mcf reject non-self-maps before any homotopy class is computed.
+    """
+    func = {"hcs": hcs, "hfs": hfs, "mc": mc, "mcf": mcf}[args.command]
+    maps = [load_map(p) for p in args.maps]
     budget = _budget_for(args, [maps[0].domain, maps[0].codomain])
-    value, exact = mc(maps, budget)
-    _emit_min(args, f"MC of {len(maps)} maps", value, exact)
-    return 0
-
-
-def cmd_hspectrum_mcf(args) -> int:
-    maps = _load_maps(args.maps)
-    budget = _budget_for(args, [maps[0].domain])
-    value, exact = mcf(maps, budget)
-    _emit_min(args, f"MCF of {len(maps)} maps", value, exact)
+    kind = f"{args.command.upper()} of {len(maps)} maps"
+    if args.command in ("hcs", "hfs"):
+        values = func(maps, budget).values
+        _emit(args, _spectrum_row(kind, values), _spectrum_text(kind, values))
+    else:
+        _emit_min(args, kind, *func(maps, budget))
     return 0
 
 
@@ -393,10 +357,8 @@ def cmd_verify(args) -> int:
         i_max=args.i_max,
         j_max=args.j_max,
         seed=args.seed,
-        deterministic=args.deterministic,
         random_instances=args.instances,
         max_random_points=args.max_points,
-        output_format=args.format,
     )
     return _emit_reports(args, run_suite(args.suite, config))
 
@@ -407,8 +369,6 @@ def cmd_conjecture(args) -> int:
         i_max=args.i_max,
         j_max=args.j_max,
         seed=args.seed,
-        deterministic=args.deterministic,
-        output_format=args.format,
     )
     return _emit_reports(
         args, conjecture_search(args.max_x, args.max_y, args.i_max, config)
@@ -418,13 +378,24 @@ def cmd_conjecture(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _env_node_budget() -> int | None:
+    raw = os.environ.get("DIGITOP_BUDGET_NODES")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidInputError(
+            f"DIGITOP_BUDGET_NODES must be a decimal integer, got {raw!r}"
+        ) from None
+
+
 def _common_options() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    env_nodes = os.environ.get("DIGITOP_BUDGET_NODES")
     common.add_argument(
         "--budget-nodes",
         type=int,
-        default=int(env_nodes) if env_nodes else None,
+        default=_env_node_budget(),
         help="abort searches after this many extension steps",
     )
     common.add_argument(
@@ -437,12 +408,6 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--j-max", type=int, default=4, help="largest j for m_j")
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument(
-        "--deterministic",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="derive all randomness from --seed",
-    )
     return common
 
 
@@ -510,33 +475,27 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum_group = top.add_parser("spectrum", help="exact spectra over map tuples").add_subparsers(
         dest="command", required=True
     )
-    p = spectrum_group.add_parser("cs", parents=[common], help="coincidence spectrum")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("--i", type=int, default=2, help="tuple arity")
-    p.add_argument("--union", action="store_true", help="union over arities up to --i-max")
-    p.set_defaults(func=cmd_spectrum_cs)
+    for name, positionals, help_text in (
+        ("cs", ("domain", "codomain"), "coincidence spectrum"),
+        ("cfs", ("source",), "common-fixed-point spectrum"),
+    ):
+        p = spectrum_group.add_parser(name, parents=[common], help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        p.add_argument("--i", type=int, default=2, help="tuple arity")
+        p.add_argument("--union", action="store_true", help="union over arities up to --i-max")
+        p.set_defaults(func=cmd_spectrum_tuple)
     p = spectrum_group.add_parser("f", parents=[common], help="fixed-point spectrum")
     p.add_argument("source")
     p.set_defaults(func=cmd_spectrum_f)
-    p = spectrum_group.add_parser("cfs", parents=[common], help="common-fixed-point spectrum")
-    p.add_argument("source")
-    p.add_argument("--i", type=int, default=2)
-    p.add_argument("--union", action="store_true")
-    p.set_defaults(func=cmd_spectrum_cfs)
 
     hspectrum_group = top.add_parser(
         "hspectrum", help="spectra over homotopy classes"
     ).add_subparsers(dest="command", required=True)
-    for name, handler in (
-        ("hcs", cmd_hspectrum_hcs),
-        ("hfs", cmd_hspectrum_hfs),
-        ("mc", cmd_hspectrum_mc),
-        ("mcf", cmd_hspectrum_mcf),
-    ):
+    for name in ("hcs", "hfs", "mc", "mcf"):
         p = hspectrum_group.add_parser(name, parents=[common])
         p.add_argument("maps", nargs="+", help="map files")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=cmd_hspectrum_classes)
     p = hspectrum_group.add_parser("mj", parents=[common], help="self-coincidence sequence")
     p.add_argument("source")
     p.set_defaults(func=cmd_hspectrum_mj)
@@ -556,12 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cli_dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
         return args.func(args)
     except ContinuityError as exc:
         print(f"error: map is not continuous: {exc}", file=sys.stderr)

@@ -39,6 +39,7 @@ class EnumerationBudget:
 
 
 UNLIMITED = EnumerationBudget()
+_NEVER = 1 << 62  # a node count no search reaches
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,50 @@ class MapSpaceContext:
         return all(len(c) == len(self.full) for c in self.closed)
 
 
+class Meter:
+    """The node count and limits of one budget, shared by every search it pays for.
+
+    A search charges each node with ``meter.nodes += 1`` and asks
+    ``meter.nodes >= meter.check_at and meter.over()``: ``check_at`` is the
+    next node at which a limit can trip, the node past ``max_nodes`` or the
+    next time check (every 256 nodes), so the common node costs one compare.
+    """
+
+    __slots__ = ("nodes", "max_nodes", "deadline", "check_at")
+
+    def __init__(self, budget: EnumerationBudget | None = None):
+        budget = budget or UNLIMITED
+        self.nodes = 0
+        self.max_nodes = budget.max_nodes
+        self.deadline = (
+            time.monotonic() + budget.time_budget if budget.time_budget else None
+        )
+        self.check_at = self._next_check()
+
+    def _next_check(self) -> int:
+        at = _NEVER
+        if self.deadline is not None:
+            at = (self.nodes // 256 + 1) * 256
+        if self.max_nodes is not None:
+            at = min(at, self.max_nodes + 1)
+        return at
+
+    def over(self) -> bool:
+        """True iff the current node passes the node limit or the deadline."""
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            return True
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return True
+        self.check_at = self._next_check()
+        return False
+
+    def spent(self) -> bool:
+        """True iff no further node fits: the node limit is reached or time is up."""
+        if self.max_nodes is not None and self.nodes >= self.max_nodes:
+            return True
+        return self.deadline is not None and time.monotonic() > self.deadline
+
+
 class _Search:
     """One backtracking run; ``allowed[x]`` is the candidate set at point x."""
 
@@ -85,7 +130,7 @@ class _Search:
         self,
         context: MapSpaceContext,
         allowed: tuple[frozenset[int], ...],
-        budget: EnumerationBudget,
+        budget: EnumerationBudget | Meter | None,
         collect: bool,
     ):
         self.order = context.order
@@ -93,19 +138,21 @@ class _Search:
         self.allowed = allowed
         self.closed = context.closed
         self.n = context.domain.n_points
-        self.budget = budget
+        if isinstance(budget, Meter):
+            self.meter, self.max_results = budget, None
+        else:
+            self.meter = Meter(budget)
+            self.max_results = budget.max_results if budget else None
         self.collect = collect
         self.assign = [0] * self.n
         self.results: list[tuple[int, ...]] = []
         self.count = 0
-        self.nodes = 0
         self.exhausted = True
-        self.deadline = (
-            time.monotonic() + budget.time_budget if budget.time_budget else None
-        )
 
     def run(self):
+        start = self.meter.nodes
         self._extend(0)
+        self.nodes = self.meter.nodes - start
         return self
 
     def _extend(self, k: int) -> bool:
@@ -114,10 +161,7 @@ class _Search:
             self.count += 1
             if self.collect:
                 self.results.append(tuple(self.assign))
-            if (
-                self.budget.max_results is not None
-                and self.count >= self.budget.max_results
-            ):
+            if self.max_results is not None and self.count >= self.max_results:
                 self.exhausted = False
                 return False
             return True
@@ -127,16 +171,10 @@ class _Search:
             cands = cands & self.closed[self.assign[u]]
             if not cands:
                 return True
+        meter = self.meter
         for value in sorted(cands):
-            self.nodes += 1
-            if self.budget.max_nodes is not None and self.nodes > self.budget.max_nodes:
-                self.exhausted = False
-                return False
-            if (
-                self.deadline is not None
-                and self.nodes % 256 == 0
-                and time.monotonic() > self.deadline
-            ):
+            meter.nodes += 1
+            if meter.nodes >= meter.check_at and meter.over():
                 self.exhausted = False
                 return False
             self.assign[v] = value
@@ -147,13 +185,17 @@ class _Search:
 
 def assignments_in_context(
     context: MapSpaceContext,
-    budget: EnumerationBudget | None = None,
+    budget: EnumerationBudget | Meter | None = None,
     allowed: tuple[frozenset[int], ...] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
-    """As enumerate_assignments, reusing a precomputed context."""
+    """As enumerate_assignments, reusing a precomputed context.
+
+    A Meter as ``budget`` charges this search to a budget shared with
+    other searches; the node count returned is this search's own.
+    """
     if allowed is None:
         allowed = (context.full,) * context.domain.n_points
-    search = _Search(context, allowed, budget or UNLIMITED, collect=True).run()
+    search = _Search(context, allowed, budget, collect=True).run()
     return search.results, search.exhausted, search.nodes
 
 
@@ -190,7 +232,7 @@ def count_continuous_maps(
     """Number of continuous maps, without materializing them."""
     context = MapSpaceContext(domain, codomain)
     allowed = (context.full,) * domain.n_points
-    search = _Search(context, allowed, budget or UNLIMITED, collect=False).run()
+    search = _Search(context, allowed, budget, collect=False).run()
     return search.count, search.exhausted
 
 

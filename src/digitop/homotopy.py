@@ -8,18 +8,19 @@ question comes with an explicit chain of one-step moves as a witness.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 from .enumeration import (
     EnumerationBudget,
     MapSpaceContext,
+    Meter,
     assignments_in_context,
     one_step_neighbors,
 )
-from .errors import InvalidInputError
+from .errors import ContinuityError, InvalidInputError
 from .images import DigitalImage
 from .maps import DigitalMap, constant, identity
 
@@ -62,40 +63,12 @@ class HomotopyClass:
     members: tuple[DigitalMap, ...]
     complete: bool
 
+    @cached_property
+    def _member_set(self) -> frozenset[DigitalMap]:
+        return frozenset(self.members)
+
     def __contains__(self, f: DigitalMap) -> bool:
-        return f in set(self.members)
-
-
-class _BudgetClock:
-    """Shared budget across the many enumerations inside one BFS."""
-
-    def __init__(self, budget: EnumerationBudget | None):
-        budget = budget or EnumerationBudget()
-        self.remaining_nodes = budget.max_nodes
-        self.max_results = budget.max_results
-        self.deadline = (
-            time.monotonic() + budget.time_budget if budget.time_budget else None
-        )
-        self.tripped = False
-
-    def slice(self) -> EnumerationBudget | None:
-        """Budget for the next inner enumeration, or None when spent."""
-        if self.remaining_nodes is not None and self.remaining_nodes <= 0:
-            self.tripped = True
-            return None
-        time_left = None
-        if self.deadline is not None:
-            time_left = self.deadline - time.monotonic()
-            if time_left <= 0:
-                self.tripped = True
-                return None
-        return EnumerationBudget(max_nodes=self.remaining_nodes, time_budget=time_left)
-
-    def charge(self, nodes_used: int, exhausted: bool):
-        if self.remaining_nodes is not None:
-            self.remaining_nodes -= nodes_used
-        if not exhausted:
-            self.tripped = True
+        return f in self._member_set
 
 
 def _bfs_closure(
@@ -107,7 +80,8 @@ def _bfs_closure(
     is the predecessor assignment on a shortest chain from f, None for f.
     Works on raw assignments; members are only wrapped by the callers.
     """
-    clock = _BudgetClock(budget)
+    meter = Meter(budget)
+    max_results = budget.max_results if budget else None
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
     target = stop_at.assignment if stop_at is not None else None
     if target is not None and target == f.assignment:
@@ -119,25 +93,22 @@ def _bfs_closure(
         if target is not None:
             parents[target] = f.assignment
             return parents, True, True
-        assignments, exhausted, nodes = assignments_in_context(context, clock.slice())
-        clock.charge(nodes, exhausted)
+        assignments, exhausted, _ = assignments_in_context(context, meter)
         for a in assignments:
             if a not in parents:
                 parents[a] = f.assignment
-                if clock.max_results is not None and len(parents) >= clock.max_results:
+                if max_results is not None and len(parents) >= max_results:
                     return parents, False, False
         return parents, exhausted, False
     queue = deque([f.assignment])
     complete = True
     while queue:
         current = queue.popleft()
-        piece = clock.slice()
-        if clock.tripped:
+        if meter.spent():
             complete = False
             break
         allowed = tuple(context.closed[v] for v in current)
-        assignments, exhausted, nodes = assignments_in_context(context, piece, allowed)
-        clock.charge(nodes, exhausted)
+        assignments, exhausted, _ = assignments_in_context(context, meter, allowed)
         if not exhausted:
             complete = False
             break
@@ -145,7 +116,7 @@ def _bfs_closure(
             if a in parents:
                 continue
             parents[a] = current
-            if clock.max_results is not None and len(parents) >= clock.max_results:
+            if max_results is not None and len(parents) >= max_results:
                 return parents, False, target is not None and target in parents
             if target is not None and a == target:
                 return parents, False, True
@@ -236,7 +207,7 @@ def _greedy_pull(f: DigitalMap, target: int) -> tuple[DigitalMap, ...] | None:
             return None
         try:
             chain.append(DigitalMap(f.domain, f.codomain, step_t))
-        except Exception:
+        except ContinuityError:
             return None
         current = step_t
     return tuple(chain)

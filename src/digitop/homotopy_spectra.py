@@ -44,42 +44,68 @@ class SelfCoincidenceSequence:
 
 
 def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:
-    """Group equal classes with multiplicities; returns (groups, complete, #X)."""
-    classes = tuple(classes)
-    if not classes:
-        raise InvalidInputError("need at least one homotopy class")
+    """Group equal classes with multiplicities; returns (groups, complete, #X).
+
+    A class object repeated in the list has its assignment pool built once.
+    """
     first = classes[0].representative
     for cls in classes[1:]:
         rep = cls.representative
         if rep.domain != first.domain or rep.codomain != first.codomain:
             raise InvalidInputError("all classes must share domain and codomain")
-    complete = True
-    groups: dict[tuple, int] = {}
+    repeats: dict[int, list] = {}
     for cls in classes:
-        complete = complete and cls.complete
+        entry = repeats.setdefault(id(cls), [cls, 0])
+        entry[1] += 1
+    groups: dict[tuple, int] = {}
+    for cls, count in repeats.values():
         pool = tuple(m.assignment for m in cls.members)
-        groups[pool] = groups.get(pool, 0) + 1
+        groups[pool] = groups.get(pool, 0) + count
+    complete = all(cls.complete for cls, _ in repeats.values())
     return list(groups.items()), complete, first.domain.n_points
 
 
+def _require_self_maps(f: DigitalMap) -> None:
+    if not f.is_self_map():
+        raise InvalidInputError("common fixed points are defined for self-maps only")
+
+
 def _search_classes(
-    classes,
+    classes: tuple[HomotopyClass, ...],
     budget: EnumerationBudget | None,
-    initial,
+    fixed: bool,
     min_mode: bool,
-) -> tuple[dict[int, int], bool]:
-    groups, classes_complete, n = _merge_classes(classes)
+) -> tuple[dict[int, int], bool, bool]:
+    """Equalizer search over one map drawn from each class.
+
+    Returns ({size: fewest picks}, classes complete, search exact).  With
+    ``fixed`` the identity joins every equalizer (common fixed points);
+    ``min_mode`` stops at the first empty equalizer.
+    """
+    if not classes:
+        raise InvalidInputError("need at least one homotopy class")
+    if fixed:
+        _require_self_maps(classes[0].representative)
+    groups, complete, n = _merge_classes(classes)
     search = _EqualizerSearch(
-        groups, n, initial=initial, budget=budget, min_mode=min_mode
+        groups,
+        n,
+        initial=tuple(range(n)) if fixed else None,
+        budget=budget,
+        min_mode=min_mode,
     )
     min_picks, search_exact = search.run()
-    return min_picks, classes_complete and search_exact
+    return min_picks, complete, search_exact
 
 
-def _classes_of(maps, budget: EnumerationBudget | None) -> list[HomotopyClass]:
+def _classes_of(
+    maps, budget: EnumerationBudget | None, fixed: bool
+) -> tuple[HomotopyClass, ...]:
     maps = tuple(maps)
     if not maps:
         raise InvalidInputError("need at least one map")
+    if fixed:
+        _require_self_maps(maps[0])
     cache: dict[tuple[int, ...], HomotopyClass] = {}
     classes = []
     for f in maps:
@@ -89,45 +115,55 @@ def _classes_of(maps, budget: EnumerationBudget | None) -> list[HomotopyClass]:
             for member in cls.members:
                 cache[member.assignment] = cls
         classes.append(cls)
-    return classes
+    return tuple(classes)
+
+
+def _spectrum_of_classes(
+    classes, budget: EnumerationBudget | None, fixed: bool
+) -> HomotopySpectrumResult:
+    classes = tuple(classes)
+    min_picks, complete, search_exact = _search_classes(
+        classes, budget, fixed, min_mode=False
+    )
+    values = Spectrum(
+        values=tuple(min_picks), exact=complete and search_exact, i=len(classes)
+    )
+    return HomotopySpectrumResult(
+        values=values,
+        classes_complete=complete,
+        min_value=min(values.values) if values.values else None,
+    )
+
+
+def _minimum_of_classes(
+    classes, budget: EnumerationBudget | None, fixed: bool
+) -> tuple[int | None, bool]:
+    """(least equalizer size, exact) for mc, mcf and m_j; stops at the first 0."""
+    min_picks, complete, search_exact = _search_classes(
+        tuple(classes), budget, fixed, min_mode=True
+    )
+    value = min(min_picks) if min_picks else None
+    return value, (complete and search_exact) or value == 0
 
 
 def hcs_of_classes(classes, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """Achievable coincidence-set sizes with one map drawn from each class."""
-    min_picks, exact = _search_classes(classes, budget, initial=None, min_mode=False)
-    values = Spectrum(values=tuple(min_picks), exact=exact, i=len(tuple(classes)))
-    return HomotopySpectrumResult(
-        values=values,
-        classes_complete=exact,
-        min_value=min(values.values) if values.values else None,
-    )
+    return _spectrum_of_classes(classes, budget, fixed=False)
 
 
 def hfs_of_classes(classes, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """As hcs_of_classes for common fixed points: the identity joins every equalizer."""
-    classes = tuple(classes)
-    if classes and not classes[0].representative.is_self_map():
-        raise InvalidInputError("common fixed points are defined for self-maps only")
-    n = classes[0].representative.domain.n_points if classes else 0
-    min_picks, exact = _search_classes(
-        classes, budget, initial=tuple(range(n)), min_mode=False
-    )
-    values = Spectrum(values=tuple(min_picks), exact=exact, i=len(classes))
-    return HomotopySpectrumResult(
-        values=values,
-        classes_complete=exact,
-        min_value=min(values.values) if values.values else None,
-    )
+    return _spectrum_of_classes(classes, budget, fixed=True)
 
 
 def hcs(maps, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """Achievable coincidence-set sizes with every map free to move in its class."""
-    return hcs_of_classes(_classes_of(maps, budget), budget)
+    return hcs_of_classes(_classes_of(maps, budget, fixed=False), budget)
 
 
 def hfs(maps, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """As hcs, but for common fixed points."""
-    return hfs_of_classes(_classes_of(maps, budget), budget)
+    return hfs_of_classes(_classes_of(maps, budget, fixed=True), budget)
 
 
 def mc(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]:
@@ -135,24 +171,12 @@ def mc(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]
 
     Returns (value, exact); an inexact value is an upper bound.
     """
-    classes = _classes_of(maps, budget)
-    min_picks, exact = _search_classes(classes, budget, initial=None, min_mode=True)
-    value = min(min_picks) if min_picks else None
-    return value, exact or value == 0
+    return _minimum_of_classes(_classes_of(maps, budget, fixed=False), budget, fixed=False)
 
 
 def mcf(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]:
     """Minimum common-fixed-point count; the identity itself is never deformed."""
-    maps = tuple(maps)
-    if maps and not maps[0].is_self_map():
-        raise InvalidInputError("common fixed points are defined for self-maps only")
-    n = maps[0].domain.n_points if maps else 0
-    classes = _classes_of(maps, budget)
-    min_picks, exact = _search_classes(
-        classes, budget, initial=tuple(range(n)), min_mode=True
-    )
-    value = min(min_picks) if min_picks else None
-    return value, exact or value == 0
+    return _minimum_of_classes(_classes_of(maps, budget, fixed=True), budget, fixed=True)
 
 
 def m_j_of_map(
@@ -176,21 +200,13 @@ def self_coincidence_sequence(
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
-    n = x_img.n_points
-    entries: list[tuple[int, int | None, bool]] = [(1, n, True)]
-    ident = identity(x_img)
-    cls = homotopy_class(ident, budget)
-    pool = tuple(m.assignment for m in cls.members)
+    entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
+    cls = homotopy_class(identity(x_img), budget)
     for j in range(2, j_max + 1):
         prev_j, prev_value, prev_exact = entries[-1]
         if prev_j >= 2 and prev_exact and prev_value == 0:
             entries.append((j, 0, True))
             continue
-        search = _EqualizerSearch(
-            [(pool, j)], n, initial=None, budget=budget, min_mode=True
-        )
-        min_picks, search_exact = search.run()
-        value = min(min_picks) if min_picks else None
-        exact = (cls.complete and search_exact) or value == 0
+        value, exact = _minimum_of_classes([cls] * j, budget, fixed=False)
         entries.append((j, value, exact))
     return SelfCoincidenceSequence(entries=tuple(entries))

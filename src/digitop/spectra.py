@@ -10,10 +10,9 @@ collapses most of the branching.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .enumeration import EnumerationBudget, enumerate_assignments
+from .enumeration import EnumerationBudget, Meter, enumerate_assignments
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
@@ -77,12 +76,7 @@ class _EqualizerSearch:
         self.initial = initial
         self.min_mode = min_mode
         self.full_range_stop = full_range_stop
-        budget = budget or EnumerationBudget()
-        self.max_nodes = budget.max_nodes
-        self.deadline = (
-            time.monotonic() + budget.time_budget if budget.time_budget else None
-        )
-        self.nodes = 0
+        self.meter = Meter(budget)
         self.exact = True
         self.min_picks: dict[int, int] = {}
         self.memo: dict = {}
@@ -99,15 +93,9 @@ class _EqualizerSearch:
     # -- state transitions ------------------------------------------------
 
     def _apply(self, r: Restriction | None, m: Assignment) -> Restriction:
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            self.exact = False
-            raise _Stop
-        if (
-            self.deadline is not None
-            and self.nodes % 256 == 0
-            and time.monotonic() > self.deadline
-        ):
+        meter = self.meter
+        meter.nodes += 1
+        if meter.nodes >= meter.check_at and meter.over():
             self.exact = False
             raise _Stop
         if r is None:
@@ -188,11 +176,54 @@ class _EqualizerSearch:
                 self._dfs(g, idx + 1, picked + 1, new_r, total + 1)
 
 
-def _map_pool(
-    domain: DigitalImage, codomain: DigitalImage, budget: EnumerationBudget | None
-) -> tuple[list[Assignment], bool]:
-    assignments, exhausted, _ = enumerate_assignments(domain, codomain, budget)
-    return assignments, exhausted
+def _fewest_picks(
+    x_img: DigitalImage,
+    y_img: DigitalImage,
+    arity: int,
+    budget: EnumerationBudget | None,
+    fixed: bool = False,
+    full_range_stop: bool = True,
+) -> tuple[dict[int, int], bool]:
+    """Enumerate the maps X -> Y, then search selections of at most ``arity``.
+
+    Returns ({achievable size: fewest picks realizing it}, exact).  With
+    ``fixed`` the identity joins every equalizer (common fixed points).
+    The pool enumeration and the search each get the whole budget.
+    """
+    pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
+    if not pool:
+        # constants always exist, so an empty pool means the budget tripped
+        return {}, False
+    n = x_img.n_points
+    search = _EqualizerSearch(
+        [(pool, arity)],
+        n,
+        initial=tuple(range(n)) if fixed else None,
+        budget=budget,
+        full_range_stop=full_range_stop,
+    )
+    min_picks, search_exact = search.run()
+    return min_picks, pool_exact and search_exact
+
+
+def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:
+    """The sizes realized by at most i picks: CS_i (or CFS_i) from fewest picks."""
+    return tuple(v for v, picks in min_picks.items() if picks <= i)
+
+
+def _union(min_picks: dict[int, int], exact: bool, lowest: int, i_max: int) -> Spectrum:
+    """The union over arities lowest..i_max, with the arity where it stops growing.
+
+    The stabilization arity is only claimed when the search was exact.
+    """
+    values = _within(min_picks, i_max)
+    stabilized = None
+    if exact:
+        full = set(values)
+        stabilized = i_max
+        while stabilized > lowest and set(_within(min_picks, stabilized - 1)) == full:
+            stabilized -= 1
+    return Spectrum(values=values, exact=exact, i=None, stabilized_at=stabilized)
 
 
 def coincidence_spectrum(
@@ -227,20 +258,14 @@ def coincidence_spectrum_by_search(
     full_range_stop: bool = True,
 ) -> Spectrum:
     """CS_i by the subset search, with no structural shortcut."""
-    n = x_img.n_points
     if i < 1:
         raise InvalidInputError(f"arity must be >= 1, got {i}")
     if i == 1:
-        return Spectrum(values=(n,), exact=True, i=1)
-    pool, pool_exact = _map_pool(x_img, y_img, budget)
-    if not pool:
-        # constants always exist, so an empty pool means the budget tripped
-        return Spectrum(values=(), exact=False, i=i)
-    search = _EqualizerSearch(
-        [(pool, i)], n, initial=None, budget=budget, full_range_stop=full_range_stop
+        return Spectrum(values=(x_img.n_points,), exact=True, i=1)
+    min_picks, exact = _fewest_picks(
+        x_img, y_img, i, budget, full_range_stop=full_range_stop
     )
-    min_picks, search_exact = search.run()
-    return Spectrum(values=tuple(min_picks), exact=pool_exact and search_exact, i=i)
+    return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
 
 def coincidence_spectrum_union(
@@ -256,33 +281,15 @@ def coincidence_spectrum_union(
     tracks the fewest picks realizing each value, which recovers every
     CS_i <= i_max and hence the first arity where the union stops growing.
     """
-    n = x_img.n_points
     if i_max < 2:
         raise InvalidInputError(f"i_max must be >= 2, got {i_max}")
     if not is_totally_disconnected(y_img):
-        return Spectrum(values=tuple(range(n + 1)), exact=True, i=None, stabilized_at=2)
-    pool, pool_exact = _map_pool(x_img, y_img, budget)
-    if not pool:
-        return Spectrum(values=(), exact=False, i=None)
-    search = _EqualizerSearch(
-        [(pool, i_max)], n, initial=None, budget=budget, full_range_stop=False
+        values = tuple(range(x_img.n_points + 1))
+        return Spectrum(values=values, exact=True, i=None, stabilized_at=2)
+    min_picks, exact = _fewest_picks(
+        x_img, y_img, i_max, budget, full_range_stop=False
     )
-    min_picks, search_exact = search.run()
-    exact = pool_exact and search_exact
-    by_arity = {
-        i: frozenset(v for v, picks in min_picks.items() if picks <= i)
-        for i in range(2, i_max + 1)
-    }
-    stabilized = None
-    if exact:
-        stabilized = i_max
-        while stabilized > 2 and by_arity[stabilized - 1] == by_arity[i_max]:
-            stabilized -= 1
-        if by_arity[stabilized] != by_arity[i_max]:
-            stabilized = None
-    return Spectrum(
-        values=tuple(by_arity[i_max]), exact=exact, i=None, stabilized_at=stabilized
-    )
+    return _union(min_picks, exact, 2, i_max)
 
 
 def coincidence_spectra_by_arity(
@@ -296,23 +303,13 @@ def coincidence_spectra_by_arity(
     A value realized by a k-map selection belongs to CS_i for every i >= k,
     so tracking the fewest picks per value recovers the whole family.
     """
-    n = x_img.n_points
     if i_max < 2:
         raise InvalidInputError(f"i_max must be >= 2, got {i_max}")
-    pool, pool_exact = _map_pool(x_img, y_img, budget)
-    if not pool:
-        return {i: Spectrum(values=(), exact=False, i=i) for i in range(2, i_max + 1)}
-    search = _EqualizerSearch(
-        [(pool, i_max)], n, initial=None, budget=budget, full_range_stop=False
+    min_picks, exact = _fewest_picks(
+        x_img, y_img, i_max, budget, full_range_stop=False
     )
-    min_picks, search_exact = search.run()
-    exact = pool_exact and search_exact
     return {
-        i: Spectrum(
-            values=tuple(v for v, picks in min_picks.items() if picks <= i),
-            exact=exact,
-            i=i,
-        )
+        i: Spectrum(values=_within(min_picks, i), exact=exact, i=i)
         for i in range(2, i_max + 1)
     }
 
@@ -342,53 +339,21 @@ def common_fixed_spectrum(
     The identity is baked into every equalizer, so only fixed-point sets of
     the chosen maps matter.
     """
-    n = x_img.n_points
     if i < 1:
         raise InvalidInputError(f"arity must be >= 1, got {i}")
-    pool, pool_exact = _map_pool(x_img, x_img, budget)
-    if not pool:
-        return Spectrum(values=(), exact=False, i=i)
-    search = _EqualizerSearch(
-        [(pool, i)],
-        n,
-        initial=tuple(range(n)),
-        budget=budget,
-        full_range_stop=full_range_stop,
+    min_picks, exact = _fewest_picks(
+        x_img, x_img, i, budget, fixed=True, full_range_stop=full_range_stop
     )
-    min_picks, search_exact = search.run()
-    return Spectrum(values=tuple(min_picks), exact=pool_exact and search_exact, i=i)
+    return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
 
 def common_fixed_spectrum_union(
     x_img: DigitalImage, i_max: int, budget: EnumerationBudget | None = None
 ) -> Spectrum:
     """CFS(X) up to arity i_max, with the stabilization arity when established."""
-    n = x_img.n_points
     if i_max < 1:
         raise InvalidInputError(f"i_max must be >= 1, got {i_max}")
-    pool, pool_exact = _map_pool(x_img, x_img, budget)
-    if not pool:
-        return Spectrum(values=(), exact=False, i=None)
-    search = _EqualizerSearch(
-        [(pool, i_max)],
-        n,
-        initial=tuple(range(n)),
-        budget=budget,
-        full_range_stop=False,
+    min_picks, exact = _fewest_picks(
+        x_img, x_img, i_max, budget, fixed=True, full_range_stop=False
     )
-    min_picks, search_exact = search.run()
-    exact = pool_exact and search_exact
-    by_arity = {
-        i: frozenset(v for v, picks in min_picks.items() if picks <= i)
-        for i in range(1, i_max + 1)
-    }
-    stabilized = None
-    if exact:
-        stabilized = i_max
-        while stabilized > 1 and by_arity[stabilized - 1] == by_arity[i_max]:
-            stabilized -= 1
-        if by_arity[stabilized] != by_arity[i_max]:
-            stabilized = None
-    return Spectrum(
-        values=tuple(by_arity[i_max]), exact=exact, i=None, stabilized_at=stabilized
-    )
+    return _union(min_picks, exact, 1, i_max)

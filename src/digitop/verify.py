@@ -64,10 +64,8 @@ class RunConfig:
     i_max: int = 4
     j_max: int = 4
     seed: int = 0
-    deterministic: bool = True
     random_instances: int = 40
     max_random_points: int = 6
-    output_format: str = "text"
 
 
 SUITES = ("paper-fixtures", "random-small", "all")

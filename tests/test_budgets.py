@@ -1,0 +1,161 @@
+"""Budget honesty: a node budget may cut a search short but never falsify it.
+
+Every budgeted entry point is swept over ``max_nodes`` in 1..60 on 2- to
+4-point images, chosen so that each sweep sees both tripped and completed
+searches.  At each step an exact result equals the unbudgeted one, an
+inexact spectrum or map set is a subset of it, and an inexact minimum is an
+upper bound.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from digitop import (
+    EnumerationBudget,
+    are_homotopic,
+    coincidence_spectrum_by_search,
+    common_fixed_spectrum_union,
+    constant,
+    cycle,
+    discrete,
+    enumerate_continuous_maps,
+    from_assignment,
+    hcs,
+    hcs_of_classes,
+    homotopy_class,
+    identity,
+    interval,
+    mc,
+    self_coincidence_sequence,
+    square4,
+    tee4,
+)
+
+NODE_BUDGETS = range(1, 61)
+
+EDGE = interval(0, 1)
+PATH = interval(0, 2)
+TRIANGLE = cycle(3)
+FLIP = from_assignment(PATH, PATH, (2, 1, 0))
+
+
+def _enumerate(budget):
+    outcome = enumerate_continuous_maps(PATH, PATH, budget)
+    return {m.assignment for m in outcome.maps}, outcome.exhausted
+
+
+def _class(budget):
+    cls = homotopy_class(constant(EDGE, PATH, 0), budget)
+    return {m.assignment for m in cls.members}, cls.complete
+
+
+def _class_complete_codomain(budget):
+    cls = homotopy_class(identity(TRIANGLE), budget)
+    return {m.assignment for m in cls.members}, cls.complete
+
+
+def _homotopic(budget):
+    f, g = constant(PATH, PATH, 0), constant(PATH, PATH, 1)
+    verdict = are_homotopic(f, g, budget).verdict
+    return verdict, verdict != "unknown"
+
+
+def _cs(budget):
+    s = coincidence_spectrum_by_search(PATH, PATH, 2, budget)
+    return set(s.values), s.exact
+
+
+def _cs_disconnected(budget):
+    s = coincidence_spectrum_by_search(tee4(), discrete(2), 2, budget)
+    return set(s.values), s.exact
+
+
+def _cfs_union(budget):
+    s = common_fixed_spectrum_union(EDGE, 3, budget)
+    return (set(s.values), s.stabilized_at), s.exact
+
+
+def _hcs(budget):
+    maps = [identity(TRIANGLE), constant(TRIANGLE, TRIANGLE, 0)]
+    result = hcs(maps, budget)
+    return set(result.values.values), result.values.exact
+
+
+def _mc(budget):
+    return mc([identity(PATH), FLIP], budget)
+
+
+def _mj(budget):
+    entries = self_coincidence_sequence(square4(), 3, budget).entries
+    return [(j, value) for j, value, _ in entries], [exact for _, _, exact in entries]
+
+
+def _subset(part, whole):
+    return part <= whole
+
+
+def _cfs_below(part, whole):
+    return part[0] <= whole[0]
+
+
+def _upper_bound(part, whole):
+    return part is None or part >= whole
+
+
+def _unknown(part, whole):
+    return part == "unknown"
+
+
+# name -> (run, how an inexact answer must relate to the exact one)
+CASES = {
+    "enumerate_continuous_maps": (_enumerate, _subset),
+    "homotopy_class": (_class, _subset),
+    "homotopy_class/complete-codomain": (_class_complete_codomain, _subset),
+    "are_homotopic": (_homotopic, _unknown),
+    "coincidence_spectrum_by_search": (_cs, _subset),
+    "coincidence_spectrum_by_search/disconnected": (_cs_disconnected, _subset),
+    "common_fixed_spectrum_union": (_cfs_union, _cfs_below),
+    "hcs": (_hcs, _subset),
+    "mc": (_mc, _upper_bound),
+}
+
+
+def sweep(run):
+    """[(max_nodes, answer, exact)] over NODE_BUDGETS, for the record."""
+    return [(k, *run(EnumerationBudget(max_nodes=k))) for k in NODE_BUDGETS]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_budgeted_answers_are_honest(name):
+    run, relation = CASES[name]
+    truth, exact = run(None)
+    assert exact
+    outcomes = sweep(run)
+    for k, answer, exact in outcomes:
+        if exact:
+            assert answer == truth, k
+        else:
+            assert relation(answer, truth), k
+    assert {exact for _, _, exact in outcomes} == {False, True}
+
+
+def test_budgeted_self_coincidence_sequence_is_honest():
+    truth, exact = _mj(None)
+    assert all(exact)
+    outcomes = sweep(_mj)
+    for k, entries, flags in outcomes:
+        for (j, value), (_, true_value), entry_exact in zip(entries, truth, flags):
+            if entry_exact:
+                assert value == true_value, (k, j)
+            else:
+                assert value is None or value >= true_value, (k, j)
+    assert {all(flags) for _, _, flags in outcomes} == {False, True}
+
+
+def test_classes_complete_reports_the_classes_not_the_search():
+    classes = [homotopy_class(identity(PATH)), homotopy_class(FLIP)]
+    assert all(cls.complete for cls in classes)
+    result = hcs_of_classes(classes, EnumerationBudget(max_nodes=1))
+    assert result.classes_complete is True
+    assert result.values.exact is False

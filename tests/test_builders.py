@@ -67,6 +67,16 @@ def test_builtin_resolution():
     assert "figure1" in builtin_names()
 
 
+def test_builtin_reports_the_constructor_reason():
+    with pytest.raises(InvalidInputError, match="at least one point"):
+        builtin("cycle:0")
+    with pytest.raises(InvalidInputError, match="empty interval"):
+        builtin("interval:3:1")
+    for name in ("cycle:x", "interval:1", "interval:0:x", "discrete:1:2"):
+        with pytest.raises(InvalidInputError, match="bad parameter"):
+            builtin(name)
+
+
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40)
 def test_random_connected_image_is_connected(n_points, seed):

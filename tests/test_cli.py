@@ -88,6 +88,30 @@ def test_enumerate_budget_env_var(capsys, monkeypatch):
     assert "truncated" in err
 
 
+def test_malformed_budget_env_var_is_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("DIGITOP_BUDGET_NODES", "abc")
+    code, out, err = _run(capsys, "image", "info", "builtin:cube")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "DIGITOP_BUDGET_NODES" in err
+
+
+def test_hfs_rejects_non_self_maps_before_computing_classes(capsys, tmp_path, monkeypatch):
+    import digitop.homotopy_spectra as hs
+
+    def no_classes(*args, **kwargs):
+        raise AssertionError("a homotopy class was computed")
+
+    monkeypatch.setattr(hs, "homotopy_class", no_classes)
+    path = tmp_path / "c.json"
+    dump_map(constant(builders.interval(0, 2), builders.interval(0, 3), 0), str(path))
+    for command in ("hfs", "mcf"):
+        code, out, err = _run(capsys, "hspectrum", command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "self-maps" in err
+
+
 def test_spectrum_cs_json(capsys):
     code, out, _ = _run(
         capsys, "spectrum", "cs", "builtin:cube", "builtin:cube", "--format", "json"
