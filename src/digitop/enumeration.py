@@ -120,7 +120,24 @@ class Meter:
         """True iff no further node fits: the node limit is reached or time is up."""
         if self.max_nodes is not None and self.nodes >= self.max_nodes:
             return True
+        return self.late()
+
+    def late(self) -> bool:
+        """True iff the deadline has passed."""
         return self.deadline is not None and time.monotonic() > self.deadline
+
+    def capped(self, nodes: int) -> Meter:
+        """A meter for a sub-search of at most ``nodes`` nodes within this budget.
+
+        The caller adds the sub-meter's ``nodes`` back when the sub-search ends.
+        """
+        sub = Meter()
+        sub.max_nodes = nodes
+        if self.max_nodes is not None:
+            sub.max_nodes = min(nodes, self.max_nodes - self.nodes)
+        sub.deadline = self.deadline
+        sub.check_at = sub._next_check()
+        return sub
 
 
 class _Search:
@@ -158,12 +175,13 @@ class _Search:
     def _extend(self, k: int) -> bool:
         """Depth-first over positions; returns False to abort the whole search."""
         if k == self.n:
+            if self.count == self.max_results:
+                # a result past the cap exists, so the cap truncated the run
+                self.exhausted = False
+                return False
             self.count += 1
             if self.collect:
                 self.results.append(tuple(self.assign))
-            if self.max_results is not None and self.count >= self.max_results:
-                self.exhausted = False
-                return False
             return True
         v = self.order[k]
         cands = self.allowed[v]

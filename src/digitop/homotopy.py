@@ -4,11 +4,21 @@ Two maps are one-step homotopic when they are pointwise equal or adjacent;
 general homotopy is reachability under that relation through continuous
 maps, so a homotopy class is a breadth-first closure and every membership
 question comes with an explicit chain of one-step moves as a witness.
+
+One closure (``_bfs_closure``) answers every class, homotopy and
+nullhomotopy question.  It finds a member's one-step neighbors either by a
+backtracking search restricted to the closed neighborhoods of the member's
+values, or, once Hom(X, Y) has been enumerated within a node cap that
+doubles as the closure grows, by intersecting bitsets over that indexed
+Hom space.  The first suits a small class in a huge Hom space (a rigid map
+needs one search), the second a class that fills much of its Hom space.
+Both give the same members, parents and chains.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -71,57 +81,143 @@ class HomotopyClass:
         return f in self._member_set
 
 
+class _HomIndex:
+    """Hom(X, Y) enumerated once, with bitsets that give one-step neighbors.
+
+    Members are numbered in enumeration order.  ``cover[p][u]`` has bit i
+    set iff member i sends p into the closed neighborhood N[u], so the
+    one-step neighbors of an assignment a are AND_p cover[p][a[p]];
+    ``seen`` marks the members the closure has reached.
+    """
+
+    def __init__(self, context: MapSpaceContext, pool, reached):
+        self.pool = pool
+        size = (len(pool) + 7) // 8
+        m = context.codomain.n_points
+        rows = [[bytearray(size) for _ in range(m)] for _ in range(context.domain.n_points)]
+        for i, a in enumerate(pool):
+            byte, bit = i >> 3, 1 << (i & 7)
+            for row, v in zip(rows, a):
+                row[v][byte] |= bit
+        # at[p][v]: the members with value v at p; disjoint in v, so sums are unions
+        at = [[int.from_bytes(b, "little") for b in row] for row in rows]
+        self.cover = [
+            [sum(at_p[v] for v in context.closed[u]) for u in range(m)] for at_p in at
+        ]
+        self.seen = 0
+        for a in reached:
+            bit = -1
+            for at_p, v in zip(at, a):
+                bit &= at_p[v]
+            self.seen |= bit
+
+    def new_neighbors(self, a: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """One-step neighbors of a not yet seen, in enumeration order; marks them seen."""
+        bits = ~self.seen
+        for cover_p, v in zip(self.cover, a):
+            bits &= cover_p[v]
+        self.seen |= bits
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(self.pool[low.bit_length() - 1])
+            bits ^= low
+        return found
+
+
+def _try_index(
+    context: MapSpaceContext, meter: Meter, nodes: int, reached
+) -> _HomIndex | None:
+    """Index Hom(X, Y) if enumerating it takes at most ``nodes`` nodes, else None.
+
+    The attempt is charged to ``meter`` either way.
+    """
+    sub = meter.capped(nodes)
+    pool, exhausted, _ = assignments_in_context(context, sub)
+    meter.nodes += sub.nodes
+    return _HomIndex(context, pool, reached) if exhausted else None
+
+
 def _bfs_closure(
-    f: DigitalMap, budget: EnumerationBudget | None, stop_at: DigitalMap | None = None
+    f: DigitalMap,
+    budget: EnumerationBudget | None,
+    stop_at: Collection[tuple[int, ...]] = frozenset(),
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], bool, bool]:
     """Breadth-first closure of {f} under one-step neighbors.
 
     Returns (parents keyed by assignment, complete, found_stop).  parents[a]
     is the predecessor assignment on a shortest chain from f, None for f.
-    Works on raw assignments; members are only wrapped by the callers.
+    ``stop_at`` is a set of assignments; the closure stops at the first one
+    it reaches.  Works on raw assignments; members are only wrapped by the
+    callers.
+
+    A member's neighbors come from one of two sources, raced on the shared
+    meter.  The per-member search enumerates the maps inside the closed
+    neighborhoods of its values, a fresh backtracking run per member.  The
+    index (``_HomIndex``) enumerates Hom(X, Y) once and reads neighbors off
+    as bitset intersections.  The closure starts with the per-member search.
+    After an expansion that brings the search's own nodes to the next
+    threshold, it tries to enumerate Hom(X, Y) within that many nodes; the
+    first try follows the first expansion and each later threshold is twice
+    the search's nodes at the last try.  If a try completes, the closure finishes over the index from
+    the same parents and queue.  So a rigid map finishes before any try, a
+    small class in a huge Hom space pays at most about three times the
+    per-member nodes, and a class that fills its Hom space costs one
+    enumeration.  Both sources yield new members in enumeration order, so
+    the parents, the shortest chains and a ``max_results`` cut are the same
+    whichever answers.  The cap reports truncation only once a member past
+    it exists.
     """
     meter = Meter(budget)
     max_results = budget.max_results if budget else None
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
-    target = stop_at.assignment if stop_at is not None else None
-    if target is not None and target == f.assignment:
+    if f.assignment in stop_at:
         return parents, True, True
     context = MapSpaceContext(f.domain, f.codomain)
     if context.codomain_is_complete():
         # every function is continuous and any two are pointwise equal or
         # adjacent, so the class is the whole function space in one step
-        if target is not None:
-            parents[target] = f.assignment
+        if stop_at:
+            parents[min(stop_at)] = f.assignment
             return parents, True, True
         assignments, exhausted, _ = assignments_in_context(context, meter)
         for a in assignments:
             if a not in parents:
-                parents[a] = f.assignment
-                if max_results is not None and len(parents) >= max_results:
+                if len(parents) == max_results:
                     return parents, False, False
+                parents[a] = f.assignment
         return parents, exhausted, False
     queue = deque([f.assignment])
-    complete = True
+    index: _HomIndex | None = None
+    tried = 0  # nodes spent on tries to build the index
+    next_try = 0  # per-member nodes at which the next try starts
     while queue:
+        if meter.late() or (index is None and meter.spent()):
+            return parents, False, False
         current = queue.popleft()
-        if meter.spent():
-            complete = False
-            break
-        allowed = tuple(context.closed[v] for v in current)
-        assignments, exhausted, _ = assignments_in_context(context, meter, allowed)
-        if not exhausted:
-            complete = False
-            break
-        for a in assignments:
+        if index is not None:
+            found = index.new_neighbors(current)
+        else:
+            allowed = tuple(context.closed[v] for v in current)
+            found, exhausted, _ = assignments_in_context(context, meter, allowed)
+            if not exhausted:
+                return parents, False, False
+        for a in found:
             if a in parents:
                 continue
+            if len(parents) == max_results:
+                return parents, False, False
             parents[a] = current
-            if max_results is not None and len(parents) >= max_results:
-                return parents, False, target is not None and target in parents
-            if target is not None and a == target:
+            if a in stop_at:
                 return parents, False, True
             queue.append(a)
-    return parents, complete, target is not None and target in parents
+        if index is None and queue and not meter.spent():
+            own = meter.nodes - tried
+            if own >= next_try:
+                index = _try_index(context, meter, own, parents)
+                tried = meter.nodes - own
+                next_try = 2 * own
+    return parents, True, False
 
 
 def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> HomotopyClass:
@@ -145,7 +241,7 @@ def are_homotopic(
     """Decide f ~ g; yes carries a shortest one-step chain from f to g."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise InvalidInputError("maps must share domain and codomain")
-    parents, complete, found = _bfs_closure(f, budget, stop_at=g)
+    parents, complete, found = _bfs_closure(f, budget, stop_at={g.assignment})
     if found:
         chain_assignments = [g.assignment]
         while parents[chain_assignments[-1]] is not None:
@@ -161,8 +257,7 @@ def are_homotopic(
 
 def is_rigid_map(f: DigitalMap) -> bool:
     """Exact: f is homotopic only to itself iff its one-step neighborhood is {f}."""
-    outcome = one_step_neighbors(f, EnumerationBudget(max_results=2))
-    return len(outcome.maps) == 1
+    return one_step_neighbors(f, EnumerationBudget(max_results=1)).exhausted
 
 
 def is_rigid_image(image: DigitalImage) -> bool:
@@ -214,13 +309,13 @@ def _greedy_pull(f: DigitalMap, target: int) -> tuple[DigitalMap, ...] | None:
 
 
 def is_nullhomotopic(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ternary:
-    """Is f homotopic to some constant map?  Greedy chain first, then BFS."""
+    """Is f homotopic to some constant map?  Greedy chain first, then the closure."""
     for target in range(f.codomain.n_points):
         if _greedy_pull(f, target) is not None:
             return "yes"
     constants = {constant(f.domain, f.codomain, y).assignment for y in range(f.codomain.n_points)}
-    parents, complete, _ = _bfs_closure(f, budget)
-    if constants & parents.keys():
+    _, complete, found = _bfs_closure(f, budget, stop_at=constants)
+    if found:
         return "yes"
     return "no" if complete else "unknown"
 

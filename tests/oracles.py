@@ -49,6 +49,25 @@ def homotopy_class_oracle(
     return component
 
 
+def one_step_distance(x_img: DigitalImage, y_img: DigitalImage, a, b) -> int | None:
+    """Fewest one-step moves from a to b through continuous maps; None if none."""
+    pool = all_maps_oracle(x_img, y_img)
+    target = tuple(b)
+    dist = {tuple(a): 0}
+    layer = [tuple(a)]
+    while layer:
+        if target in layer:
+            return dist[target]
+        following = []
+        for current in layer:
+            for other in pool:
+                if other not in dist and one_step_oracle(y_img, current, other):
+                    dist[other] = dist[current] + 1
+                    following.append(other)
+        layer = following
+    return None
+
+
 def equalizer_size(assignments) -> int:
     return sum(1 for values in zip(*assignments) if len(set(values)) == 1)
 

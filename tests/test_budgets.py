@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from digitop import homotopy
 from digitop import (
     EnumerationBudget,
     are_homotopic,
@@ -47,6 +48,12 @@ def _enumerate(budget):
 
 def _class(budget):
     cls = homotopy_class(constant(EDGE, PATH, 0), budget)
+    return {m.assignment for m in cls.members}, cls.complete
+
+
+def _class_index(budget):
+    # the class is all of Hom(D2, P3), so an exact closure ends over the index
+    cls = homotopy_class(constant(discrete(2), PATH, 2), budget)
     return {m.assignment for m in cls.members}, cls.complete
 
 
@@ -112,6 +119,7 @@ CASES = {
     "enumerate_continuous_maps": (_enumerate, _subset),
     "homotopy_class": (_class, _subset),
     "homotopy_class/complete-codomain": (_class_complete_codomain, _subset),
+    "homotopy_class/index": (_class_index, _subset),
     "are_homotopic": (_homotopic, _unknown),
     "coincidence_spectrum_by_search": (_cs, _subset),
     "coincidence_spectrum_by_search/disconnected": (_cs_disconnected, _subset),
@@ -151,6 +159,27 @@ def test_budgeted_self_coincidence_sequence_is_honest():
             else:
                 assert value is None or value >= true_value, (k, j)
     assert {all(flags) for _, _, flags in outcomes} == {False, True}
+
+
+def test_class_sweeps_reach_the_index(monkeypatch):
+    """Some exact run in each class sweep finishes over the indexed Hom space."""
+    built = []
+    try_index = homotopy._try_index
+
+    def recording(*args):
+        index = try_index(*args)
+        built.append(index is not None)
+        return index
+
+    monkeypatch.setattr(homotopy, "_try_index", recording)
+    for name in ("homotopy_class", "homotopy_class/index"):
+        run, _ = CASES[name]
+        indexed_exact = []
+        for k in NODE_BUDGETS:
+            built.clear()
+            _, exact = run(EnumerationBudget(max_nodes=k))
+            indexed_exact.append(exact and any(built))
+        assert any(indexed_exact), name
 
 
 def test_classes_complete_reports_the_classes_not_the_search():

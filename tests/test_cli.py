@@ -81,6 +81,15 @@ def test_maps_count_and_enumerate(capsys):
     assert "truncated" in err
 
 
+def test_enumerate_limit_equal_to_the_count_is_exhaustive(capsys):
+    code, out, err = _run(
+        capsys, "maps", "enumerate", "builtin:cycle:4", "builtin:cycle:4", "--limit", "84"
+    )
+    assert code == 0
+    assert len(out.strip().splitlines()) == 84
+    assert "(exhaustive)" in err
+
+
 def test_enumerate_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DIGITOP_BUDGET_NODES", "3")
     code, _, err = _run(capsys, "maps", "enumerate", "builtin:cycle:4", "builtin:cycle:4")

@@ -72,6 +72,17 @@ def test_max_results_truncates():
     assert not outcome.exhausted
 
 
+def test_max_results_equal_to_the_count_is_exhaustive():
+    c4 = cycle(4)
+    outcome = enumerate_continuous_maps(c4, c4, EnumerationBudget(max_results=84))
+    assert len(outcome.maps) == 84
+    assert outcome.exhausted
+    outcome = enumerate_continuous_maps(c4, c4, EnumerationBudget(max_results=83))
+    assert len(outcome.maps) == 83
+    assert not outcome.exhausted
+    assert count_continuous_maps(c4, c4, EnumerationBudget(max_results=84)) == (84, True)
+
+
 def test_max_nodes_truncates():
     c4 = cycle(4)
     outcome = enumerate_continuous_maps(c4, c4, EnumerationBudget(max_nodes=5))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +27,13 @@ from digitop import (
     is_rigid_image,
     is_rigid_map,
     one_step_homotopic,
+    random_connected_image,
     singleton,
     square4,
     tee4,
 )
-from oracles import homotopy_class_oracle
+from digitop.homotopy import _bfs_closure
+from oracles import all_maps_oracle, homotopy_class_oracle, one_step_distance
 
 
 def test_one_step_homotopic_basics():
@@ -97,6 +100,43 @@ def test_are_homotopic_unknown_under_budget():
     assert answer.verdict == "unknown"
 
 
+def test_max_results_equal_to_the_class_size_is_complete():
+    edge = interval(0, 1)
+    cls = homotopy_class(identity(edge), EnumerationBudget(max_results=4))
+    assert len(cls.members) == 4
+    assert cls.complete
+    for f, size in ((identity(cycle(5)), 5), (identity(cycle(4)), 84)):
+        cls = homotopy_class(f, EnumerationBudget(max_results=size))
+        assert len(cls.members) == size
+        assert cls.complete
+        cut = homotopy_class(f, EnumerationBudget(max_results=size - 1))
+        assert len(cut.members) == size - 1
+        assert not cut.complete
+        assert set(cut.members) <= set(cls.members)
+
+
+def test_closure_stops_at_the_first_target_of_a_set():
+    iv = interval(0, 3)
+    constants = {constant(iv, iv, y).assignment for y in range(4)}
+    parents, complete, found = _bfs_closure(identity(iv), None, stop_at=constants)
+    assert found
+    assert not complete
+    assert len(constants & parents.keys()) == 1
+    assert len(parents) < len(homotopy_class(identity(iv)).members)
+
+
+def test_small_class_in_a_huge_hom_space_is_not_indexed_eagerly():
+    # the per-member closure answers within this budget; enumerating
+    # Hom(C20, C20) first would not
+    assert is_contractible(cycle(20), EnumerationBudget(max_nodes=1_000_000)) == "no"
+
+
+def test_rigid_map_closes_before_any_index():
+    cls = homotopy_class(identity(figure1()), EnumerationBudget(max_nodes=1000))
+    assert cls.complete
+    assert len(cls.members) == 1
+
+
 def test_rigidity():
     assert is_rigid_image(figure1())
     assert is_rigid_image(singleton())
@@ -154,3 +194,49 @@ def test_class_membership_is_symmetric(f):
     for member in itertools.islice(cls.members, 0, 6):
         back = homotopy_class(member)
         assert {m.assignment for m in back.members} == {m.assignment for m in cls.members}
+
+
+@st.composite
+def random_map_pairs(draw):
+    """(f, g) drawn from Hom(X, Y) for random connected X and Y of 1-5 points."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=5)))
+    y_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=5)))
+    pool = all_maps_oracle(x_img, y_img)
+    index = st.integers(min_value=0, max_value=len(pool) - 1)
+    f, g = pool[draw(index)], pool[draw(index)]
+    return from_assignment(x_img, y_img, f), from_assignment(x_img, y_img, g)
+
+
+@given(random_map_pairs())
+@settings(max_examples=60, deadline=None)
+def test_class_matches_oracle_on_random_pairs(pair):
+    f, _ = pair
+    cls = homotopy_class(f)
+    assert cls.complete
+    assert {m.assignment for m in cls.members} == homotopy_class_oracle(
+        f.domain, f.codomain, f.assignment
+    )
+
+
+@given(random_map_pairs())
+@settings(max_examples=60, deadline=None)
+def test_homotopic_and_nullhomotopic_agree_with_oracle_class(pair):
+    f, g = pair
+    cls = homotopy_class_oracle(f.domain, f.codomain, f.assignment)
+    assert are_homotopic(f, g).verdict == ("yes" if g.assignment in cls else "no")
+    constants = {(y,) * f.domain.n_points for y in range(f.codomain.n_points)}
+    assert is_nullhomotopic(f) == ("yes" if constants & cls else "no")
+
+
+@given(random_map_pairs(), st.integers(min_value=0))
+@settings(max_examples=60, deadline=None)
+def test_homotopy_chains_are_shortest(pair, pick):
+    f, _ = pair
+    cls = sorted(homotopy_class_oracle(f.domain, f.codomain, f.assignment))
+    g = from_assignment(f.domain, f.codomain, cls[pick % len(cls)])
+    answer = are_homotopic(f, g)
+    assert answer.verdict == "yes"
+    chain = answer.witness.chain
+    assert chain[0] == f and chain[-1] == g
+    assert len(chain) - 1 == one_step_distance(f.domain, f.codomain, f.assignment, g.assignment)
