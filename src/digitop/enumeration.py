@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .images import DigitalImage, _traversal_order
-from .maps import DigitalMap
+from .maps import DigitalMap, _enumerated
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def enumerate_continuous_maps(
 ) -> EnumerationOutcome:
     """Every continuous map domain -> codomain, each exactly once, up to budget."""
     assignments, exhausted, nodes = enumerate_assignments(domain, codomain, budget)
-    maps = tuple(DigitalMap(domain, codomain, a) for a in assignments)
+    maps = tuple(_enumerated(domain, codomain, a) for a in assignments)
     return EnumerationOutcome(maps=maps, exhausted=exhausted, nodes_used=nodes)
 
 
@@ -267,5 +267,5 @@ def one_step_neighbors(
     assignments, exhausted, nodes = enumerate_assignments(
         f.domain, f.codomain, budget, allowed=allowed
     )
-    maps = tuple(DigitalMap(f.domain, f.codomain, a) for a in assignments)
+    maps = tuple(_enumerated(f.domain, f.codomain, a) for a in assignments)
     return EnumerationOutcome(maps=maps, exhausted=exhausted, nodes_used=nodes)

@@ -32,7 +32,7 @@ from .enumeration import (
 )
 from .errors import ContinuityError, InvalidInputError
 from .images import DigitalImage
-from .maps import DigitalMap, constant, identity
+from .maps import DigitalMap, _enumerated, constant, identity
 
 Ternary = Literal["yes", "no", "unknown"]
 
@@ -223,9 +223,7 @@ def _bfs_closure(
 def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> HomotopyClass:
     """Every map homotopic to f (up to budget), in canonical assignment order."""
     parents, complete, _ = _bfs_closure(f, budget)
-    members = tuple(
-        DigitalMap(f.domain, f.codomain, a) for a in sorted(parents)
-    )
+    members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(parents))
     return HomotopyClass(representative=f, members=members, complete=complete)
 
 
@@ -247,7 +245,7 @@ def are_homotopic(
         while parents[chain_assignments[-1]] is not None:
             chain_assignments.append(parents[chain_assignments[-1]])
         chain = tuple(
-            DigitalMap(f.domain, f.codomain, a) for a in reversed(chain_assignments)
+            _enumerated(f.domain, f.codomain, a) for a in reversed(chain_assignments)
         )
         return HomotopyAnswer("yes", HomotopyWitness(chain))
     if complete:

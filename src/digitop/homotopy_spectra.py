@@ -4,8 +4,9 @@ Each argument map may be deformed within its homotopy class, so the search
 ranges over selections from the classes.  Tuples again reduce to sets: a
 set S of distinct maps is realizable iff one member per class can be picked
 (with repetition up to that class's multiplicity in the argument list)
-whose union is S.  Equal classes are merged first, which turns the tuple
-space into the grouped subset search from the spectra module.
+whose union is S.  Equal classes are merged first into groups with
+multiplicities, and the spectra module's breadth-first closure over
+equalizer restrictions runs over those groups.
 """
 
 from __future__ import annotations
@@ -87,13 +88,7 @@ def _search_classes(
     if fixed:
         _require_self_maps(classes[0].representative)
     groups, complete, n = _merge_classes(classes)
-    search = _EqualizerSearch(
-        groups,
-        n,
-        initial=tuple(range(n)) if fixed else None,
-        budget=budget,
-        min_mode=min_mode,
-    )
+    search = _EqualizerSearch(groups, n, fixed, budget, min_mode)
     min_picks, search_exact = search.run()
     return min_picks, complete, search_exact
 

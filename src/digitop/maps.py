@@ -1,8 +1,10 @@
 """Digitally continuous maps and their coincidence and fixed-point sets.
 
 A map is continuous when every adjacent pair of domain points lands on
-equal or adjacent codomain points.  Maps are validated at construction, so
-every ``DigitalMap`` in circulation is continuous.
+equal or adjacent codomain points.  Every ``DigitalMap`` in circulation is
+continuous: the constructor and ``from_assignment`` validate what they are
+given, and ``_enumerated`` wraps enumerator output, which was edge-checked
+while it was built, without checking it again.
 """
 
 from __future__ import annotations
@@ -77,6 +79,21 @@ class DigitalMap:
             "codomain": self.codomain.to_json_dict(),
             "assignment": list(self.assignment),
         }
+
+
+def _enumerated(
+    domain: DigitalImage, codomain: DigitalImage, assignment: tuple[int, ...]
+) -> DigitalMap:
+    """Wrap an assignment an enumeration produced, skipping the continuity re-check.
+
+    Only for assignments from ``enumeration`` searches and the homotopy
+    closures over them, which admit a value only after checking its edges.
+    """
+    f = object.__new__(DigitalMap)
+    object.__setattr__(f, "domain", domain)
+    object.__setattr__(f, "codomain", codomain)
+    object.__setattr__(f, "assignment", assignment)
+    return f
 
 
 def from_assignment(domain: DigitalImage, codomain: DigitalImage, assignment) -> DigitalMap:

@@ -1,11 +1,12 @@
 """Coincidence, fixed-point, and common-fixed-point spectra.
 
 A coincidence set depends only on the *set* of distinct maps involved, so
-instead of ranging over i-tuples the search ranges over nonempty sets of at
-most i maps.  The search state is the running equalizer: the points where
-all chosen maps still agree, together with the agreed value at each.  Two
-candidate maps that shrink the state identically are interchangeable, which
-collapses most of the branching.
+instead of ranging over i-tuples the search ranges over selections of at
+most i maps.  Its state is the running equalizer restriction: the agreed
+value at each point, or None once agreement is broken.  One breadth-first
+closure expands these restrictions in layers of total picks and keeps each
+distinct one once, so the first layer that reaches a size gives the fewest
+picks realizing it, which answers every arity up to the largest at once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .enumeration import EnumerationBudget, Meter, enumerate_assignments
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
-Assignment = tuple[int, ...]
 Restriction = tuple  # per-point agreed value, None once agreement is broken
 
 
@@ -46,134 +46,124 @@ class _Stop(Exception):
 
 
 class _EqualizerSearch:
-    """Subset search over groups of candidate maps.
+    """Breadth-first closure of equalizer restrictions over groups of maps.
 
     ``groups`` is a sequence of (pool, multiplicity): a valid selection picks
-    between 1 and multiplicity distinct maps from every group, and the value
-    recorded is the size of the equalizer of everything picked (points where
-    all picked maps agree, and agree with ``initial`` when one is given).
-    ``initial`` of None means the first picked map sets the agreed values;
-    an explicit initial restriction (e.g. the identity) bakes a fixed map
-    into every equalizer.
+    between 1 and multiplicity maps from every group, and the value recorded
+    is the size of the equalizer of everything picked (points where all
+    picked maps agree).  Picks may repeat, since the equalizer of a multiset
+    is that of its set.  With ``fixed`` the identity joins every equalizer,
+    so a map counts only through its agreement with the identity and each
+    pool first collapses to its distinct fixed-point restrictions.
+
+    A state is a restriction: the agreed value at each point, or None once
+    agreement is broken.  States are expanded in layers of total picks, so
+    the first layer that records a value holds its fewest picks, and the
+    full-range and min-mode stops are sound wherever they fire.  Layer one
+    is the first pool itself.  A state reached again in its group with no
+    fewer picks in that group is dropped: its first arrival came with no
+    more picks in total and completes every selection the second would.
+    Every state built costs one node on the meter.
     """
 
     def __init__(
         self,
         groups,
         n_points: int,
-        initial: Restriction | None,
+        fixed: bool,
         budget: EnumerationBudget | None,
         min_mode: bool = False,
-        full_range_stop: bool = True,
     ):
-        self.groups = [(tuple(pool), int(mult)) for pool, mult in groups]
-        for pool, mult in self.groups:
+        self.pools: list[tuple[Restriction, ...]] = []
+        self.mults: list[int] = []
+        for pool, mult in groups:
+            pool, mult = tuple(pool), int(mult)
             if not pool:
                 raise InvalidInputError("every group needs a nonempty pool")
             if mult < 1:
                 raise InvalidInputError("every group multiplicity must be >= 1")
+            if fixed:
+                pool = tuple(
+                    dict.fromkeys(
+                        tuple([x if v == x else None for x, v in enumerate(m)])
+                        for m in pool
+                    )
+                )
+            self.pools.append(pool)
+            self.mults.append(mult)
         self.n = n_points
-        self.initial = initial
         self.min_mode = min_mode
-        self.full_range_stop = full_range_stop
         self.meter = Meter(budget)
         self.exact = True
         self.min_picks: dict[int, int] = {}
-        self.memo: dict = {}
 
     def run(self) -> tuple[dict[int, int], bool]:
         """Returns ({achievable size: fewest picks realizing it}, exact)."""
         try:
-            self._seed()
-            self._dfs(0, 0, 0, self.initial, 0)
+            self._close()
         except _Stop:
             pass
         return self.min_picks, self.exact
 
-    # -- state transitions ------------------------------------------------
-
-    def _apply(self, r: Restriction | None, m: Assignment) -> Restriction:
-        meter = self.meter
-        meter.nodes += 1
-        if meter.nodes >= meter.check_at and meter.over():
-            self.exact = False
-            raise _Stop
-        if r is None:
-            return m
-        return tuple(v if v is not None and m[x] == v else None for x, v in enumerate(r))
-
-    @staticmethod
-    def _size(r: Restriction) -> int:
-        return sum(v is not None for v in r)
-
     def _record(self, value: int, picks: int):
-        prev = self.min_picks.get(value)
-        if prev is None or picks < prev:
-            self.min_picks[value] = picks
-        if self.min_mode and value == 0:
-            raise _Stop
-        if self.full_range_stop and len(self.min_picks) == self.n + 1:
+        """Called only for a value not yet recorded, so ``picks`` is its fewest."""
+        self.min_picks[value] = picks
+        if (self.min_mode and value == 0) or len(self.min_picks) == self.n + 1:
             raise _Stop
 
-    # -- seeding -----------------------------------------------------------
-    def _seed(self):
-        """Record values of cheap structured selections before the full search.
-
-        Scanning each pool against a handful of anchors (the first member
-        and every constant present) reaches the extreme values early, so
-        the full-range and min-mode stops usually fire before any deep
-        branching: pairing the constant at y with a map sending a k-subset
-        into {y, neighbor of y} already realizes every size.
-        """
-        anchors = [pool[0] for pool, _ in self.groups]
-        diag = self.initial
-        for a in anchors:
-            diag = self._apply(diag, a)
-        self._record(self._size(diag), len(self.groups))
-        for g, (pool, mult) in enumerate(self.groups):
-            base = self.initial
-            for h, a in enumerate(anchors):
-                if h != g:
-                    base = self._apply(base, a)
-            for m in pool:
-                self._record(self._size(self._apply(base, m)), len(self.groups))
-            if mult >= 2:
-                pair_anchors = [pool[0]]
-                pair_anchors += [
-                    m for m in pool if len(set(m)) == 1 and m != pool[0]
-                ]
-                for a in pair_anchors:
-                    based = self._apply(base, a)
-                    for m in pool:
-                        if m == a:
-                            continue
-                        self._record(self._size(self._apply(based, m)), len(self.groups) + 1)
-
-    # -- exhaustive search ---------------------------------------------------
-    def _dfs(self, g: int, start: int, picked: int, r: Restriction | None, total: int):
-        key = (g, start, picked, r)
-        seen_total = self.memo.get(key)
-        if seen_total is not None and seen_total <= total:
-            return
-        self.memo[key] = total
-        pool, mult = self.groups[g]
-        if picked >= 1:
-            if g == len(self.groups) - 1:
-                self._record(self._size(r), total)
-            else:
-                self._dfs(g + 1, 0, 0, r, total)
-        if picked < mult:
-            seen_here = set()
-            for idx in range(start, len(pool)):
-                new_r = self._apply(r, pool[idx])
-                if new_r in seen_here:
-                    continue
-                seen_here.add(new_r)
-                if self._size(new_r) == 0:
-                    # every completion of an empty equalizer scores 0
-                    self._record(0, total + 1 + (len(self.groups) - 1 - g))
-                    continue
-                self._dfs(g, idx + 1, picked + 1, new_r, total + 1)
+    def _close(self):
+        pools, mults, meter, min_picks, n = (
+            self.pools, self.mults, self.meter, self.min_picks, self.n
+        )
+        last = len(pools) - 1
+        # per group: restriction -> fewest picks in that group it was reached with
+        seen: list[dict[Restriction, int]] = [{} for _ in pools]
+        layer = {(0, 1): pools[0]}
+        picks = 1
+        if last == 0:
+            # with one group, layer one is recorded as it stands, a node a member
+            for r in pools[0]:
+                meter.nodes += 1
+                if meter.nodes >= meter.check_at and meter.over():
+                    self.exact = False
+                    raise _Stop
+                size = n - r.count(None)
+                if size not in min_picks:
+                    self._record(size, picks)
+        while layer:
+            picks += 1
+            following: dict[tuple[int, int], list[Restriction]] = {}
+            for (g, k), states in layer.items():
+                targets = [(g + 1, 1)] if g < last else []
+                if k < mults[g]:
+                    targets.append((g, k + 1))
+                for h, j in targets:
+                    pool, group_seen = pools[h], seen[h]
+                    record = h == last
+                    # a state with no pick left anywhere is only recorded
+                    keep = not (record and j == mults[h])
+                    out = following.setdefault((h, j), [])
+                    for r in states:
+                        # a pick in the same group that breaks no agreement
+                        # leaves r itself, already reached with fewer picks
+                        unchanged = r.count(None) if h == g else -1
+                        for m in pool:
+                            meter.nodes += 1
+                            if meter.nodes >= meter.check_at and meter.over():
+                                self.exact = False
+                                raise _Stop
+                            new = tuple([v if v == w else None for v, w in zip(r, m)])
+                            broken = new.count(None)
+                            if broken == unchanged:
+                                continue
+                            if keep:
+                                if group_seen.get(new, j + 1) <= j:
+                                    continue
+                                group_seen[new] = j
+                                out.append(new)
+                            if record and n - broken not in min_picks:
+                                self._record(n - broken, picks)
+            layer = {key: states for key, states in following.items() if states}
 
 
 def _fewest_picks(
@@ -182,7 +172,6 @@ def _fewest_picks(
     arity: int,
     budget: EnumerationBudget | None,
     fixed: bool = False,
-    full_range_stop: bool = True,
 ) -> tuple[dict[int, int], bool]:
     """Enumerate the maps X -> Y, then search selections of at most ``arity``.
 
@@ -194,14 +183,7 @@ def _fewest_picks(
     if not pool:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False
-    n = x_img.n_points
-    search = _EqualizerSearch(
-        [(pool, arity)],
-        n,
-        initial=tuple(range(n)) if fixed else None,
-        budget=budget,
-        full_range_stop=full_range_stop,
-    )
+    search = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, budget)
     min_picks, search_exact = search.run()
     return min_picks, pool_exact and search_exact
 
@@ -255,16 +237,13 @@ def coincidence_spectrum_by_search(
     y_img: DigitalImage,
     i: int,
     budget: EnumerationBudget | None = None,
-    full_range_stop: bool = True,
 ) -> Spectrum:
-    """CS_i by the subset search, with no structural shortcut."""
+    """CS_i by the equalizer closure, with no structural shortcut."""
     if i < 1:
         raise InvalidInputError(f"arity must be >= 1, got {i}")
     if i == 1:
         return Spectrum(values=(x_img.n_points,), exact=True, i=1)
-    min_picks, exact = _fewest_picks(
-        x_img, y_img, i, budget, full_range_stop=full_range_stop
-    )
+    min_picks, exact = _fewest_picks(x_img, y_img, i, budget)
     return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
 
@@ -286,9 +265,7 @@ def coincidence_spectrum_union(
     if not is_totally_disconnected(y_img):
         values = tuple(range(x_img.n_points + 1))
         return Spectrum(values=values, exact=True, i=None, stabilized_at=2)
-    min_picks, exact = _fewest_picks(
-        x_img, y_img, i_max, budget, full_range_stop=False
-    )
+    min_picks, exact = _fewest_picks(x_img, y_img, i_max, budget)
     return _union(min_picks, exact, 2, i_max)
 
 
@@ -305,9 +282,7 @@ def coincidence_spectra_by_arity(
     """
     if i_max < 2:
         raise InvalidInputError(f"i_max must be >= 2, got {i_max}")
-    min_picks, exact = _fewest_picks(
-        x_img, y_img, i_max, budget, full_range_stop=False
-    )
+    min_picks, exact = _fewest_picks(x_img, y_img, i_max, budget)
     return {
         i: Spectrum(values=_within(min_picks, i), exact=exact, i=i)
         for i in range(2, i_max + 1)
@@ -332,7 +307,6 @@ def common_fixed_spectrum(
     x_img: DigitalImage,
     i: int,
     budget: EnumerationBudget | None = None,
-    full_range_stop: bool = True,
 ) -> Spectrum:
     """CFS_i: achievable common-fixed-point counts over i-tuples of self-maps.
 
@@ -341,9 +315,7 @@ def common_fixed_spectrum(
     """
     if i < 1:
         raise InvalidInputError(f"arity must be >= 1, got {i}")
-    min_picks, exact = _fewest_picks(
-        x_img, x_img, i, budget, fixed=True, full_range_stop=full_range_stop
-    )
+    min_picks, exact = _fewest_picks(x_img, x_img, i, budget, fixed=True)
     return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
 
@@ -353,7 +325,5 @@ def common_fixed_spectrum_union(
     """CFS(X) up to arity i_max, with the stabilization arity when established."""
     if i_max < 1:
         raise InvalidInputError(f"i_max must be >= 1, got {i_max}")
-    min_picks, exact = _fewest_picks(
-        x_img, x_img, i_max, budget, fixed=True, full_range_stop=False
-    )
+    min_picks, exact = _fewest_picks(x_img, x_img, i_max, budget, fixed=True)
     return _union(min_picks, exact, 1, i_max)

@@ -15,7 +15,9 @@ from digitop import homotopy
 from digitop import (
     EnumerationBudget,
     are_homotopic,
+    coincidence_spectra_by_arity,
     coincidence_spectrum_by_search,
+    common_fixed_spectrum,
     common_fixed_spectrum_union,
     constant,
     cycle,
@@ -24,10 +26,12 @@ from digitop import (
     from_assignment,
     hcs,
     hcs_of_classes,
+    hfs,
     homotopy_class,
     identity,
     interval,
     mc,
+    mcf,
     self_coincidence_sequence,
     square4,
     tee4,
@@ -78,6 +82,17 @@ def _cs_disconnected(budget):
     return set(s.values), s.exact
 
 
+def _by_arity(budget):
+    # PATH -> D3 realizes only {0, 3}, so the closure runs to exhaustion
+    spectra = coincidence_spectra_by_arity(PATH, discrete(3), 3, budget)
+    return {i: set(s.values) for i, s in spectra.items()}, spectra[2].exact
+
+
+def _cfs(budget):
+    s = common_fixed_spectrum(PATH, 2, budget)
+    return set(s.values), s.exact
+
+
 def _cfs_union(budget):
     s = common_fixed_spectrum_union(EDGE, 3, budget)
     return (set(s.values), s.stabilized_at), s.exact
@@ -89,8 +104,18 @@ def _hcs(budget):
     return set(result.values.values), result.values.exact
 
 
+def _hfs(budget):
+    maps = [constant(PATH, PATH, 1), constant(PATH, PATH, 2)]
+    result = hfs(maps, budget)
+    return set(result.values.values), result.values.exact
+
+
 def _mc(budget):
     return mc([identity(PATH), FLIP], budget)
+
+
+def _mcf(budget):
+    return mcf([identity(PATH), constant(PATH, PATH, 0)], budget)
 
 
 def _mj(budget):
@@ -100,6 +125,10 @@ def _mj(budget):
 
 def _subset(part, whole):
     return part <= whole
+
+
+def _each_subset(part, whole):
+    return part.keys() == whole.keys() and all(part[i] <= whole[i] for i in part)
 
 
 def _cfs_below(part, whole):
@@ -123,9 +152,13 @@ CASES = {
     "are_homotopic": (_homotopic, _unknown),
     "coincidence_spectrum_by_search": (_cs, _subset),
     "coincidence_spectrum_by_search/disconnected": (_cs_disconnected, _subset),
+    "coincidence_spectra_by_arity": (_by_arity, _each_subset),
+    "common_fixed_spectrum": (_cfs, _subset),
     "common_fixed_spectrum_union": (_cfs_union, _cfs_below),
     "hcs": (_hcs, _subset),
+    "hfs": (_hfs, _subset),
     "mc": (_mc, _upper_bound),
+    "mcf": (_mcf, _upper_bound),
 }
 
 

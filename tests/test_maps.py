@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from digitop import (
     ContinuityError,
     InvalidInputError,
+    are_homotopic,
     coincidence_set,
     common_fixed_set,
     compose,
@@ -14,12 +17,17 @@ from digitop import (
     constant,
     cube,
     cycle,
+    disjoint_paths,
+    enumerate_continuous_maps,
     find_isomorphism,
     fixed_point_set,
     from_assignment,
+    homotopy_class,
     identity,
     interval,
     is_continuous,
+    one_step_neighbors,
+    random_connected_image,
     square4,
     tee4,
 )
@@ -111,3 +119,26 @@ def test_continuity_matches_oracle_on_square_to_tee(values):
 def test_continuity_matches_oracle_on_cycle5(values):
     c5 = cycle(5)
     assert is_continuous(c5, c5, tuple(values)) == continuous_oracle(c5, c5, tuple(values))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_enumerated_maps_are_continuous(seed, split_domain):
+    """Maps wrapped from enumerator output skip the re-check, so test them here."""
+    rng = random.Random(seed)
+    if split_domain:
+        x_img = disjoint_paths(tuple(rng.randint(1, 2) for _ in range(rng.randint(1, 3))))
+    else:
+        x_img = random_connected_image(rng, rng.randint(1, 4))
+    y_img = random_connected_image(rng, rng.randint(1, 4))
+    pool = enumerate_continuous_maps(x_img, y_img).maps
+    f, g = rng.choice(pool), rng.choice(pool)
+    produced = list(pool)
+    produced += one_step_neighbors(f).maps
+    produced += homotopy_class(f).members
+    witness = are_homotopic(f, g).witness
+    produced += witness.chain if witness else ()
+    for m in produced:
+        assert (m.domain, m.codomain) == (x_img, y_img)
+        assert type(m.assignment) is tuple
+        assert is_continuous(x_img, y_img, m.assignment), m

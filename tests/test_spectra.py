@@ -21,12 +21,24 @@ from digitop import (
     cycle,
     discrete,
     fixed_point_spectrum,
+    from_assignment,
+    hcs,
+    hfs,
     interval,
+    mc,
+    mcf,
     singleton,
     square4,
     tee4,
 )
-from oracles import cfs_oracle, cs_oracle, fixed_spectrum_oracle
+from oracles import (
+    all_maps_oracle,
+    cfs_oracle,
+    cs_oracle,
+    fixed_spectrum_oracle,
+    hcs_oracle,
+    hfs_oracle,
+)
 
 
 def _tiny_images():
@@ -155,16 +167,17 @@ def test_budget_marks_inexact():
 
 
 @st.composite
-def tiny_pairs(draw):
-    def build(n):
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-        return DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
+def tiny_images(draw, max_points):
+    """A random image of 1 to max_points points, connected or not."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
 
-    return (
-        build(draw(st.integers(min_value=1, max_value=4))),
-        build(draw(st.integers(min_value=1, max_value=3))),
-    )
+
+def tiny_pairs():
+    """(X, Y) with X of at most 4 points and Y of at most 3."""
+    return st.tuples(tiny_images(4), tiny_images(3))
 
 
 @given(tiny_pairs())
@@ -174,3 +187,78 @@ def test_cs2_search_matches_oracle_on_random_pairs(pair):
     s = coincidence_spectrum_by_search(x_img, y_img, 2)
     assert s.exact
     assert s.as_set() == cs_oracle(x_img, y_img, 2)
+
+
+# Differential tests of the equalizer closure: values, fewest picks (through
+# the arities they fall in) and stabilization arities against the oracles.
+
+
+def _stabilized(spectra: dict[int, set[int]]) -> int:
+    """The least arity whose spectrum equals that of the largest arity."""
+    top = spectra[max(spectra)]
+    return min(i for i, values in spectra.items() if values == top)
+
+
+@given(tiny_pairs())
+@settings(max_examples=40, deadline=None)
+def test_cs_by_arity_and_union_match_oracle(pair):
+    x_img, y_img = pair
+    truth = {i: cs_oracle(x_img, y_img, i) for i in (1, 2, 3)}
+    for i, values in truth.items():
+        s = coincidence_spectrum_by_search(x_img, y_img, i)
+        assert s.exact
+        assert s.as_set() == values, i
+    by_arity = coincidence_spectra_by_arity(x_img, y_img, 3)
+    assert sorted(by_arity) == [2, 3]
+    for i, s in by_arity.items():
+        assert s.exact
+        assert s.as_set() == truth[i], i
+    union = coincidence_spectrum_union(x_img, y_img, 3)
+    assert union.exact
+    assert union.as_set() == truth[3]
+    assert union.stabilized_at == _stabilized({i: truth[i] for i in (2, 3)})
+
+
+@given(tiny_images(4))
+@settings(max_examples=40, deadline=None)
+def test_cfs_and_union_match_oracle(x_img):
+    # the oracle's triples over the 256 self-maps of a 4-point image take
+    # seconds, so arity 3 is checked up to 3 points
+    i_max = 3 if x_img.n_points <= 3 else 2
+    truth = {i: cfs_oracle(x_img, i) for i in range(1, i_max + 1)}
+    for i, values in truth.items():
+        s = common_fixed_spectrum(x_img, i)
+        assert s.exact
+        assert s.as_set() == values, i
+    union = common_fixed_spectrum_union(x_img, i_max)
+    assert union.exact
+    assert union.as_set() == truth[i_max]
+    assert union.stabilized_at == _stabilized(truth)
+
+
+@given(tiny_pairs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_class_spectra_and_minima_match_oracle(pair, data):
+    x_img, y_img = pair
+
+    def pick(codomain):
+        pool = all_maps_oracle(x_img, codomain)
+        index = data.draw(st.integers(min_value=0, max_value=len(pool) - 1))
+        return from_assignment(x_img, codomain, pool[index])
+
+    f, g = pick(y_img), pick(y_img)
+    for maps in ([f], [f, g], [f, g, g]):
+        truth = hcs_oracle(x_img, y_img, [m.assignment for m in maps])
+        result = hcs(maps)
+        assert result.values.exact
+        assert result.values.as_set() == truth
+        assert result.min_value == min(truth)
+        assert mc(maps) == (min(truth), True)
+    h, k = pick(x_img), pick(x_img)
+    for maps in ([h], [h, k], [h, h]):
+        truth = hfs_oracle(x_img, [m.assignment for m in maps])
+        result = hfs(maps)
+        assert result.values.exact
+        assert result.values.as_set() == truth
+        assert result.min_value == min(truth)
+        assert mcf(maps) == (min(truth), True)
