@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .enumeration import EnumerationBudget, count_continuous_maps, enumerate_continuous_maps
 from .errors import ContinuityError, InvalidInputError
@@ -49,18 +48,18 @@ def _budget_for(args, images) -> EnumerationBudget | None:
 
     A ``--limit`` option, where the command has one, caps the result count.
     """
-    budget = None
+    limit = getattr(args, "limit", None)
     if args.budget_nodes is not None or args.budget_time is not None:
-        budget = EnumerationBudget(
-            max_nodes=args.budget_nodes, time_budget=args.budget_time
+        return EnumerationBudget(
+            max_results=limit, max_nodes=args.budget_nodes, time_budget=args.budget_time
         )
-    elif max((img.n_points for img in images), default=0) > UNBUDGETED_MAX_POINTS:
-        budget = EnumerationBudget(
-            max_nodes=DEFAULT_NODE_BUDGET, time_budget=DEFAULT_TIME_BUDGET
+    if max((img.n_points for img in images), default=0) > UNBUDGETED_MAX_POINTS:
+        return EnumerationBudget(
+            max_results=limit, max_nodes=DEFAULT_NODE_BUDGET, time_budget=DEFAULT_TIME_BUDGET
         )
-    if getattr(args, "limit", None) is not None:
-        budget = replace(budget or EnumerationBudget(), max_results=args.limit)
-    return budget
+    if limit is not None:
+        return EnumerationBudget(max_results=limit)
+    return None
 
 
 def _emit(args, obj: dict, text: str) -> None:

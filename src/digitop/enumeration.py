@@ -9,46 +9,60 @@ dead branches die at the first violated edge.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvalidInputError
 from .images import DigitalImage, _traversal_order
 from .maps import DigitalMap, _enumerated
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Record):
     """Optional limits on a search; None means unlimited.
 
     ``max_nodes`` counts candidate values tried; ``time_budget`` is in
-    seconds and checked every few hundred nodes.
+    seconds and checked every few hundred nodes.  A limit must be > 0, so
+    NaN is rejected: a NaN deadline would never trip.
     """
 
-    max_results: int | None = None
-    max_nodes: int | None = None
-    time_budget: float | None = None
+    _fields = ("max_results", "max_nodes", "time_budget")
+    max_results: int | None
+    max_nodes: int | None
+    time_budget: float | None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_results: int | None = None,
+        max_nodes: int | None = None,
+        time_budget: float | None = None,
+    ):
         for label, v in (
-            ("max_results", self.max_results),
-            ("max_nodes", self.max_nodes),
-            ("time_budget", self.time_budget),
+            ("max_results", max_results),
+            ("max_nodes", max_nodes),
+            ("time_budget", time_budget),
         ):
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise InvalidInputError(f"{label} must be positive, got {v}")
+        object.__setattr__(self, "max_results", max_results)
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "time_budget", time_budget)
 
 
 UNLIMITED = EnumerationBudget()
 _NEVER = 1 << 62  # a node count no search reaches
 
 
-@dataclass(frozen=True)
-class EnumerationOutcome:
+class EnumerationOutcome(Record):
     """Results plus an honesty flag: exhausted=False iff some budget tripped."""
 
+    _fields = ("maps", "exhausted", "nodes_used")
     maps: tuple[DigitalMap, ...]
     exhausted: bool
-    nodes_used: int = 0
+    nodes_used: int
+
+    def __init__(self, maps: tuple[DigitalMap, ...], exhausted: bool, nodes_used: int = 0):
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "exhausted", exhausted)
+        object.__setattr__(self, "nodes_used", nodes_used)
 
 
 def closed_neighborhoods(image: DigitalImage) -> tuple[frozenset[int], ...]:

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Collection
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
+from ._record import Record
 from .enumeration import (
     EnumerationBudget,
     MapSpaceContext,
@@ -47,31 +47,39 @@ def one_step_homotopic(f: DigitalMap, g: DigitalMap) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class HomotopyWitness:
+class HomotopyWitness(Record):
     """A chain of maps, consecutive entries one-step homotopic."""
 
+    _fields = ("chain",)
     chain: tuple[DigitalMap, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "chain", tuple(self.chain))
-        if not self.chain:
+    def __init__(self, chain):
+        chain = tuple(chain)
+        if not chain:
             raise InvalidInputError("a witness chain has at least one map")
-        for a, b in zip(self.chain, self.chain[1:]):
+        for a, b in zip(chain, chain[1:]):
             if not one_step_homotopic(a, b):
                 raise InvalidInputError("witness chain entries must be one-step homotopic")
+        object.__setattr__(self, "chain", chain)
 
     def __len__(self) -> int:
         return len(self.chain)
 
 
-@dataclass(frozen=True)
-class HomotopyClass:
+class HomotopyClass(Record):
     """All maps reachable from the representative; complete=False iff truncated."""
 
+    _fields = ("representative", "members", "complete")
     representative: DigitalMap
     members: tuple[DigitalMap, ...]
     complete: bool
+
+    def __init__(
+        self, representative: DigitalMap, members: tuple[DigitalMap, ...], complete: bool
+    ):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "complete", complete)
 
     @cached_property
     def _member_set(self) -> frozenset[DigitalMap]:
@@ -227,10 +235,14 @@ def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ho
     return HomotopyClass(representative=f, members=members, complete=complete)
 
 
-@dataclass(frozen=True)
-class HomotopyAnswer:
+class HomotopyAnswer(Record):
+    _fields = ("verdict", "witness")
     verdict: Ternary
-    witness: HomotopyWitness | None = None
+    witness: HomotopyWitness | None
+
+    def __init__(self, verdict: Ternary, witness: HomotopyWitness | None = None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness", witness)
 
 
 def are_homotopic(

@@ -11,8 +11,7 @@ equalizer restrictions runs over those groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .enumeration import EnumerationBudget
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, homotopy_class
@@ -21,27 +20,35 @@ from .maps import DigitalMap, identity
 from .spectra import Spectrum, _EqualizerSearch
 
 
-@dataclass(frozen=True)
-class HomotopySpectrumResult:
+class HomotopySpectrumResult(Record):
     """values as a Spectrum; classes_complete=False iff any class BFS truncated.
 
     When inexact, values form a lower approximation (every listed size is
     realizable) and min_value is an upper bound on the true minimum.
     """
 
+    _fields = ("values", "classes_complete", "min_value")
     values: Spectrum
     classes_complete: bool
     min_value: int | None
 
+    def __init__(self, values: Spectrum, classes_complete: bool, min_value: int | None):
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "classes_complete", classes_complete)
+        object.__setattr__(self, "min_value", min_value)
 
-@dataclass(frozen=True)
-class SelfCoincidenceSequence:
+
+class SelfCoincidenceSequence(Record):
     """Entries (j, m_j, exact); non-increasing in j when all entries are exact.
 
     A None value means the budget tripped before anything was recorded.
     """
 
+    _fields = ("entries",)
     entries: tuple[tuple[int, int | None, bool], ...]
+
+    def __init__(self, entries: tuple[tuple[int, int | None, bool], ...]):
+        object.__setattr__(self, "entries", entries)
 
 
 def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:

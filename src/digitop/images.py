@@ -9,8 +9,8 @@ that order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .errors import InvalidInputError
 
 Point = tuple[int, ...]
@@ -34,17 +34,20 @@ def ct_adjacent(p: Point, q: Point, t: int) -> bool:
     return 1 <= changed <= t
 
 
-@dataclass(frozen=True)
-class CT:
+class CT(Record):
     """Adjacency derived from coordinates via :func:`ct_adjacent`."""
 
+    _fields = ("t",)
     t: int
 
+    def __init__(self, t: int):
+        object.__setattr__(self, "t", t)
 
-@dataclass(frozen=True, eq=False)
-class Explicit:
+
+class Explicit(Record):
     """Adjacency given directly as unordered pairs of point indices."""
 
+    _fields = ("edges",)
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, edges):
@@ -66,8 +69,7 @@ class Explicit:
 AdjacencySpec = CT | Explicit
 
 
-@dataclass(frozen=True, eq=False)
-class DigitalImage:
+class DigitalImage(Record):
     """An immutable finite digital image.
 
     The constructor canonicalizes: points are sorted lexicographically,
@@ -83,18 +85,24 @@ class DigitalImage:
 
     points: tuple[Point, ...]
     adjacency: AdjacencySpec
-    name: str | None = None
-    dimension: int | None = None
-    source_order: tuple[int, ...] = field(init=False, repr=False)
-    _neighbors: tuple[frozenset[int], ...] = field(init=False, repr=False)
-    _edges: frozenset[tuple[int, int]] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    name: str | None
+    dimension: int
+    source_order: tuple[int, ...]
+    _neighbors: tuple[frozenset[int], ...]
+    _edges: frozenset[tuple[int, int]]
+    _hash: int
 
-    def __post_init__(self):
-        pts = [tuple(int(c) for c in p) for p in self.points]
+    def __init__(
+        self,
+        points,
+        adjacency: AdjacencySpec,
+        name: str | None = None,
+        dimension: int | None = None,
+    ):
+        pts = [tuple(int(c) for c in p) for p in points]
         if not pts:
             raise InvalidInputError("an image must contain at least one point")
-        dim = self.dimension if self.dimension is not None else len(pts[0])
+        dim = dimension if dimension is not None else len(pts[0])
         if dim < 1:
             raise InvalidInputError(f"dimension must be positive, got {dim}")
         for p in pts:
@@ -109,7 +117,7 @@ class DigitalImage:
             perm[old] = new
         canonical = tuple(pts[i] for i in order)
 
-        adj = self.adjacency
+        adj = adjacency
         n = len(canonical)
         if isinstance(adj, CT):
             if not 1 <= adj.t <= dim:
@@ -136,6 +144,7 @@ class DigitalImage:
 
         object.__setattr__(self, "points", canonical)
         object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "name", name)
         object.__setattr__(self, "dimension", dim)
         object.__setattr__(self, "source_order", tuple(perm))
         object.__setattr__(self, "_neighbors", tuple(frozenset(s) for s in nbrs))
@@ -269,27 +278,28 @@ def is_totally_disconnected(image: DigitalImage) -> bool:
     return not image._edges
 
 
-@dataclass(frozen=True)
-class Isomorphism:
+class Isomorphism(Record):
     """An adjacency-preserving bijection between two images (both directions)."""
 
+    _fields = ("domain", "codomain", "forward")
     domain: DigitalImage
     codomain: DigitalImage
     forward: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "forward", tuple(self.forward))
-        n = self.domain.n_points
-        if self.codomain.n_points != n or sorted(self.forward) != list(range(n)):
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage, forward):
+        forward = tuple(forward)
+        n = domain.n_points
+        if codomain.n_points != n or sorted(forward) != list(range(n)):
             raise InvalidInputError("forward must be a bijection between the point sets")
         for i in range(n):
             for j in range(i + 1, n):
-                if self.domain.adjacent(i, j) != self.codomain.adjacent(
-                    self.forward[i], self.forward[j]
-                ):
+                if domain.adjacent(i, j) != codomain.adjacent(forward[i], forward[j]):
                     raise InvalidInputError(
                         f"bijection does not preserve adjacency at pair ({i}, {j})"
                     )
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "forward", forward)
 
     def apply(self, x: int) -> int:
         return self.forward[x]

@@ -9,8 +9,7 @@ while it was built, without checking it again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import ContinuityError, InvalidInputError
 from .images import DigitalImage, Isomorphism
 
@@ -46,23 +45,25 @@ def is_continuous(domain: DigitalImage, codomain: DigitalImage, assignment) -> b
     return continuity_violation(domain, codomain, assignment) is None
 
 
-@dataclass(frozen=True)
-class DigitalMap:
+class DigitalMap(Record):
     """A validated continuous map, stored as a tuple of codomain indices.
 
     Equality is structural (domain, codomain, assignment); maps carry no
     name so bulk enumeration can deduplicate them by hashing.
     """
 
+    _fields = ("domain", "codomain", "assignment")
     domain: DigitalImage
     codomain: DigitalImage
     assignment: tuple[int, ...]
 
-    def __post_init__(self):
-        witness = continuity_violation(self.domain, self.codomain, self.assignment)
-        object.__setattr__(self, "assignment", tuple(self.assignment))
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage, assignment):
+        witness = continuity_violation(domain, codomain, assignment)
         if witness is not None:
             raise ContinuityError(*witness)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "assignment", tuple(assignment))
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]

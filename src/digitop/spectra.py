@@ -11,8 +11,7 @@ picks realizing it, which answers every arity up to the largest at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .enumeration import EnumerationBudget, Meter, enumerate_assignments
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
@@ -20,8 +19,7 @@ from .images import DigitalImage, is_totally_disconnected
 Restriction = tuple  # per-point agreed value, None once agreement is broken
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """A set of achievable cardinalities; exact=False iff some budget tripped.
 
     ``i`` is the arity the spectrum was computed for (None for unions over
@@ -29,13 +27,19 @@ class Spectrum:
     growing, when that was established.
     """
 
+    _fields = ("values", "exact", "i", "stabilized_at")
     values: tuple[int, ...]
     exact: bool
-    i: int | None = None
-    stabilized_at: int | None = None
+    i: int | None
+    stabilized_at: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(sorted(set(self.values))))
+    def __init__(
+        self, values, exact: bool, i: int | None = None, stabilized_at: int | None = None
+    ):
+        object.__setattr__(self, "values", tuple(sorted(set(values))))
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "stabilized_at", stabilized_at)
 
     def as_set(self) -> frozenset[int]:
         return frozenset(self.values)

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import builders
+from ._record import Record
 from .enumeration import EnumerationBudget, enumerate_continuous_maps
 from .errors import InvalidInputError
 from .homotopy import homotopy_class, is_contractible, is_rigid_image
@@ -40,13 +40,27 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
+    _fields = ("check_id", "instance", "verdict", "elapsed", "details")
     check_id: str
     instance: str
     verdict: str  # pass, fail, or skipped (budget)
     elapsed: float
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    def __init__(
+        self,
+        check_id: str,
+        instance: str,
+        verdict: str,
+        elapsed: float,
+        details: dict | None = None,
+    ):
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "elapsed", elapsed)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,14 +72,42 @@ class VerificationReport:
         }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: EnumerationBudget | None = None
-    i_max: int = 4
-    j_max: int = 4
-    seed: int = 0
-    random_instances: int = 40
-    max_random_points: int = 6
+class RunConfig(Record):
+    """Settings of a verification run; random instances have 1..max_random_points points."""
+
+    _fields = (
+        "budget", "i_max", "j_max", "seed", "random_instances", "max_random_points"
+    )
+    budget: EnumerationBudget | None
+    i_max: int
+    j_max: int
+    seed: int
+    random_instances: int
+    max_random_points: int
+
+    def __init__(
+        self,
+        budget: EnumerationBudget | None = None,
+        i_max: int = 4,
+        j_max: int = 4,
+        seed: int = 0,
+        random_instances: int = 40,
+        max_random_points: int = 6,
+    ):
+        if random_instances < 0:
+            raise InvalidInputError(
+                f"random_instances must be at least 0, got {random_instances}"
+            )
+        if max_random_points < 1:
+            raise InvalidInputError(
+                f"max_random_points must be at least 1, got {max_random_points}"
+            )
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "i_max", i_max)
+        object.__setattr__(self, "j_max", j_max)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "random_instances", random_instances)
+        object.__setattr__(self, "max_random_points", max_random_points)
 
 
 SUITES = ("paper-fixtures", "random-small", "all")

@@ -73,12 +73,18 @@ def equalizer_size(assignments) -> int:
 
 
 def cs_oracle(x_img: DigitalImage, y_img: DigitalImage, i: int) -> set[int]:
-    """Coincidence sizes over i-tuples; tuples reduce to subsets of size <= i."""
+    """Coincidence sizes over i-tuples; tuples reduce to subsets of size <= i.
+
+    Stops once every size 0..#X has been seen, since no other size exists.
+    """
     pool = all_maps_oracle(x_img, y_img)
+    full = set(range(x_img.n_points + 1))
     sizes = set()
     for k in range(1, i + 1):
         for subset in itertools.combinations(pool, k):
             sizes.add(equalizer_size(subset))
+            if sizes == full:
+                return sizes
     return sizes
 
 
@@ -90,12 +96,16 @@ def fixed_spectrum_oracle(x_img: DigitalImage) -> set[int]:
 
 
 def cfs_oracle(x_img: DigitalImage, i: int) -> set[int]:
+    """Common fixed-point sizes over i-tuples, stopping once all of 0..#X are seen."""
     pool = all_maps_oracle(x_img, x_img)
     ident = tuple(range(x_img.n_points))
+    full = set(range(x_img.n_points + 1))
     sizes = set()
     for k in range(1, i + 1):
         for subset in itertools.combinations(pool, k):
             sizes.add(equalizer_size(subset + (ident,)))
+            if sizes == full:
+                return sizes
     return sizes
 
 

@@ -1,6 +1,12 @@
 """End-to-end runs of the command line through cli_dispatch."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from digitop import builders, constant, dump_map, identity
 from digitop.cli import cli_dispatch
@@ -177,6 +183,42 @@ def test_verify_random_small(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert rows and all(r["verdict"] == "pass" for r in rows)
     assert "0 failed" in err
+
+
+@pytest.mark.parametrize(
+    "option", [("--max-points", "0"), ("--max-points", "-2"), ("--instances", "-1")]
+)
+def test_verify_rejects_out_of_range_sizes(capsys, option):
+    code, out, err = _run(capsys, "verify", "random-small", *option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_nan_time_budget_is_input_error(capsys):
+    code, out, err = _run(
+        capsys, "maps", "count", "builtin:cube", "builtin:cube", "--budget-time", "nan"
+    )
+    assert code == 2
+    assert out == ""
+    assert "time_budget" in err
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    probe = (
+        "import sys; before = set(sys.modules); import digitop.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "digitop.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_conjecture_small(capsys):

@@ -94,7 +94,16 @@ def test_budget_validates():
     with pytest.raises(InvalidInputError):
         EnumerationBudget(max_results=0)
     with pytest.raises(InvalidInputError):
+        EnumerationBudget(max_nodes=0)
+    with pytest.raises(InvalidInputError):
         EnumerationBudget(time_budget=-1.0)
+
+
+@pytest.mark.parametrize("field", ["max_results", "max_nodes", "time_budget"])
+def test_budget_rejects_nan(field):
+    # a NaN deadline compares false with every clock reading, so it never trips
+    with pytest.raises(InvalidInputError):
+        EnumerationBudget(**{field: float("nan")})
 
 
 def test_enumeration_order_is_deterministic():
