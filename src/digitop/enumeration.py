@@ -163,6 +163,7 @@ class _Search:
         allowed: tuple[frozenset[int], ...],
         budget: EnumerationBudget | Meter | None,
         collect: bool,
+        max_results: int | None = None,
     ):
         self.order = context.order
         self.earlier = context.earlier
@@ -170,10 +171,11 @@ class _Search:
         self.closed = context.closed
         self.n = context.domain.n_points
         if isinstance(budget, Meter):
-            self.meter, self.max_results = budget, None
+            self.meter = budget
         else:
             self.meter = Meter(budget)
-            self.max_results = budget.max_results if budget else None
+            max_results = budget.max_results if budget else None
+        self.max_results = max_results
         self.collect = collect
         self.assign = [0] * self.n
         self.results: list[tuple[int, ...]] = []
@@ -219,15 +221,18 @@ def assignments_in_context(
     context: MapSpaceContext,
     budget: EnumerationBudget | Meter | None = None,
     allowed: tuple[frozenset[int], ...] | None = None,
+    max_results: int | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
     """As enumerate_assignments, reusing a precomputed context.
 
     A Meter as ``budget`` charges this search to a budget shared with
-    other searches; the node count returned is this search's own.
+    other searches; the node count returned is this search's own.  A
+    metered search takes its result cap from ``max_results``; an
+    EnumerationBudget brings its own.
     """
     if allowed is None:
         allowed = (context.full,) * context.domain.n_points
-    search = _Search(context, allowed, budget, collect=True).run()
+    search = _Search(context, allowed, budget, collect=True, max_results=max_results).run()
     return search.results, search.exhausted, search.nodes
 
 

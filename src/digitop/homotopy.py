@@ -5,14 +5,21 @@ general homotopy is reachability under that relation through continuous
 maps, so a homotopy class is a breadth-first closure and every membership
 question comes with an explicit chain of one-step moves as a witness.
 
-One closure (``_bfs_closure``) answers every class, homotopy and
-nullhomotopy question.  It finds a member's one-step neighbors either by a
-backtracking search restricted to the closed neighborhoods of the member's
-values, or, once Hom(X, Y) has been enumerated within a node cap that
-doubles as the closure grows, by intersecting bitsets over that indexed
-Hom space.  The first suits a small class in a huge Hom space (a rigid map
-needs one search), the second a class that fills much of its Hom space.
-Both give the same members, parents and chains.
+A class question first looks for a certificate that the domain X is
+contractible: a greedy chain of one-step moves from id_X to a constant
+(``_pulls_to_a_constant``).  With one, every f: X -> Y is homotopic to a
+constant, so the class of f is every map into the component of Y that
+holds f's image, and one restricted enumeration lists it.
+
+Without one, a breadth-first closure (``_bfs_closure``) answers, and it
+also answers every homotopy and nullhomotopy question, which need shortest
+chains and early stops.  It finds a member's one-step neighbors either by
+a backtracking search restricted to the closed neighborhoods of the
+member's values, or, once Hom(X, Y) has been enumerated within a node cap
+that doubles as the closure grows, by intersecting bitsets over that
+indexed Hom space.  The first suits a small class in a huge Hom space (a
+rigid map needs one search), the second a class that fills much of its Hom
+space.  Both give the same members, parents and chains.
 """
 
 from __future__ import annotations
@@ -150,14 +157,16 @@ def _bfs_closure(
     f: DigitalMap,
     budget: EnumerationBudget | None,
     stop_at: Collection[tuple[int, ...]] = frozenset(),
+    meter: Meter | None = None,
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], bool, bool]:
     """Breadth-first closure of {f} under one-step neighbors.
 
     Returns (parents keyed by assignment, complete, found_stop).  parents[a]
     is the predecessor assignment on a shortest chain from f, None for f.
     ``stop_at`` is a set of assignments; the closure stops at the first one
-    it reaches.  Works on raw assignments; members are only wrapped by the
-    callers.
+    it reaches.  ``meter``, if given, is the budget's meter with earlier
+    work already charged.  Works on raw assignments; members are only
+    wrapped by the callers.
 
     A member's neighbors come from one of two sources, raced on the shared
     meter.  The per-member search enumerates the maps inside the closed
@@ -176,7 +185,8 @@ def _bfs_closure(
     whichever answers.  The cap reports truncation only once a member past
     it exists.
     """
-    meter = Meter(budget)
+    if meter is None:
+        meter = Meter(budget)
     max_results = budget.max_results if budget else None
     parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
     if f.assignment in stop_at:
@@ -228,10 +238,44 @@ def _bfs_closure(
     return parents, True, False
 
 
+def _component_maps(
+    f: DigitalMap, meter: Meter, max_results: int | None
+) -> tuple[list[tuple[int, ...]], bool]:
+    """Hom(X, K) for the component K of Y holding f's image: (assignments, complete).
+
+    This is f's class when X is contractible.  A chain from id_X to the
+    constant at x0 composes with f to a chain from f to the constant at
+    f(x0); constants into the connected K are homotopic, and a one-step move
+    never leaves K.  A truncated list still holds f.
+    """
+    dist, _ = _pull_toward(f.codomain, f.assignment[0])
+    component = frozenset(v for v, d in enumerate(dist) if d is not None)
+    context = MapSpaceContext(f.domain, f.codomain)
+    allowed = (component,) * f.domain.n_points
+    found, complete, _ = assignments_in_context(context, meter, allowed, max_results)
+    if not complete and f.assignment not in found:
+        if len(found) == max_results:
+            found.pop()
+        found.append(f.assignment)
+    return found, complete
+
+
 def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> HomotopyClass:
-    """Every map homotopic to f (up to budget), in canonical assignment order."""
-    parents, complete, _ = _bfs_closure(f, budget)
-    members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(parents))
+    """Every map homotopic to f (up to budget), in canonical assignment order.
+
+    If a greedy chain contracts the domain, the class is every map into the
+    component of the codomain that holds f's image, listed by one
+    restricted enumeration; otherwise it is the breadth-first closure.  The
+    chain's steps are charged to the same budget, and a budget too small to
+    finish it leaves the closure to answer.
+    """
+    meter = Meter(budget)
+    max_results = budget.max_results if budget else None
+    if _pulls_to_a_constant(identity(f.domain), meter):
+        found, complete = _component_maps(f, meter, max_results)
+    else:
+        found, complete, _ = _bfs_closure(f, budget, meter=meter)
+    members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(found))
     return HomotopyClass(representative=f, members=members, complete=complete)
 
 
@@ -274,57 +318,80 @@ def is_rigid_image(image: DigitalImage) -> bool:
     return is_rigid_map(identity(image))
 
 
-def _graph_distances(image: DigitalImage, target: int) -> list[int | None]:
+def _pull_toward(image: DigitalImage, target: int) -> tuple[list[int | None], list[int]]:
+    """(dist, toward) by one breadth-first search from target.
+
+    dist[v] is the graph distance from v to target, None off its component;
+    toward[v] is v's lowest-index neighbor one step closer, v itself at the
+    target and off the component.
+    """
+    nbrs = image.neighbor_sets()
     dist: list[int | None] = [None] * image.n_points
+    toward = list(range(image.n_points))
     dist[target] = 0
     queue = deque([target])
     while queue:
         v = queue.popleft()
-        for w in image.neighbor_sets()[v]:
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
+        d = dist[v] + 1
+        for w in nbrs[v]:
+            dw = dist[w]
+            if dw is None:
+                dist[w] = d
+                toward[w] = v
                 queue.append(w)
-    return dist
+            elif dw == d and v < toward[w]:
+                toward[w] = v
+    return dist, toward
 
 
-def _greedy_pull(f: DigitalMap, target: int) -> tuple[DigitalMap, ...] | None:
+def _greedy_pull(
+    f: DigitalMap, target: int, meter: Meter
+) -> tuple[DigitalMap, ...] | None:
     """Chain from f to the constant at target by stepping every value toward it.
 
-    Each step moves each point to its lowest-index neighbor strictly closer
-    to the target; gives up when a step breaks continuity or stalls.
+    Each step moves each value to its lowest-index neighbor strictly closer
+    to the target, so the chain ends after as many steps as the farthest
+    value is from the target; gives up when f leaves the target's component
+    or a step breaks continuity.  A step costs the meter one node per domain
+    point, and a tripped meter also gives None.  Every step is a validated
+    DigitalMap, so a returned chain is checked.
     """
-    cod = f.codomain
-    dist = _graph_distances(cod, target)
+    dist, toward = _pull_toward(f.codomain, target)
     if any(dist[v] is None for v in f.assignment):
         return None
+    n = f.domain.n_points
     chain = [f]
     current = f.assignment
     while any(v != target for v in current):
-        step = []
-        for v in current:
-            if v == target:
-                step.append(v)
-                continue
-            closer = [w for w in cod.neighbor_sets()[v] if dist[w] is not None and dist[w] < dist[v]]
-            step.append(min(closer) if closer else v)
-        step_t = tuple(step)
-        if step_t == current:
+        meter.nodes += n
+        if meter.nodes >= meter.check_at and meter.over():
             return None
+        current = tuple(toward[v] for v in current)
         try:
-            chain.append(DigitalMap(f.domain, f.codomain, step_t))
+            chain.append(DigitalMap(f.domain, f.codomain, current))
         except ContinuityError:
             return None
-        current = step_t
     return tuple(chain)
+
+
+def _pulls_to_a_constant(f: DigitalMap, meter: Meter) -> bool:
+    """True iff ``_greedy_pull`` finds a chain from f to some constant within the meter.
+
+    For f = id_X this certifies that X is contractible.
+    """
+    for target in range(f.codomain.n_points):
+        if _greedy_pull(f, target, meter) is not None:
+            return True
+    return False
 
 
 def is_nullhomotopic(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ternary:
     """Is f homotopic to some constant map?  Greedy chain first, then the closure."""
-    for target in range(f.codomain.n_points):
-        if _greedy_pull(f, target) is not None:
-            return "yes"
+    meter = Meter(budget)
+    if _pulls_to_a_constant(f, meter):
+        return "yes"
     constants = {constant(f.domain, f.codomain, y).assignment for y in range(f.codomain.n_points)}
-    _, complete, found = _bfs_closure(f, budget, stop_at=constants)
+    _, complete, found = _bfs_closure(f, budget, stop_at=constants, meter=meter)
     if found:
         return "yes"
     return "no" if complete else "unknown"

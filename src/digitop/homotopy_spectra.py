@@ -12,9 +12,9 @@ equalizer restrictions runs over those groups.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget
+from .enumeration import EnumerationBudget, Meter
 from .errors import InvalidInputError
-from .homotopy import HomotopyClass, homotopy_class
+from .homotopy import HomotopyClass, _pulls_to_a_constant, homotopy_class
 from .images import DigitalImage
 from .maps import DigitalMap, identity
 from .spectra import Spectrum, _EqualizerSearch
@@ -197,12 +197,19 @@ def self_coincidence_sequence(
 ) -> SelfCoincidenceSequence:
     """m_j(X) = MC of j copies of the identity, for j = 1..j_max.
 
-    Once an exact 0 appears the remaining entries are 0 (the witnessing
-    selection still fits any larger j), so the search is not repeated.
+    If a greedy chain contracts X and #X >= 2, every m_j with j >= 2 is 0
+    with no class and no search: the identity's class holds two distinct
+    constants, whose equalizer is empty.  The chain is charged to the
+    budget.  Otherwise, once an exact 0 appears the remaining entries are 0
+    (the witnessing selection still fits any larger j), so the search is
+    not repeated.
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
     entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
+    if x_img.n_points >= 2 and _pulls_to_a_constant(identity(x_img), Meter(budget)):
+        entries += [(j, 0, True) for j in range(2, j_max + 1)]
+        return SelfCoincidenceSequence(entries=tuple(entries))
     cls = homotopy_class(identity(x_img), budget)
     for j in range(2, j_max + 1):
         prev_j, prev_value, prev_exact = entries[-1]

@@ -22,8 +22,9 @@ def _check_assignment(domain: DigitalImage, codomain: DigitalImage, assignment) 
         raise InvalidInputError(
             f"assignment has length {len(values)}, domain has {domain.n_points} points"
         )
+    m = codomain.n_points
     for v in values:
-        if not 0 <= v < codomain.n_points:
+        if not 0 <= v < m:
             raise InvalidInputError(f"assignment value {v} is not a codomain index")
     return values
 

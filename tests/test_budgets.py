@@ -2,7 +2,8 @@
 
 Every budgeted entry point is swept over ``max_nodes`` in 1..60 on 2- to
 4-point images, chosen so that each sweep sees both tripped and completed
-searches.  At each step an exact result equals the unbudgeted one, an
+searches; a case that cannot finish within 60 nodes names a wider range in
+``WIDE_BUDGETS``.  At each step an exact result equals the unbudgeted one, an
 inexact spectrum or map set is a subset of it, and an inexact minimum is an
 upper bound.
 """
@@ -22,6 +23,7 @@ from digitop import (
     constant,
     cycle,
     discrete,
+    disjoint_paths,
     enumerate_continuous_maps,
     from_assignment,
     hcs,
@@ -58,6 +60,14 @@ def _class(budget):
 def _class_index(budget):
     # the class is all of Hom(D2, P3), so an exact closure ends over the index
     cls = homotopy_class(constant(discrete(2), PATH, 2), budget)
+    return {m.assignment for m in cls.members}, cls.complete
+
+
+def _class_cycle(budget):
+    # C5 has no contracting chain, so the closure answers, and stays inside
+    # the edge of the codomain; the class is all of Hom(C5, edge), so an
+    # exact closure ends over the index
+    cls = homotopy_class(constant(cycle(5), disjoint_paths((2, 1)), 0), budget)
     return {m.assignment for m in cls.members}, cls.complete
 
 
@@ -148,6 +158,7 @@ CASES = {
     "enumerate_continuous_maps": (_enumerate, _subset),
     "homotopy_class": (_class, _subset),
     "homotopy_class/complete-codomain": (_class_complete_codomain, _subset),
+    "homotopy_class/cycle": (_class_cycle, _subset),
     "homotopy_class/index": (_class_index, _subset),
     "are_homotopic": (_homotopic, _unknown),
     "coincidence_spectrum_by_search": (_cs, _subset),
@@ -162,9 +173,13 @@ CASES = {
 }
 
 
-def sweep(run):
-    """[(max_nodes, answer, exact)] over NODE_BUDGETS, for the record."""
-    return [(k, *run(EnumerationBudget(max_nodes=k))) for k in NODE_BUDGETS]
+# name -> node budgets, for cases that need more than NODE_BUDGETS to finish
+WIDE_BUDGETS = {"homotopy_class/cycle": range(1, 201)}
+
+
+def sweep(run, budgets=NODE_BUDGETS):
+    """[(max_nodes, answer, exact)] over the budgets, for the record."""
+    return [(k, *run(EnumerationBudget(max_nodes=k))) for k in budgets]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -172,7 +187,7 @@ def test_budgeted_answers_are_honest(name):
     run, relation = CASES[name]
     truth, exact = run(None)
     assert exact
-    outcomes = sweep(run)
+    outcomes = sweep(run, WIDE_BUDGETS.get(name, NODE_BUDGETS))
     for k, answer, exact in outcomes:
         if exact:
             assert answer == truth, k
@@ -205,10 +220,10 @@ def test_class_sweeps_reach_the_index(monkeypatch):
         return index
 
     monkeypatch.setattr(homotopy, "_try_index", recording)
-    for name in ("homotopy_class", "homotopy_class/index"):
+    for name in ("homotopy_class/cycle", "homotopy_class/index"):
         run, _ = CASES[name]
         indexed_exact = []
-        for k in NODE_BUDGETS:
+        for k in WIDE_BUDGETS.get(name, NODE_BUDGETS):
             built.clear()
             _, exact = run(EnumerationBudget(max_nodes=k))
             indexed_exact.append(exact and any(built))

@@ -204,21 +204,39 @@ def test_nan_time_budget_is_input_error(capsys):
     assert "time_budget" in err
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+def _python(*argv):
+    """Run a fresh interpreter with ``src`` on PYTHONPATH."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     probe = (
         "import sys; before = set(sys.modules); import digitop.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "digitop.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("module", ["digitop", "digitop.cli"])
+def test_python_dash_m_runs_the_command(module):
+    done = _python("-m", module, "image", "info", "builtin:cube")
+    assert done.returncode == 0, done.stderr
+    assert "points: 8" in done.stdout
+
+
+def test_python_dash_m_rejects_an_unknown_group():
+    done = _python("-m", "digitop", "frobnicate")
+    assert done.returncode == 2
+    assert "invalid choice" in done.stderr
 
 
 def test_conjecture_small(capsys):

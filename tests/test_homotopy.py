@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from digitop import (
@@ -16,6 +16,7 @@ from digitop import (
     cube_minus_vertex,
     cycle,
     discrete,
+    disjoint_paths,
     enumerate_continuous_maps,
     figure1,
     from_assignment,
@@ -28,12 +29,15 @@ from digitop import (
     is_rigid_map,
     one_step_homotopic,
     random_connected_image,
+    self_coincidence_sequence,
     singleton,
     square4,
     tee4,
 )
-from digitop.homotopy import _bfs_closure
-from oracles import all_maps_oracle, homotopy_class_oracle, one_step_distance
+from digitop import homotopy
+from digitop.enumeration import Meter
+from digitop.homotopy import _bfs_closure, _pulls_to_a_constant
+from oracles import all_maps_oracle, homotopy_class_oracle, mj_oracle, one_step_distance
 
 
 def test_one_step_homotopic_basics():
@@ -53,6 +57,26 @@ def test_class_sizes_on_cycles():
     assert len(homotopy_class(identity(cycle(5))).members) == 5
     assert len(homotopy_class(identity(cycle(6))).members) == 6
     assert len(homotopy_class(identity(interval(0, 3))).members) == 68
+
+
+def test_class_sizes_of_contractible_domains():
+    # listed by one restricted enumeration each, with no closure
+    for image, size in ((cube(), 15_488), (interval(0, 8), 40_503)):
+        cls = homotopy_class(identity(image))
+        assert cls.complete
+        assert len(cls.members) == size
+
+
+def test_contractible_domain_skips_the_closure(monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("closure run on a contractible domain")
+
+    monkeypatch.setattr(homotopy, "_bfs_closure", closure)
+    cls = homotopy_class(constant(tee4(), cycle(5), 0))
+    assert cls.complete
+    assert len(cls.members) == len(enumerate_continuous_maps(tee4(), cycle(5)).maps)
+    sequence = self_coincidence_sequence(square4(), 4)
+    assert sequence.entries == ((1, 4, True), (2, 0, True), (3, 0, True), (4, 0, True))
 
 
 def test_class_matches_oracle_on_tiny_spaces():
@@ -240,3 +264,67 @@ def test_homotopy_chains_are_shortest(pair, pick):
     chain = answer.witness.chain
     assert chain[0] == f and chain[-1] == g
     assert len(chain) - 1 == one_step_distance(f.domain, f.codomain, f.assignment, g.assignment)
+
+
+def _contracts(image) -> bool:
+    return _pulls_to_a_constant(identity(image), Meter())
+
+
+@st.composite
+def certified_map_pairs(draw):
+    """f: X -> Y with X of 1-5 points certified contractible by a greedy chain.
+
+    Y has 1-4 points and is sometimes a union of paths, so that the class
+    must stay inside the component of f's image.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    x_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=5)))
+    assume(_contracts(x_img))
+    if draw(st.booleans()):
+        y_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=4)))
+    else:
+        sizes = st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (3, 1)])
+        y_img = disjoint_paths(draw(sizes))
+    pool = all_maps_oracle(x_img, y_img)
+    return from_assignment(x_img, y_img, pool[draw(st.integers(0, len(pool) - 1))])
+
+
+@given(certified_map_pairs())
+@settings(max_examples=80, deadline=None)
+def test_certified_class_matches_the_closure_and_oracle(f):
+    cls = homotopy_class(f)
+    assert cls.complete
+    got = [m.assignment for m in cls.members]
+    assert got == sorted(got)
+    parents, complete, _ = _bfs_closure(f, None)
+    assert complete
+    assert set(got) == parents.keys()
+    if f.domain.n_points <= 4:
+        assert set(got) == homotopy_class_oracle(f.domain, f.codomain, f.assignment)
+
+
+@given(
+    certified_map_pairs(),
+    st.integers(min_value=1, max_value=120),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=40)),
+)
+@settings(max_examples=80, deadline=None)
+def test_budgeted_certified_class_holds_f(f, max_nodes, max_results):
+    truth = {m.assignment for m in homotopy_class(f).members}
+    cls = homotopy_class(f, EnumerationBudget(max_results=max_results, max_nodes=max_nodes))
+    got = {m.assignment for m in cls.members}
+    assert f.assignment in got
+    assert got <= truth
+    if cls.complete:
+        assert got == truth
+    if max_results is not None:
+        assert len(got) <= max_results
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_self_coincidence_sequence_of_certified_images_matches_oracle(seed, n):
+    x_img = random_connected_image(random.Random(seed), n)
+    assume(_contracts(x_img))
+    entries = self_coincidence_sequence(x_img, 4).entries
+    assert entries == tuple((j, mj_oracle(x_img, j), True) for j in range(1, 5))
