@@ -90,6 +90,7 @@ class DigitalImage(Record):
     source_order: tuple[int, ...]
     _neighbors: tuple[frozenset[int], ...]
     _edges: frozenset[tuple[int, int]]
+    _sorted_edges: tuple[tuple[int, int], ...]
     _hash: int
 
     def __init__(
@@ -149,6 +150,7 @@ class DigitalImage(Record):
         object.__setattr__(self, "source_order", tuple(perm))
         object.__setattr__(self, "_neighbors", tuple(frozenset(s) for s in nbrs))
         object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_sorted_edges", tuple(sorted(edges)))
         object.__setattr__(self, "_hash", hash((dim, canonical, edges)))
 
     def __eq__(self, other):
@@ -176,7 +178,7 @@ class DigitalImage(Record):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as sorted (i, j) pairs with i < j."""
-        return tuple(sorted(self._edges))
+        return self._sorted_edges
 
     def adjacent(self, i: int, j: int) -> bool:
         return j in self._neighbors[i]

@@ -6,8 +6,11 @@ random instances.  ``conjecture_search`` sweeps disconnected domains
 against edgeless codomains looking for a spectrum that keeps growing
 with arity; none is expected, but the sweep reports whatever it finds.
 
-Every report is reproducible from its instance description plus the seed
-recorded in its details.
+Each check is a row (check id, instance source, body) run by ``_run_rows``.
+A body returns a pass or fail verdict with details, and raises ``_Skip``
+when an answer it needs is not exact, so a tripped budget is reported the
+same way by every check.  Every report is reproducible from its instance
+description plus the seed recorded in its details.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from functools import partial
 
 from . import builders
 from ._record import Record
@@ -22,9 +26,8 @@ from .enumeration import EnumerationBudget, enumerate_continuous_maps
 from .errors import InvalidInputError
 from .homotopy import homotopy_class, is_contractible, is_rigid_image
 from .homotopy_spectra import hcs_of_classes, hfs_of_classes, self_coincidence_sequence
-from .images import CT, DigitalImage, Explicit, Isomorphism, is_totally_disconnected
+from .images import CT, DigitalImage, Explicit, Isomorphism, components
 from .maps import (
-    DigitalMap,
     coincidence_set,
     conjugate,
     constant,
@@ -94,6 +97,11 @@ class RunConfig(Record):
         random_instances: int = 40,
         max_random_points: int = 6,
     ):
+        # CS_1 is always {#X}, so the laws about CS_i start at arity 2
+        if i_max < 2:
+            raise InvalidInputError(f"i_max must be at least 2, got {i_max}")
+        if j_max < 1:
+            raise InvalidInputError(f"j_max must be at least 1, got {j_max}")
         if random_instances < 0:
             raise InvalidInputError(
                 f"random_instances must be at least 0, got {random_instances}"
@@ -114,16 +122,45 @@ SUITES = ("paper-fixtures", "random-small", "all")
 
 # Dense 6-point instances can have homotopy classes with thousands of
 # members; the class-restricted spectrum sweeps over their products are the
-# only unbounded cost in the random suites.  Unbudgeted runs get these
-# deterministic caps instead, and a tripped cap reports "skipped".
+# only unbounded cost in the suites.  Unbudgeted runs get these
+# deterministic caps instead, and a tripped cap skips the check.
 _RANDOM_CLASS_NODE_BUDGET = 2_000_000
 _RANDOM_CLASS_PRODUCT_CAP = 300_000
 
 
+def _class_budget(x_img: DigitalImage, budget) -> tuple[EnumerationBudget | None, int | None]:
+    """(budget, class-product cap) for a class-restricted check on x_img.
+
+    Exact sweeps are always affordable up to 5 points; unbudgeted checks on
+    larger images (the fixtures cycle:6 and figure1 among them) get the caps.
+    """
+    if budget is None and x_img.n_points > 5:
+        return EnumerationBudget(max_nodes=_RANDOM_CLASS_NODE_BUDGET), _RANDOM_CLASS_PRODUCT_CAP
+    return budget, None
+
+
+class _Skip(Exception):
+    """Raised by a check body whose answer is not exact; details say why."""
+
+    def __init__(self, details: dict):
+        super().__init__(details)
+        self.details = details
+
+
+def _exact(result):
+    """The result itself when it is exact; otherwise skip the check."""
+    if not result.exact:
+        raise _Skip({"reason": "budget tripped"})
+    return result
+
+
 def _run(check_id: str, instance: str, seed: int, fn) -> VerificationReport:
-    """Time one check body; fn returns (verdict, details)."""
+    """Time one check body; fn returns (verdict, details) or raises _Skip."""
     started = time.perf_counter()
-    verdict, details = fn()
+    try:
+        verdict, details = fn()
+    except _Skip as skip:
+        verdict, details = "skipped", skip.details
     details = dict(details)
     details.setdefault("seed", seed)
     return VerificationReport(
@@ -135,544 +172,68 @@ def _run(check_id: str, instance: str, seed: int, fn) -> VerificationReport:
     )
 
 
-def _vals(values) -> list[int]:
-    return sorted(values)
+def _fail(x_img: DigitalImage, y_img: DigitalImage | None = None, **details):
+    """A fail verdict whose details carry the images it was found on."""
+    details["x_image"] = x_img.to_json_dict()
+    if y_img is not None:
+        details["y_image"] = y_img.to_json_dict()
+    return "fail", details
 
 
-def _describe(img: DigitalImage) -> str:
-    return img.name or f"{img.n_points}pts/{len(img.edges)}edges"
+def _label(head: str, x_img: DigitalImage, y_img: DigitalImage | None = None) -> str:
+    def describe(img):
+        return img.name or f"{img.n_points}p/{len(img.edges)}e"
+
+    label = f"{head}X={describe(x_img)}"
+    return label if y_img is None else f"{label} Y={describe(y_img)}"
+
+
+def _run_rows(rows, config: RunConfig) -> list[VerificationReport]:
+    """Run each row's body on every instance its source yields.
+
+    A source is called as source(rng, config) with rng = Random(config.seed)
+    and yields (label, X, Y or None).  Consecutive rows with one source
+    share its instances and its rng: an instance is drawn, every body runs
+    on it in row order, and only then is the next instance drawn.
+    """
+    reports = []
+    for source, group in itertools.groupby(rows, key=lambda row: row[1]):
+        group = list(group)
+        rng = random.Random(config.seed)
+        for label, x_img, y_img in source(rng, config):
+            for check_id, _, body in group:
+                fn = partial(body, x_img, y_img, config, rng)
+                reports.append(_run(check_id, label, config.seed, fn))
+    return reports
 
 
 # ---------------------------------------------------------------------------
-# fixture catalogues
+# instance sources
 
-def _tiny_images() -> list[DigitalImage]:
-    """Every fixture with at most 4 points; small enough for any brute force."""
-    return [
-        builders.singleton(),
-        builders.discrete(2),
-        builders.discrete(3),
-        builders.interval(0, 1),
-        builders.interval(0, 2),
-        builders.interval(0, 3),
-        builders.cycle(3),
-        builders.cycle(4),
-        builders.square4(),
-        builders.tee4(),
-    ]
-
-
-def _connected_images(max_points: int = 8) -> list[DigitalImage]:
-    imgs = [
-        builders.singleton(),
-        builders.interval(0, 1),
-        builders.interval(0, 2),
-        builders.interval(0, 3),
-        builders.interval(0, 4),
-        builders.cycle(3),
-        builders.cycle(4),
-        builders.cycle(5),
-        builders.cycle(6),
-        builders.square4(),
-        builders.tee4(),
-        builders.cube_minus_vertex(),
-        builders.cube(),
-    ]
-    return [x for x in imgs if x.n_points <= max_points]
-
-
-def _relabel(img: DigitalImage, perm: list[int]) -> tuple[DigitalImage, Isomorphism]:
-    """A fresh image with point i renamed perm[i], plus the isomorphism onto it."""
-    edges = {(perm[i], perm[j]) for i, j in img.edges}
-    relabeled = DigitalImage(
-        points=tuple((i,) for i in range(img.n_points)),
-        adjacency=Explicit(edges),
-    )
-    return relabeled, Isomorphism(img, relabeled, tuple(perm))
-
-
-# ---------------------------------------------------------------------------
-# fixture checks
-
-def check_lemma_cardinality(config: RunConfig) -> list[VerificationReport]:
-    """#X is always achievable, and 0 is whenever the codomain has two points."""
-    reports = []
-    images = _tiny_images()
-    for x_img, y_img in itertools.product(images, repeat=2):
-        def body(x_img=x_img, y_img=y_img):
-            n = x_img.n_points
-            for i in (2, config.i_max):
-                s = coincidence_spectrum(x_img, y_img, i, config.budget)
-                if not s.exact:
-                    return "skipped", {"reason": f"budget tripped at i={i}"}
-                bad = (
-                    n not in s.as_set()
-                    or (y_img.n_points > 1 and 0 not in s.as_set())
-                    or not s.as_set() <= set(range(n + 1))
-                )
-                if bad:
-                    return "fail", {
-                        "i": i,
-                        "values": _vals(s.values),
-                        "x_image": x_img.to_json_dict(),
-                        "y_image": y_img.to_json_dict(),
-                    }
-            return "pass", {}
-        reports.append(
-            _run(
-                "lemma-cardinality",
-                f"X={_describe(x_img)} Y={_describe(y_img)}",
-                config.seed,
-                body,
-            )
-        )
-    return reports
-
-
-def check_lemma_full_range(config: RunConfig) -> list[VerificationReport]:
-    """With an adjacent pair in Y, CS_2 is all of {0..#X}.
-
-    Small instances are confirmed by the exhaustive subset search; larger
-    ones by the witness construction the public operation uses.
-    """
-    reports = []
-    xs = _tiny_images() + [builders.cube_minus_vertex(), builders.cube(), builders.figure1()]
-    ys = [y for y in _tiny_images() if y.edges] + [builders.cube()]
-    for x_img, y_img in itertools.product(xs, ys):
-        def body(x_img=x_img, y_img=y_img):
-            n = x_img.n_points
-            expected = set(range(n + 1))
-            s = coincidence_spectrum(x_img, y_img, 2, config.budget)
-            if s.as_set() != expected:
-                return "fail", {
-                    "values": _vals(s.values),
-                    "expected": _vals(expected),
-                    "x_image": x_img.to_json_dict(),
-                    "y_image": y_img.to_json_dict(),
-                }
-            if x_img.n_points <= 4 and y_img.n_points <= 4:
-                searched = coincidence_spectrum_by_search(x_img, y_img, 2, config.budget)
-                if searched.exact and searched.as_set() != expected:
-                    return "fail", {
-                        "search_values": _vals(searched.values),
-                        "expected": _vals(expected),
-                        "x_image": x_img.to_json_dict(),
-                        "y_image": y_img.to_json_dict(),
-                    }
-            return "pass", {}
-        reports.append(
-            _run(
-                "lemma-full-range",
-                f"X={_describe(x_img)} Y={_describe(y_img)}",
-                config.seed,
-                body,
-            )
-        )
-    return reports
-
-
-def check_monotone(config: RunConfig) -> list[VerificationReport]:
-    """CS_i grows with i, and is constant once the codomain has an edge."""
-    reports = []
-    images = _tiny_images()
-    i_max = max(3, min(config.i_max, 4))
-    for x_img, y_img in itertools.product(images, repeat=2):
-        def body(x_img=x_img, y_img=y_img):
-            by_arity = coincidence_spectra_by_arity(x_img, y_img, i_max, config.budget)
-            if not all(s.exact for s in by_arity.values()):
-                return "skipped", {"reason": "budget tripped"}
-            chain = [by_arity[i].as_set() for i in range(2, i_max + 1)]
-            for a, b in zip(chain, chain[1:]):
-                if not a <= b:
-                    return "fail", {
-                        "chain": [_vals(c) for c in chain],
-                        "x_image": x_img.to_json_dict(),
-                        "y_image": y_img.to_json_dict(),
-                    }
-            if y_img.edges and any(c != chain[0] for c in chain):
-                return "fail", {
-                    "reason": "expected equality with an adjacent pair in Y",
-                    "chain": [_vals(c) for c in chain],
-                    "x_image": x_img.to_json_dict(),
-                    "y_image": y_img.to_json_dict(),
-                }
-            public = coincidence_spectrum(x_img, y_img, 2, config.budget)
-            if public.exact and public.as_set() != chain[0]:
-                return "fail", {
-                    "reason": "search route disagrees with the public operation",
-                    "search": _vals(chain[0]),
-                    "public": _vals(public.values),
-                    "x_image": x_img.to_json_dict(),
-                    "y_image": y_img.to_json_dict(),
-                }
-            return "pass", {}
-        reports.append(
-            _run(
-                "monotone",
-                f"X={_describe(x_img)} Y={_describe(y_img)}",
-                config.seed,
-                body,
-            )
-        )
-    return reports
-
-
-def check_fx_subset(config: RunConfig) -> list[VerificationReport]:
-    """Every achievable fixed-point count is an achievable coincidence count."""
-    reports = []
-    images = _connected_images() + [builders.discrete(2), builders.discrete(3)]
-    for x_img in images:
-        def body(x_img=x_img):
-            f_spec = fixed_point_spectrum(x_img, config.budget)
-            cs2 = coincidence_spectrum(x_img, x_img, 2, config.budget)
-            if not (f_spec.exact and cs2.exact):
-                return "skipped", {"reason": "budget tripped"}
-            if not f_spec.as_set() <= cs2.as_set():
-                return "fail", {
-                    "f_values": _vals(f_spec.values),
-                    "cs2_values": _vals(cs2.values),
-                    "x_image": x_img.to_json_dict(),
-                }
-            return "pass", {"f_values": _vals(f_spec.values)}
-        reports.append(_run("fx-subset", f"X={_describe(x_img)}", config.seed, body))
-    return reports
-
-
-def check_totally_disconnected(config: RunConfig) -> list[VerificationReport]:
-    """Connected domain, edgeless codomain: only 0 and #X are achievable."""
-    reports = []
-    images = _connected_images() + [builders.figure1()]
-    for x_img in images:
-        for m in (2, 3):
-            def body(x_img=x_img, m=m):
-                y_img = builders.discrete(m)
-                n = x_img.n_points
-                for i in range(2, config.i_max + 1):
-                    s = coincidence_spectrum(x_img, y_img, i, config.budget)
-                    if not s.exact:
-                        return "skipped", {"reason": f"budget tripped at i={i}"}
-                    if s.as_set() != {0, n}:
-                        return "fail", {
-                            "i": i,
-                            "values": _vals(s.values),
-                            "expected": _vals({0, n}),
-                            "x_image": x_img.to_json_dict(),
-                        }
-                return "pass", {}
-            reports.append(
-                _run(
-                    "totally-disconnected",
-                    f"X={_describe(x_img)} Y=discrete:{m}",
-                    config.seed,
-                    body,
-                )
-            )
-    return reports
-
-
-def _sample_maps(x_img: DigitalImage, y_img: DigitalImage, limit: int = 6):
-    outcome = enumerate_continuous_maps(x_img, y_img)
-    pool = list(outcome.maps)
-    picked = pool[:limit] + pool[-2:]
-    picked += [constant(x_img, y_img, y) for y in range(y_img.n_points)]
-    seen, result = set(), []
-    for m in picked:
-        if m.assignment not in seen:
-            seen.add(m.assignment)
-            result.append(m)
-    return result
-
-
-def check_nested_coincidence(config: RunConfig) -> list[VerificationReport]:
-    """Adding a map to a tuple can only shrink the coincidence set."""
-    reports = []
-    pairs = [
-        (builders.interval(0, 2), builders.interval(0, 2)),
-        (builders.interval(0, 3), builders.cycle(4)),
-        (builders.cycle(4), builders.tee4()),
-        (builders.square4(), builders.tee4()),
-        (builders.discrete(3), builders.discrete(2)),
-    ]
-    for x_img, y_img in pairs:
-        def body(x_img=x_img, y_img=y_img):
-            maps = _sample_maps(x_img, y_img)
-            for tup in itertools.islice(itertools.product(maps, repeat=4), 0, 256):
-                sets = [set(coincidence_set(tup[: k + 1])) for k in range(4)]
-                for bigger, smaller in zip(sets, sets[1:]):
-                    if not smaller <= bigger:
-                        return "fail", {
-                            "tuple": [list(m.assignment) for m in tup],
-                            "x_image": x_img.to_json_dict(),
-                            "y_image": y_img.to_json_dict(),
-                        }
-            return "pass", {}
-        reports.append(
-            _run(
-                "nested-coincidence",
-                f"X={_describe(x_img)} Y={_describe(y_img)}",
-                config.seed,
-                body,
-            )
-        )
-    return reports
-
-
-def _iso_instance_ok(x_img: DigitalImage, rng: random.Random) -> tuple[bool, dict]:
-    perm = list(range(x_img.n_points))
-    rng.shuffle(perm)
-    relabeled, phi = _relabel(x_img, perm)
-    pool = enumerate_continuous_maps(x_img, x_img).maps
-    picked = [pool[rng.randrange(len(pool))] for _ in range(3)]
-    moved = [conjugate(f, phi) for f in picked]
-    original = coincidence_set(picked)
-    transported = coincidence_set(moved)
-    fix_ok = all(
-        len(fixed_point_set(f)) == len(fixed_point_set(g))
-        for f, g in zip(picked, moved)
-    )
-    spectra_ok = (
-        fixed_point_spectrum(x_img).as_set() == fixed_point_spectrum(relabeled).as_set()
-    )
-    ok = len(original) == len(transported) and fix_ok and spectra_ok
-    details = {
-        "perm": perm,
-        "maps": [list(f.assignment) for f in picked],
-        "coincidence_sizes": [len(original), len(transported)],
-    }
-    return ok, details
-
-
-def check_iso_invariance(config: RunConfig) -> list[VerificationReport]:
-    """Conjugation by an isomorphism preserves every coincidence count."""
-    rng = random.Random(config.seed)
-    reports = []
-    for x_img in [x for x in _tiny_images() if x.n_points >= 2]:
-        def body(x_img=x_img):
-            ok, details = _iso_instance_ok(x_img, rng)
-            if not ok:
-                details["x_image"] = x_img.to_json_dict()
-                return "fail", details
-            return "pass", {}
-        reports.append(_run("iso-invariance", f"X={_describe(x_img)}", config.seed, body))
-    return reports
-
-
-def _hcs_inclusion_ok(
-    f: DigitalMap, g: DigitalMap, budget, product_cap: int | None = None
-) -> tuple[bool, bool, dict]:
-    """Returns (ok, exact, details) for HCS(f,g) vs HCS(f,g,g) and HFS likewise."""
-    cls_f = homotopy_class(f, budget)
-    if cls_f.complete and g.assignment in {m.assignment for m in cls_f.members}:
-        cls_g = cls_f
-    else:
-        cls_g = homotopy_class(g, budget)
-    if product_cap is not None and cls_f.complete and cls_g.complete:
-        product = len(cls_f.members) * len(cls_g.members)
-        if product > product_cap:
-            return True, False, {"reason": f"class product {product} exceeds cap"}
-    shorter = hcs_of_classes([cls_f, cls_g], budget)
-    longer = hcs_of_classes([cls_f, cls_g, cls_g], budget)
-    exact = shorter.values.exact and longer.values.exact
-    ok = shorter.values.as_set() <= longer.values.as_set()
-    details = {
-        "hcs_2": _vals(shorter.values.values),
-        "hcs_3": _vals(longer.values.values),
-    }
-    if ok and f.is_self_map():
-        h_short = hfs_of_classes([cls_f, cls_g], budget)
-        h_long = hfs_of_classes([cls_f, cls_g, cls_g], budget)
-        exact = exact and h_short.values.exact and h_long.values.exact
-        ok = h_short.values.as_set() <= h_long.values.as_set()
-        details["hfs_2"] = _vals(h_short.values.values)
-        details["hfs_3"] = _vals(h_long.values.values)
-    return ok, exact, details
-
-
-def check_hcs_monotone(config: RunConfig) -> list[VerificationReport]:
-    """Repeating the last argument can only enlarge a homotopy spectrum."""
-    reports = []
-    images = [
-        builders.interval(0, 2),
-        builders.interval(0, 3),
-        builders.cycle(3),
-        builders.cycle(4),
-        builders.square4(),
-        builders.tee4(),
-    ]
-    for x_img in images:
-        def body(x_img=x_img):
-            ok, exact, details = _hcs_inclusion_ok(
-                identity(x_img), constant(x_img, x_img, 0), config.budget
-            )
-            if not exact:
-                return "skipped", {"reason": "budget tripped"}
-            if not ok:
-                details["x_image"] = x_img.to_json_dict()
-                return "fail", details
-            return "pass", {}
-        reports.append(_run("hcs-monotone", f"X={_describe(x_img)}", config.seed, body))
-    return reports
-
-
-def check_rigid_hcs(config: RunConfig) -> list[VerificationReport]:
-    """On a rigid image nothing can move: HCS of identities is exactly {#X}."""
-    reports = []
-    for x_img in [builders.figure1(), builders.singleton()]:
-        def body(x_img=x_img):
-            if not is_rigid_image(x_img):
-                return "fail", {"reason": "fixture is not rigid", "x_image": x_img.to_json_dict()}
-            cls = homotopy_class(identity(x_img), config.budget)
-            for i in range(2, config.i_max + 1):
-                result = hcs_of_classes([cls] * i, config.budget)
-                if result.values.as_set() != {x_img.n_points}:
-                    return "fail", {
-                        "i": i,
-                        "values": _vals(result.values.values),
-                        "x_image": x_img.to_json_dict(),
-                    }
-            return "pass", {}
-        reports.append(_run("rigid-hcs", f"X={_describe(x_img)}", config.seed, body))
-    return reports
-
-
-def _mj_monotone_verdict(x_img: DigitalImage, j_max: int, budget) -> tuple[str, dict]:
-    seq = self_coincidence_sequence(x_img, j_max, budget)
-    if not all(exact for _, _, exact in seq.entries):
-        return "skipped", {"reason": "budget tripped", "entries": list(seq.entries)}
-    values = [value for _, value, _ in seq.entries]
-    if values[0] != x_img.n_points:
-        return "fail", {"entries": list(seq.entries), "x_image": x_img.to_json_dict()}
-    if any(a < b for a, b in zip(values, values[1:])):
-        return "fail", {"entries": list(seq.entries), "x_image": x_img.to_json_dict()}
-    return "pass", {"entries": list(seq.entries)}
-
-
-def check_mj_monotone(config: RunConfig) -> list[VerificationReport]:
-    """The self-coincidence sequence never increases."""
-    reports = []
-    images = [
-        builders.interval(0, 2),
-        builders.interval(0, 3),
-        builders.interval(0, 4),
-        builders.cycle(3),
-        builders.cycle(4),
-        builders.cycle(5),
-        builders.cycle(6),
-        builders.square4(),
-        builders.tee4(),
-        builders.figure1(),
-    ]
-    for x_img in images:
-        reports.append(
-            _run(
-                "mj-monotone",
-                f"X={_describe(x_img)}",
-                config.seed,
-                lambda x_img=x_img: _mj_monotone_verdict(x_img, config.j_max, config.budget),
-            )
-        )
-    return reports
-
-
-def _cycle_fixed_spectrum(n: int) -> set[int]:
-    if n == 1:
-        return {1}
-    if n <= 4:
-        return set(range(n + 1))
-    return set(range(n // 2 + 2)) | {n}
-
-
-def check_figure_examples(
-    config: RunConfig,
-    cube_img: DigitalImage | None = None,
-    cube_minus: DigitalImage | None = None,
-    fig1: DigitalImage | None = None,
-) -> list[VerificationReport]:
-    """The concrete numbers attached to the stock figures.
-
-    Fixtures are injectable so tests can confirm a corrupted image is
-    actually caught.
-    """
-    cube_img = cube_img or builders.cube()
-    cube_minus = cube_minus or builders.cube_minus_vertex()
-    fig1 = fig1 or builders.figure1()
-    items: list[tuple[str, object, object]] = []
-
-    f_cube = fixed_point_spectrum(cube_img, config.budget)
-    items.append(("F(cube)", _vals(f_cube.values), [0, 1, 2, 3, 4, 5, 6, 8]))
-    items.append(
-        (
-            "CS_2(cube,cube)",
-            _vals(coincidence_spectrum(cube_img, cube_img, 2, config.budget).values),
-            list(range(9)),
-        )
-    )
-    items.append(
-        (
-            "CS_2(cube,cube_minus_vertex)",
-            _vals(coincidence_spectrum(cube_img, cube_minus, 2, config.budget).values),
-            list(range(9)),
-        )
-    )
-    items.append(
-        (
-            "CS_2(cube,singleton)",
-            _vals(
-                coincidence_spectrum(cube_img, builders.singleton(), 2, config.budget).values
-            ),
-            [cube_img.n_points],
-        )
-    )
-    items.append(("contractible(cube)", is_contractible(cube_img, config.budget), "yes"))
-    items.append(
-        ("contractible(cube_minus_vertex)", is_contractible(cube_minus, config.budget), "yes")
-    )
-    items.append(("rigid(figure1)", is_rigid_image(fig1), True))
-
-    square, tee = builders.square4(), builders.tee4()
-    f_map = from_assignment(square, tee, (1, 0, 1, 2))
-    g_map = from_assignment(square, tee, (0, 1, 3, 1))
-    c_map = constant(square, tee, 3)
-    items.append(
-        ("C(f,g,c) on square4->tee4", list(coincidence_set([f_map, g_map, c_map])), [])
-    )
-
-    for n in range(1, 8):
-        items.append(
-            (
-                f"F(cycle:{n})",
-                _vals(fixed_point_spectrum(builders.cycle(n), config.budget).values),
-                _vals(_cycle_fixed_spectrum(n)),
-            )
-        )
-
-    reports = []
-    for name, got, expected in items:
-        def body(got=got, expected=expected):
-            if got == expected:
-                return "pass", {"value": got}
-            return "fail", {"value": got, "expected": expected}
-        reports.append(_run("figure-examples", name, config.seed, body))
-    return reports
-
-
-_FIXTURE_CHECKS = (
-    check_lemma_cardinality,
-    check_lemma_full_range,
-    check_monotone,
-    check_fx_subset,
-    check_totally_disconnected,
-    check_nested_coincidence,
-    check_iso_invariance,
-    check_hcs_monotone,
-    check_rigid_hcs,
-    check_mj_monotone,
-    check_figure_examples,
+_TINY = (  # every fixture with at most 4 points; small enough for any brute force
+    "singleton discrete:2 discrete:3 interval:0:1 interval:0:2 interval:0:3 "
+    "cycle:3 cycle:4 square4 tee4"
+)
+_CONNECTED = (
+    "singleton interval:0:1 interval:0:2 interval:0:3 interval:0:4 "
+    "cycle:3 cycle:4 cycle:5 cycle:6 square4 tee4 cube_minus_vertex cube"
 )
 
 
-# ---------------------------------------------------------------------------
-# random instances
+def _fixtures(xs: str, ys: str | None = None, zipped: bool = False):
+    """Builtin images: each X named in xs, or each (X, Y) of xs by ys, or of both zipped."""
+    def source(rng, config):
+        x_imgs = [builders.builtin(name) for name in xs.split()]
+        if ys is None:
+            pairs = ((x_img, None) for x_img in x_imgs)
+        else:
+            y_imgs = [builders.builtin(name) for name in ys.split()]
+            pairs = zip(x_imgs, y_imgs) if zipped else itertools.product(x_imgs, y_imgs)
+        for x_img, y_img in pairs:
+            yield _label("", x_img, y_img), x_img, y_img
+
+    return source
+
 
 def random_image(rng: random.Random, max_points: int) -> DigitalImage:
     """Either a labeled graph with edge probability 1/2 or a CT image on [0,2]^n."""
@@ -694,6 +255,394 @@ def random_image(rng: random.Random, max_points: int) -> DigitalImage:
     return DigitalImage(points=points, adjacency=CT(rng.randint(1, dim)))
 
 
+def _random_images(rng, config):
+    for k in range(config.random_instances):
+        x_img = random_image(rng, config.max_random_points)
+        yield _label(f"seed={config.seed} k={k} ", x_img), x_img, None
+
+
+def _random_pairs(rng, config):
+    for k in range(config.random_instances):
+        x_img = random_image(rng, config.max_random_points)
+        y_img = random_image(rng, config.max_random_points)
+        yield _label(f"seed={config.seed} k={k} ", x_img, y_img), x_img, y_img
+
+
+# ---------------------------------------------------------------------------
+# check bodies: body(x_img, y_img, config, rng) -> (verdict, details)
+
+def _lemma_cardinality(x_img, y_img, config, rng):
+    """#X is always achievable, and 0 is whenever the codomain has two points."""
+    n = x_img.n_points
+    for i in (2, config.i_max):
+        values = _exact(coincidence_spectrum(x_img, y_img, i, config.budget)).as_set()
+        bad = (
+            n not in values
+            or (y_img.n_points > 1 and 0 not in values)
+            or not values <= set(range(n + 1))
+        )
+        if bad:
+            return _fail(x_img, y_img, i=i, values=sorted(values))
+    return "pass", {}
+
+
+def _lemma_full_range(x_img, y_img, config, rng):
+    """With an adjacent pair in Y, CS_2 is all of {0..#X}.
+
+    Small instances are confirmed by the exhaustive subset search; larger
+    ones by the witness construction the public operation uses.
+    """
+    expected = list(range(x_img.n_points + 1))
+    values = sorted(_exact(coincidence_spectrum(x_img, y_img, 2, config.budget)).values)
+    if values != expected:
+        return _fail(x_img, y_img, values=values, expected=expected)
+    if x_img.n_points <= 4 and y_img.n_points <= 4:
+        searched = coincidence_spectrum_by_search(x_img, y_img, 2, config.budget)
+        searched = sorted(_exact(searched).values)
+        if searched != expected:
+            return _fail(x_img, y_img, search_values=searched, expected=expected)
+    return "pass", {}
+
+
+def _chain_verdict(chain, x_img, y_img, config):
+    """Fail if the sets CS_2, CS_3, ... in chain shrink or CS_2 is not the public one."""
+    if any(not a <= b for a, b in zip(chain, chain[1:])):
+        return _fail(x_img, y_img, chain=[sorted(c) for c in chain])
+    public = _exact(coincidence_spectrum(x_img, y_img, 2, config.budget))
+    if public.as_set() != chain[0]:
+        return _fail(
+            x_img,
+            y_img,
+            reason="search route disagrees with the public operation",
+            search=sorted(chain[0]),
+            public=sorted(public.values),
+        )
+    return None
+
+
+def _monotone(x_img, y_img, config, rng):
+    """CS_i grows with i, and is constant once the codomain has an edge."""
+    i_max = max(3, min(config.i_max, 4))
+    by_arity = coincidence_spectra_by_arity(x_img, y_img, i_max, config.budget)
+    chain = [_exact(by_arity[i]).as_set() for i in range(2, i_max + 1)]
+    if y_img.edges and any(c != chain[0] for c in chain):
+        return _fail(
+            x_img,
+            y_img,
+            reason="expected equality with an adjacent pair in Y",
+            chain=[sorted(c) for c in chain],
+        )
+    return _chain_verdict(chain, x_img, y_img, config) or ("pass", {})
+
+
+def _monotone_search(x_img, y_img, config, rng):
+    """As _monotone, from one subset search per arity, plus the cardinality lemma."""
+    chain = [
+        _exact(coincidence_spectrum_by_search(x_img, y_img, i, config.budget)).as_set()
+        for i in range(2, config.i_max + 1)
+    ]
+    verdict = _chain_verdict(chain, x_img, y_img, config)
+    if verdict:
+        return verdict
+    n = x_img.n_points
+    if not chain[0] <= set(range(n + 1)) or n not in chain[0]:
+        return _fail(x_img, y_img, values=sorted(chain[0]))
+    return "pass", {}
+
+
+def _fx_subset(x_img, y_img, config, rng):
+    """Every achievable fixed-point count is an achievable coincidence count."""
+    f_values = sorted(_exact(fixed_point_spectrum(x_img, config.budget)).values)
+    cs2 = _exact(coincidence_spectrum(x_img, x_img, 2, config.budget))
+    if not set(f_values) <= cs2.as_set():
+        return _fail(x_img, f_values=f_values, cs2_values=list(cs2.values))
+    return "pass", {"f_values": f_values}
+
+
+def _fx_subset_search(x_img, y_img, config, rng):
+    """As _fx_subset, with CS_2 from the subset search."""
+    f_spec = _exact(fixed_point_spectrum(x_img, config.budget))
+    cs2 = _exact(coincidence_spectrum_by_search(x_img, x_img, 2, config.budget))
+    if not f_spec.as_set() <= cs2.as_set():
+        return _fail(x_img, f_values=list(f_spec.values), cs2_values=list(cs2.values))
+    return "pass", {}
+
+
+def _totally_disconnected(x_img, y_img, config, rng):
+    """Connected domain, edgeless codomain: only 0 and #X are achievable."""
+    expected = sorted({0, x_img.n_points})
+    for i in range(2, config.i_max + 1):
+        values = sorted(_exact(coincidence_spectrum(x_img, y_img, i, config.budget)).values)
+        if values != expected:
+            return _fail(x_img, y_img, i=i, values=values, expected=expected)
+    return "pass", {}
+
+
+def _nested_verdict(x_img, y_img, tuples):
+    """Adding a map to a tuple can only shrink the coincidence set."""
+    for tup in tuples:
+        sets = [set(coincidence_set(tup[: k + 1])) for k in range(4)]
+        if any(not smaller <= bigger for bigger, smaller in zip(sets, sets[1:])):
+            return _fail(x_img, y_img, tuple=[list(m.assignment) for m in tup])
+    return "pass", {}
+
+
+def _nested(x_img, y_img, config, rng):
+    """Tuples of four from the first, last and constant maps X -> Y."""
+    pool = list(enumerate_continuous_maps(x_img, y_img).maps)
+    picked = pool[:6] + pool[-2:] + [constant(x_img, y_img, y) for y in range(y_img.n_points)]
+    maps = list({m.assignment: m for m in picked}.values())
+    tuples = itertools.islice(itertools.product(maps, repeat=4), 0, 256)
+    return _nested_verdict(x_img, y_img, tuples)
+
+
+def _nested_random(x_img, y_img, config, rng):
+    """Eight tuples of four maps X -> Y drawn with rng."""
+    pool = enumerate_continuous_maps(x_img, y_img).maps
+    tuples = ([pool[rng.randrange(len(pool))] for _ in range(4)] for _ in range(8))
+    return _nested_verdict(x_img, y_img, tuples)
+
+
+def _relabel(img: DigitalImage, perm: list[int]) -> tuple[DigitalImage, Isomorphism]:
+    """A fresh image with point i renamed perm[i], plus the isomorphism onto it."""
+    edges = {(perm[i], perm[j]) for i, j in img.edges}
+    relabeled = DigitalImage(
+        points=tuple((i,) for i in range(img.n_points)),
+        adjacency=Explicit(edges),
+    )
+    return relabeled, Isomorphism(img, relabeled, tuple(perm))
+
+
+def _iso_invariance(x_img, y_img, config, rng):
+    """Conjugation by an isomorphism preserves every coincidence count."""
+    perm = list(range(x_img.n_points))
+    rng.shuffle(perm)
+    relabeled, phi = _relabel(x_img, perm)
+    pool = enumerate_continuous_maps(x_img, x_img).maps
+    picked = [pool[rng.randrange(len(pool))] for _ in range(3)]
+    moved = [conjugate(f, phi) for f in picked]
+    sizes = [len(coincidence_set(picked)), len(coincidence_set(moved))]
+    fix_ok = all(
+        len(fixed_point_set(f)) == len(fixed_point_set(g)) for f, g in zip(picked, moved)
+    )
+    spectra_ok = (
+        fixed_point_spectrum(x_img).as_set() == fixed_point_spectrum(relabeled).as_set()
+    )
+    if sizes[0] == sizes[1] and fix_ok and spectra_ok:
+        return "pass", {}
+    maps = [list(f.assignment) for f in picked]
+    return _fail(x_img, perm=perm, maps=maps, coincidence_sizes=sizes)
+
+
+def _hcs_inclusion(f, g, config):
+    """HCS(f, g) lies in HCS(f, g, g), and HFS(f, g) in HFS(f, g, g)."""
+    budget, product_cap = _class_budget(f.domain, config.budget)
+    cls_f = homotopy_class(f, budget)
+    if cls_f.complete and g.assignment in {m.assignment for m in cls_f.members}:
+        cls_g = cls_f
+    else:
+        cls_g = homotopy_class(g, budget)
+    if product_cap is not None and cls_f.complete and cls_g.complete:
+        product = len(cls_f.members) * len(cls_g.members)
+        if product > product_cap:
+            raise _Skip({"reason": f"class product {product} exceeds cap"})
+    details = {"f": list(f.assignment), "g": list(g.assignment)}
+    for name, spectrum_of in (("hcs", hcs_of_classes), ("hfs", hfs_of_classes)):
+        shorter = _exact(spectrum_of([cls_f, cls_g], budget).values)
+        longer = _exact(spectrum_of([cls_f, cls_g, cls_g], budget).values)
+        details[f"{name}_2"], details[f"{name}_3"] = list(shorter.values), list(longer.values)
+        if not shorter.as_set() <= longer.as_set():
+            return _fail(f.domain, **details)
+    return "pass", {}
+
+
+def _hcs_monotone(x_img, y_img, config, rng):
+    """Repeating the last argument can only enlarge a homotopy spectrum."""
+    return _hcs_inclusion(identity(x_img), constant(x_img, x_img, 0), config)
+
+
+def _hcs_random(x_img, y_img, config, rng):
+    """As _hcs_monotone for two self-maps drawn with rng."""
+    pool = enumerate_continuous_maps(x_img, x_img).maps
+    f = pool[rng.randrange(len(pool))]
+    g = pool[rng.randrange(len(pool))]
+    return _hcs_inclusion(f, g, config)
+
+
+def _rigid_hcs(x_img, y_img, config, rng):
+    """On a rigid image nothing can move: HCS of identities is exactly {#X}."""
+    if not is_rigid_image(x_img):
+        return _fail(x_img, reason="fixture is not rigid")
+    cls = homotopy_class(identity(x_img), config.budget)
+    for i in range(2, config.i_max + 1):
+        values = _exact(hcs_of_classes([cls] * i, config.budget).values)
+        if values.as_set() != {x_img.n_points}:
+            return _fail(x_img, i=i, values=list(values.values))
+    return "pass", {}
+
+
+def _mj_monotone(x_img, y_img, config, rng):
+    """The self-coincidence sequence never increases."""
+    budget, _ = _class_budget(x_img, config.budget)
+    entries = list(self_coincidence_sequence(x_img, config.j_max, budget).entries)
+    if not all(exact for _, _, exact in entries):
+        raise _Skip({"reason": "budget tripped", "entries": entries})
+    values = [value for _, value, _ in entries]
+    if values[0] != x_img.n_points or any(a < b for a, b in zip(values, values[1:])):
+        return _fail(x_img, entries=entries)
+    return "pass", {"entries": entries}
+
+
+def _conjecture(x_img, y_img, config, rng):
+    """CS_2 = ... = CS_{i_max}, and CS_2 is the subset sums of the component sizes."""
+    by_arity = coincidence_spectra_by_arity(x_img, y_img, config.i_max, config.budget)
+    observed = {i: _exact(s).as_set() for i, s in by_arity.items()}
+    predicted = subset_sums(len(c) for c in components(x_img))
+    details = {
+        "observed": {str(i): sorted(v) for i, v in observed.items()},
+        "subset_sums": sorted(predicted),
+    }
+    if all(v == observed[2] for v in observed.values()) and observed[2] == predicted:
+        return "pass", details
+    return _fail(x_img, y_img, **details)
+
+
+# ---------------------------------------------------------------------------
+# the check table
+
+_PAIR_SOURCE = _fixtures(_TINY, _TINY)
+
+_FIXTURE_ROWS = (
+    ("lemma-cardinality", _PAIR_SOURCE, _lemma_cardinality),
+    (
+        "lemma-full-range",
+        _fixtures(
+            _TINY + " cube_minus_vertex cube figure1",
+            "interval:0:1 interval:0:2 interval:0:3 cycle:3 cycle:4 square4 tee4 cube",
+        ),
+        _lemma_full_range,
+    ),
+    ("monotone", _PAIR_SOURCE, _monotone),
+    ("fx-subset", _fixtures(_CONNECTED + " discrete:2 discrete:3"), _fx_subset),
+    (
+        "totally-disconnected",
+        _fixtures(_CONNECTED + " figure1", "discrete:2 discrete:3"),
+        _totally_disconnected,
+    ),
+    (
+        "nested-coincidence",
+        _fixtures(
+            "interval:0:2 interval:0:3 cycle:4 square4 discrete:3",
+            "interval:0:2 cycle:4 tee4 tee4 discrete:2",
+            zipped=True,
+        ),
+        _nested,
+    ),
+    # every tiny fixture with two points or more
+    ("iso-invariance", _fixtures(_TINY.removeprefix("singleton ")), _iso_invariance),
+    (
+        "hcs-monotone",
+        _fixtures("interval:0:2 interval:0:3 cycle:3 cycle:4 square4 tee4"),
+        _hcs_monotone,
+    ),
+    ("rigid-hcs", _fixtures("figure1 singleton"), _rigid_hcs),
+    (
+        "mj-monotone",
+        _fixtures(
+            "interval:0:2 interval:0:3 interval:0:4 cycle:3 cycle:4 cycle:5 cycle:6 "
+            "square4 tee4 figure1"
+        ),
+        _mj_monotone,
+    ),
+)
+
+_RANDOM_PAIR_ROWS = (
+    ("monotone", _random_pairs, _monotone_search),
+    ("fx-subset", _random_pairs, _fx_subset_search),
+    ("nested-coincidence", _random_pairs, _nested_random),
+    ("hcs-monotone", _random_pairs, _hcs_random),
+)
+
+
+def _cycle_fixed_spectrum(n: int) -> list[int]:
+    if n == 1:
+        return [1]
+    if n <= 4:
+        return list(range(n + 1))
+    return list(range(n // 2 + 2)) + [n]
+
+
+def _expect(compute, expected):
+    value = compute()
+    if value == expected:
+        return "pass", {"value": value}
+    return "fail", {"value": value, "expected": expected}
+
+
+def check_figure_examples(
+    config: RunConfig,
+    cube_img: DigitalImage | None = None,
+    cube_minus: DigitalImage | None = None,
+    fig1: DigitalImage | None = None,
+) -> list[VerificationReport]:
+    """The concrete numbers attached to the stock figures.
+
+    Fixtures are injectable so tests can confirm a corrupted image is
+    actually caught.
+    """
+    cube_img = cube_img or builders.cube()
+    cube_minus = cube_minus or builders.cube_minus_vertex()
+    fig1 = fig1 or builders.figure1()
+    budget = config.budget
+
+    def fixed(img):
+        return sorted(_exact(fixed_point_spectrum(img, budget)).values)
+
+    def cs2(y_img):
+        return sorted(_exact(coincidence_spectrum(cube_img, y_img, 2, budget)).values)
+
+    def contractible(img):
+        answer = is_contractible(img, budget)
+        if answer == "unknown":
+            raise _Skip({"reason": "budget tripped"})
+        return answer
+
+    def coincidences():
+        square, tee = builders.square4(), builders.tee4()
+        f_map = from_assignment(square, tee, (1, 0, 1, 2))
+        g_map = from_assignment(square, tee, (0, 1, 3, 1))
+        return list(coincidence_set([f_map, g_map, constant(square, tee, 3)]))
+
+    items = [
+        ("F(cube)", partial(fixed, cube_img), [0, 1, 2, 3, 4, 5, 6, 8]),
+        ("CS_2(cube,cube)", partial(cs2, cube_img), list(range(9))),
+        ("CS_2(cube,cube_minus_vertex)", partial(cs2, cube_minus), list(range(9))),
+        ("CS_2(cube,singleton)", partial(cs2, builders.singleton()), [cube_img.n_points]),
+        ("contractible(cube)", partial(contractible, cube_img), "yes"),
+        ("contractible(cube_minus_vertex)", partial(contractible, cube_minus), "yes"),
+        ("rigid(figure1)", partial(is_rigid_image, fig1), True),
+        ("C(f,g,c) on square4->tee4", coincidences, []),
+    ]
+    items += [
+        (f"F(cycle:{n})", partial(fixed, builders.cycle(n)), _cycle_fixed_spectrum(n))
+        for n in range(1, 8)
+    ]
+    return [
+        _run("figure-examples", name, config.seed, partial(_expect, compute, expected))
+        for name, compute, expected in items
+    ]
+
+
+# ---------------------------------------------------------------------------
+# suites
+
+def _random_batch(rows, seed, count, max_points, budget, **settings):
+    config = RunConfig(
+        budget, seed=seed, random_instances=count, max_random_points=max_points, **settings
+    )
+    return _run_rows(rows, config)
+
+
 def random_pair_property_reports(
     seed: int,
     count: int,
@@ -703,103 +652,7 @@ def random_pair_property_reports(
 ) -> list[VerificationReport]:
     """Per random (X, Y): spectrum monotonicity, F(X) within CS_2, nested
     coincidence sets, and homotopy-spectrum inclusion under repetition."""
-    rng = random.Random(seed)
-    reports = []
-    for k in range(count):
-        x_img = random_image(rng, max_points)
-        y_img = random_image(rng, max_points)
-        tag = f"seed={seed} k={k} X={x_img.n_points}p/{len(x_img.edges)}e Y={y_img.n_points}p/{len(y_img.edges)}e"
-
-        def monotone_body(x_img=x_img, y_img=y_img):
-            chain = [
-                coincidence_spectrum_by_search(x_img, y_img, i, budget)
-                for i in range(2, i_max + 1)
-            ]
-            if not all(s.exact for s in chain):
-                return "skipped", {"reason": "budget tripped"}
-            for a, b in zip(chain, chain[1:]):
-                if not a.as_set() <= b.as_set():
-                    return "fail", {
-                        "chain": [_vals(s.values) for s in chain],
-                        "x_image": x_img.to_json_dict(),
-                        "y_image": y_img.to_json_dict(),
-                    }
-            public = coincidence_spectrum(x_img, y_img, 2, budget)
-            if public.exact and public.as_set() != chain[0].as_set():
-                return "fail", {
-                    "reason": "search route disagrees with the public operation",
-                    "search": _vals(chain[0].values),
-                    "public": _vals(public.values),
-                    "x_image": x_img.to_json_dict(),
-                    "y_image": y_img.to_json_dict(),
-                }
-            n = x_img.n_points
-            if not chain[0].as_set() <= set(range(n + 1)) or n not in chain[0].as_set():
-                return "fail", {
-                    "values": _vals(chain[0].values),
-                    "x_image": x_img.to_json_dict(),
-                    "y_image": y_img.to_json_dict(),
-                }
-            return "pass", {}
-
-        def fx_body(x_img=x_img):
-            f_spec = fixed_point_spectrum(x_img, budget)
-            cs2 = coincidence_spectrum_by_search(x_img, x_img, 2, budget)
-            if not (f_spec.exact and cs2.exact):
-                return "skipped", {"reason": "budget tripped"}
-            if not f_spec.as_set() <= cs2.as_set():
-                return "fail", {
-                    "f_values": _vals(f_spec.values),
-                    "cs2_values": _vals(cs2.values),
-                    "x_image": x_img.to_json_dict(),
-                }
-            return "pass", {}
-
-        def nested_body(x_img=x_img, y_img=y_img, rng=rng):
-            pool = enumerate_continuous_maps(x_img, y_img).maps
-            for _ in range(8):
-                tup = [pool[rng.randrange(len(pool))] for _ in range(4)]
-                sets = [set(coincidence_set(tup[: j + 1])) for j in range(4)]
-                for bigger, smaller in zip(sets, sets[1:]):
-                    if not smaller <= bigger:
-                        return "fail", {
-                            "tuple": [list(m.assignment) for m in tup],
-                            "x_image": x_img.to_json_dict(),
-                            "y_image": y_img.to_json_dict(),
-                        }
-            return "pass", {}
-
-        def hcs_body(x_img=x_img, rng=rng):
-            pool = enumerate_continuous_maps(x_img, x_img).maps
-            f = pool[rng.randrange(len(pool))]
-            g = pool[rng.randrange(len(pool))]
-            # exact sweeps are always affordable up to 5 points; only the
-            # 6-point tail needs the caps
-            hcs_budget, product_cap = budget, None
-            if budget is None and x_img.n_points > 5:
-                hcs_budget = EnumerationBudget(max_nodes=_RANDOM_CLASS_NODE_BUDGET)
-                product_cap = _RANDOM_CLASS_PRODUCT_CAP
-            ok, exact, details = _hcs_inclusion_ok(
-                f, g, hcs_budget, product_cap=product_cap
-            )
-            if not exact:
-                return "skipped", {"reason": details.get("reason", "budget tripped")}
-            if not ok:
-                details.update(
-                    {
-                        "f": list(f.assignment),
-                        "g": list(g.assignment),
-                        "x_image": x_img.to_json_dict(),
-                    }
-                )
-                return "fail", details
-            return "pass", {}
-
-        reports.append(_run("monotone", tag, seed, monotone_body))
-        reports.append(_run("fx-subset", tag, seed, fx_body))
-        reports.append(_run("nested-coincidence", tag, seed, nested_body))
-        reports.append(_run("hcs-monotone", tag, seed, hcs_body))
-    return reports
+    return _random_batch(_RANDOM_PAIR_ROWS, seed, count, max_points, budget, i_max=i_max)
 
 
 def iso_invariance_reports(
@@ -808,21 +661,8 @@ def iso_invariance_reports(
     max_points: int = 6,
     budget: EnumerationBudget | None = None,
 ) -> list[VerificationReport]:
-    rng = random.Random(seed)
-    reports = []
-    for k in range(count):
-        x_img = random_image(rng, max_points)
-        tag = f"seed={seed} k={k} X={x_img.n_points}p/{len(x_img.edges)}e"
-
-        def body(x_img=x_img):
-            ok, details = _iso_instance_ok(x_img, rng)
-            if not ok:
-                details["x_image"] = x_img.to_json_dict()
-                return "fail", details
-            return "pass", {}
-
-        reports.append(_run("iso-invariance", tag, seed, body))
-    return reports
+    rows = (("iso-invariance", _random_images, _iso_invariance),)
+    return _random_batch(rows, seed, count, max_points, budget)
 
 
 def mj_reports(
@@ -832,29 +672,9 @@ def mj_reports(
     j_max: int = 4,
     budget: EnumerationBudget | None = None,
 ) -> list[VerificationReport]:
-    rng = random.Random(seed)
-    reports = []
-    for k in range(count):
-        x_img = random_image(rng, max_points)
-        instance_budget = budget
-        if budget is None and x_img.n_points > 5:
-            instance_budget = EnumerationBudget(max_nodes=_RANDOM_CLASS_NODE_BUDGET)
-        tag = f"seed={seed} k={k} X={x_img.n_points}p/{len(x_img.edges)}e"
-        reports.append(
-            _run(
-                "mj-monotone",
-                tag,
-                seed,
-                lambda x_img=x_img, b=instance_budget: _mj_monotone_verdict(
-                    x_img, j_max, b
-                ),
-            )
-        )
-    return reports
+    rows = (("mj-monotone", _random_images, _mj_monotone),)
+    return _random_batch(rows, seed, count, max_points, budget, j_max=j_max)
 
-
-# ---------------------------------------------------------------------------
-# suites
 
 def run_suite(suite_id: str, config: RunConfig | None = None) -> list[VerificationReport]:
     config = config or RunConfig()
@@ -862,29 +682,12 @@ def run_suite(suite_id: str, config: RunConfig | None = None) -> list[Verificati
         raise InvalidInputError(f"unknown suite {suite_id!r}; expected one of {SUITES}")
     reports: list[VerificationReport] = []
     if suite_id in ("paper-fixtures", "all"):
-        for check in _FIXTURE_CHECKS:
-            reports.extend(check(config))
+        reports += _run_rows(_FIXTURE_ROWS, config) + check_figure_examples(config)
     if suite_id in ("random-small", "all"):
-        n = config.random_instances
-        reports.extend(
-            random_pair_property_reports(
-                config.seed, n, config.max_random_points, budget=config.budget
-            )
-        )
-        reports.extend(
-            iso_invariance_reports(
-                config.seed + 1, n, config.max_random_points, budget=config.budget
-            )
-        )
-        reports.extend(
-            mj_reports(
-                config.seed + 2,
-                max(1, n // 4),
-                config.max_random_points,
-                config.j_max,
-                budget=config.budget,
-            )
-        )
+        n, points, budget = config.random_instances, config.max_random_points, config.budget
+        reports += random_pair_property_reports(config.seed, n, points, budget=budget)
+        reports += iso_invariance_reports(config.seed + 1, n, points, budget=budget)
+        reports += mj_reports(config.seed + 2, max(1, n // 4), points, config.j_max, budget)
     reports.sort(key=lambda r: (r.check_id, r.instance))
     return reports
 
@@ -938,57 +741,26 @@ def conjecture_search(
     component sizes.
     """
     config = config or RunConfig()
-    reports = [
-        _run(
-            "conjecture",
-            "reduction-note",
-            config.seed,
-            lambda: (
-                "pass",
-                {
-                    "note": (
-                        "maps to an edgeless codomain are constant per component, "
-                        "so instances are exhausted by component-size multisets"
-                    )
-                },
-            ),
-        )
-    ]
-    for total in range(2, max_x_points + 1):
-        for sizes in _partitions(total):
-            if len(sizes) < 2:
-                continue
-            x_img = disjoint_paths(sizes)
-            for m in range(2, max_y_points + 1):
-                y_img = builders.discrete(m)
+    config = RunConfig(
+        config.budget, i_max, config.j_max, config.seed,
+        config.random_instances, config.max_random_points,
+    )
 
-                def body(x_img=x_img, y_img=y_img, sizes=sizes):
-                    by_arity = coincidence_spectra_by_arity(
-                        x_img, y_img, i_max, config.budget
-                    )
-                    if not all(s.exact for s in by_arity.values()):
-                        return "skipped", {"reason": "budget tripped"}
-                    observed = {i: s.as_set() for i, s in by_arity.items()}
-                    predicted = subset_sums(sizes)
-                    stable = all(v == observed[2] for v in observed.values())
-                    matches = observed[2] == predicted
-                    details = {
-                        "observed": {str(i): _vals(v) for i, v in observed.items()},
-                        "subset_sums": _vals(predicted),
-                    }
-                    if stable and matches:
-                        return "pass", details
-                    details["x_image"] = x_img.to_json_dict()
-                    details["y_image"] = y_img.to_json_dict()
-                    return "fail", details
+    def sweep(*_):
+        for total in range(2, max_x_points + 1):
+            for sizes in _partitions(total):
+                if len(sizes) < 2:
+                    continue
+                x_img = disjoint_paths(sizes)
+                for m in range(2, max_y_points + 1):
+                    y_img = builders.discrete(m)
+                    yield f"{_label('', x_img, y_img)} i_max={i_max}", x_img, y_img
 
-                reports.append(
-                    _run(
-                        "conjecture",
-                        f"X={x_img.name} Y=discrete:{m} i_max={i_max}",
-                        config.seed,
-                        body,
-                    )
-                )
+    note = (
+        "maps to an edgeless codomain are constant per component, "
+        "so instances are exhausted by component-size multisets"
+    )
+    reports = [_run("conjecture", "reduction-note", config.seed, lambda: ("pass", {"note": note}))]
+    reports += _run_rows((("conjecture", sweep, _conjecture),), config)
     reports.sort(key=lambda r: (r.check_id, r.instance))
     return reports

@@ -185,14 +185,33 @@ def test_verify_random_small(capsys):
     assert "0 failed" in err
 
 
+_ARITY_OPTIONS = [("--i-max", "1"), ("--i-max", "0"), ("--j-max", "0")]
+
+
 @pytest.mark.parametrize(
-    "option", [("--max-points", "0"), ("--max-points", "-2"), ("--instances", "-1")]
+    "option",
+    [("--max-points", "0"), ("--max-points", "-2"), ("--instances", "-1"), *_ARITY_OPTIONS],
 )
 def test_verify_rejects_out_of_range_sizes(capsys, option):
     code, out, err = _run(capsys, "verify", "random-small", *option)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [("verify", "paper-fixtures"), ("conjecture",)])
+@pytest.mark.parametrize("option", _ARITY_OPTIONS)
+def test_out_of_range_arity_exits_2_before_any_check(capsys, command, option):
+    code, out, err = _run(capsys, *command, *option)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be at least" in err
+
+
+def test_verify_under_a_node_budget_skips_rather_than_fails(capsys):
+    code, _, err = _run(capsys, "verify", "paper-fixtures", "--budget-nodes", "200")
+    assert code == 0
+    assert " 0 failed" in err and " 0 skipped" not in err
 
 
 def test_nan_time_budget_is_input_error(capsys):

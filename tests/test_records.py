@@ -104,6 +104,15 @@ def test_reports_without_details_do_not_share_a_dict():
     assert b.details == {}
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [{"i_max": 1}, {"i_max": 0}, {"j_max": 0}, {"random_instances": -1}, {"max_random_points": 0}],
+)
+def test_run_config_rejects_out_of_range_settings(settings):
+    with pytest.raises(InvalidInputError):
+        RunConfig(**settings)
+
+
 def test_witness_chain_must_be_nonempty():
     with pytest.raises(InvalidInputError):
         HomotopyWitness(())

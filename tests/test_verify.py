@@ -1,20 +1,27 @@
 """The built-in verification suites and the conjecture sweep."""
 
+import hashlib
+import json
+import time
+
 import pytest
 
 from digitop import (
+    EnumerationBudget,
     InvalidInputError,
     RunConfig,
     builders,
     check_figure_examples,
     conjecture_search,
     disjoint_paths,
+    fixed_point_spectrum,
     iso_invariance_reports,
     mj_reports,
     random_pair_property_reports,
     run_suite,
     subset_sums,
 )
+import digitop.verify as verify
 from digitop.images import components
 from digitop.verify import _partitions
 
@@ -111,3 +118,50 @@ def test_conjecture_search_small_sweep():
     row = spectra["X=paths:2+1 Y=discrete:2 i_max=3"]
     assert row["observed"]["2"] == [0, 1, 2, 3]
     assert row["subset_sums"] == [0, 1, 2, 3]
+
+
+def _digest(reports):
+    """First 16 hex digits of the SHA-256 of the reports' JSON without elapsed."""
+    rows = [{k: v for k, v in r.to_json_dict().items() if k != "elapsed"} for r in reports]
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_fixture_suite_reports_are_pinned():
+    reports = run_suite("paper-fixtures")
+    assert len(reports) == 394
+    assert _digest(reports) == "51c43cd53996cffe"
+
+
+def test_random_suite_reports_are_pinned():
+    # one hcs-monotone instance trips the class-product cap and is skipped;
+    # lifting the random-class caps (ROADMAP item 2) must re-pin this digest
+    reports = run_suite("random-small", RunConfig(seed=1, random_instances=20))
+    assert len(reports) == 105
+    assert [r.instance for r in reports if r.verdict == "skipped"] == [
+        "seed=1 k=10 X=6p/8e Y=6p/8e"
+    ]
+    assert _digest(reports) == "ea32d8c0afc1ecc4"
+
+
+@pytest.mark.parametrize("max_nodes", [5, 30, 200])
+def test_a_tripped_budget_skips_and_never_fails(max_nodes):
+    config = RunConfig(
+        budget=EnumerationBudget(max_nodes=max_nodes), random_instances=10, max_random_points=5
+    )
+    reports = run_suite("all", config)
+    assert not [(r.check_id, r.instance) for r in reports if r.verdict == "fail"]
+    skipped = [r for r in reports if r.verdict == "skipped"]
+    assert any(r.check_id == "figure-examples" for r in skipped)
+    assert all(r.details["reason"] for r in skipped)
+
+
+def test_figure_examples_time_their_own_computation(monkeypatch):
+    def slow_spectrum(*args):
+        time.sleep(0.01)
+        return fixed_point_spectrum(*args)
+
+    monkeypatch.setattr(verify, "fixed_point_spectrum", slow_spectrum)
+    by_name = {r.instance: r for r in check_figure_examples(RunConfig())}
+    assert by_name["F(cube)"].verdict == "pass"
+    assert by_name["F(cube)"].elapsed >= 0.01
+    assert by_name["rigid(figure1)"].elapsed < 0.01
