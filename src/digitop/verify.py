@@ -6,7 +6,8 @@ random instances.  ``conjecture_search`` sweeps disconnected domains
 against edgeless codomains looking for a spectrum that keeps growing
 with arity; none is expected, but the sweep reports whatever it finds.
 
-Each check is a row (check id, instance source, body) run by ``_run_rows``.
+``_run_checks`` runs a list of (check id, body) on the instances of one
+source; the fixture suite is a table of (check id, source, body) rows.
 A body returns a pass or fail verdict with details, and raises ``_Skip``
 when an answer it needs is not exact, so a tripped budget is reported the
 same way by every check.  Every report is reproducible from its instance
@@ -75,6 +76,11 @@ class VerificationReport(Record):
         }
 
 
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise InvalidInputError(f"{name} must be at least {low}, got {value}")
+
+
 class RunConfig(Record):
     """Settings of a verification run; random instances have 1..max_random_points points."""
 
@@ -98,18 +104,10 @@ class RunConfig(Record):
         max_random_points: int = 6,
     ):
         # CS_1 is always {#X}, so the laws about CS_i start at arity 2
-        if i_max < 2:
-            raise InvalidInputError(f"i_max must be at least 2, got {i_max}")
-        if j_max < 1:
-            raise InvalidInputError(f"j_max must be at least 1, got {j_max}")
-        if random_instances < 0:
-            raise InvalidInputError(
-                f"random_instances must be at least 0, got {random_instances}"
-            )
-        if max_random_points < 1:
-            raise InvalidInputError(
-                f"max_random_points must be at least 1, got {max_random_points}"
-            )
+        _at_least("i_max", i_max, 2)
+        _at_least("j_max", j_max, 1)
+        _at_least("random_instances", random_instances, 0)
+        _at_least("max_random_points", max_random_points, 1)
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "i_max", i_max)
         object.__setattr__(self, "j_max", j_max)
@@ -120,19 +118,19 @@ class RunConfig(Record):
 
 SUITES = ("paper-fixtures", "random-small", "all")
 
-# Dense 6-point instances can have homotopy classes with thousands of
-# members; the class-restricted spectrum sweeps over their products are the
-# only unbounded cost in the suites.  Unbudgeted runs get these
-# deterministic caps instead, and a tripped cap skips the check.
+# Dense 6-point random instances can have homotopy classes with thousands
+# of members; the class-restricted spectrum sweeps over their products are
+# the only unbounded cost in the random suite.  Unbudgeted random checks get
+# these deterministic caps instead, and a tripped cap skips the check.
 _RANDOM_CLASS_NODE_BUDGET = 2_000_000
 _RANDOM_CLASS_PRODUCT_CAP = 300_000
 
 
 def _class_budget(x_img: DigitalImage, budget) -> tuple[EnumerationBudget | None, int | None]:
-    """(budget, class-product cap) for a class-restricted check on x_img.
+    """(budget, class-product cap) for a class-restricted check on random x_img.
 
     Exact sweeps are always affordable up to 5 points; unbudgeted checks on
-    larger images (the fixtures cycle:6 and figure1 among them) get the caps.
+    larger random images get the caps.  Fixture checks always run exactly.
     """
     if budget is None and x_img.n_points > 5:
         return EnumerationBudget(max_nodes=_RANDOM_CLASS_NODE_BUDGET), _RANDOM_CLASS_PRODUCT_CAP
@@ -188,23 +186,20 @@ def _label(head: str, x_img: DigitalImage, y_img: DigitalImage | None = None) ->
     return label if y_img is None else f"{label} Y={describe(y_img)}"
 
 
-def _run_rows(rows, config: RunConfig) -> list[VerificationReport]:
-    """Run each row's body on every instance its source yields.
+def _run_checks(source, checks, config: RunConfig) -> list[VerificationReport]:
+    """Run every (check id, body) of checks on each instance source yields.
 
-    A source is called as source(rng, config) with rng = Random(config.seed)
-    and yields (label, X, Y or None).  Consecutive rows with one source
-    share its instances and its rng: an instance is drawn, every body runs
-    on it in row order, and only then is the next instance drawn.
+    The source is called as source(rng, config) with rng = Random(config.seed)
+    and yields (label, X, Y or None).  The checks share its instances and its
+    rng: an instance is drawn, every body runs on it in order, and only then
+    is the next instance drawn.
     """
-    reports = []
-    for source, group in itertools.groupby(rows, key=lambda row: row[1]):
-        group = list(group)
-        rng = random.Random(config.seed)
-        for label, x_img, y_img in source(rng, config):
-            for check_id, _, body in group:
-                fn = partial(body, x_img, y_img, config, rng)
-                reports.append(_run(check_id, label, config.seed, fn))
-    return reports
+    rng = random.Random(config.seed)
+    return [
+        _run(check_id, label, config.seed, partial(body, x_img, y_img, config, rng))
+        for label, x_img, y_img in source(rng, config)
+        for check_id, body in checks
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +215,20 @@ _CONNECTED = (
 )
 
 
-def _fixtures(xs: str, ys: str | None = None, zipped: bool = False):
-    """Builtin images: each X named in xs, or each (X, Y) of xs by ys, or of both zipped."""
+def _fixture_pairs(pairs):
+    """Builtin images: each (X name, Y name or None) of pairs."""
     def source(rng, config):
-        x_imgs = [builders.builtin(name) for name in xs.split()]
-        if ys is None:
-            pairs = ((x_img, None) for x_img in x_imgs)
-        else:
-            y_imgs = [builders.builtin(name) for name in ys.split()]
-            pairs = zip(x_imgs, y_imgs) if zipped else itertools.product(x_imgs, y_imgs)
-        for x_img, y_img in pairs:
+        for x_name, y_name in pairs:
+            x_img = builders.builtin(x_name)
+            y_img = None if y_name is None else builders.builtin(y_name)
             yield _label("", x_img, y_img), x_img, y_img
 
     return source
+
+
+def _fixtures(xs: str, ys: str | None = None):
+    """Builtin images: each X named in xs, or each (X, Y) of xs by ys."""
+    return _fixture_pairs(tuple(itertools.product(xs.split(), ys.split() if ys else [None])))
 
 
 def random_image(rng: random.Random, max_points: int) -> DigitalImage:
@@ -434,9 +430,8 @@ def _iso_invariance(x_img, y_img, config, rng):
     return _fail(x_img, perm=perm, maps=maps, coincidence_sizes=sizes)
 
 
-def _hcs_inclusion(f, g, config):
+def _hcs_inclusion(f, g, budget, product_cap=None):
     """HCS(f, g) lies in HCS(f, g, g), and HFS(f, g) in HFS(f, g, g)."""
-    budget, product_cap = _class_budget(f.domain, config.budget)
     cls_f = homotopy_class(f, budget)
     if cls_f.complete and g.assignment in {m.assignment for m in cls_f.members}:
         cls_g = cls_f
@@ -458,7 +453,7 @@ def _hcs_inclusion(f, g, config):
 
 def _hcs_monotone(x_img, y_img, config, rng):
     """Repeating the last argument can only enlarge a homotopy spectrum."""
-    return _hcs_inclusion(identity(x_img), constant(x_img, x_img, 0), config)
+    return _hcs_inclusion(identity(x_img), constant(x_img, x_img, 0), config.budget)
 
 
 def _hcs_random(x_img, y_img, config, rng):
@@ -466,7 +461,7 @@ def _hcs_random(x_img, y_img, config, rng):
     pool = enumerate_continuous_maps(x_img, x_img).maps
     f = pool[rng.randrange(len(pool))]
     g = pool[rng.randrange(len(pool))]
-    return _hcs_inclusion(f, g, config)
+    return _hcs_inclusion(f, g, *_class_budget(x_img, config.budget))
 
 
 def _rigid_hcs(x_img, y_img, config, rng):
@@ -481,9 +476,9 @@ def _rigid_hcs(x_img, y_img, config, rng):
     return "pass", {}
 
 
-def _mj_monotone(x_img, y_img, config, rng):
-    """The self-coincidence sequence never increases."""
-    budget, _ = _class_budget(x_img, config.budget)
+def _mj_monotone(x_img, y_img, config, rng, capped=False):
+    """The self-coincidence sequence never increases; capped for random images."""
+    budget = _class_budget(x_img, config.budget)[0] if capped else config.budget
     entries = list(self_coincidence_sequence(x_img, config.j_max, budget).entries)
     if not all(exact for _, _, exact in entries):
         raise _Skip({"reason": "budget tripped", "entries": entries})
@@ -493,9 +488,9 @@ def _mj_monotone(x_img, y_img, config, rng):
     return "pass", {"entries": entries}
 
 
-def _conjecture(x_img, y_img, config, rng):
+def _conjecture(x_img, y_img, config, rng, i_max):
     """CS_2 = ... = CS_{i_max}, and CS_2 is the subset sums of the component sizes."""
-    by_arity = coincidence_spectra_by_arity(x_img, y_img, config.i_max, config.budget)
+    by_arity = coincidence_spectra_by_arity(x_img, y_img, i_max, config.budget)
     observed = {i: _exact(s).as_set() for i, s in by_arity.items()}
     predicted = subset_sums(len(c) for c in components(x_img))
     details = {
@@ -510,10 +505,8 @@ def _conjecture(x_img, y_img, config, rng):
 # ---------------------------------------------------------------------------
 # the check table
 
-_PAIR_SOURCE = _fixtures(_TINY, _TINY)
-
 _FIXTURE_ROWS = (
-    ("lemma-cardinality", _PAIR_SOURCE, _lemma_cardinality),
+    ("lemma-cardinality", _fixtures(_TINY, _TINY), _lemma_cardinality),
     (
         "lemma-full-range",
         _fixtures(
@@ -522,7 +515,7 @@ _FIXTURE_ROWS = (
         ),
         _lemma_full_range,
     ),
-    ("monotone", _PAIR_SOURCE, _monotone),
+    ("monotone", _fixtures(_TINY, _TINY), _monotone),
     ("fx-subset", _fixtures(_CONNECTED + " discrete:2 discrete:3"), _fx_subset),
     (
         "totally-disconnected",
@@ -531,11 +524,13 @@ _FIXTURE_ROWS = (
     ),
     (
         "nested-coincidence",
-        _fixtures(
-            "interval:0:2 interval:0:3 cycle:4 square4 discrete:3",
-            "interval:0:2 cycle:4 tee4 tee4 discrete:2",
-            zipped=True,
-        ),
+        _fixture_pairs((
+            ("interval:0:2", "interval:0:2"),
+            ("interval:0:3", "cycle:4"),
+            ("cycle:4", "tee4"),
+            ("square4", "tee4"),
+            ("discrete:3", "discrete:2"),
+        )),
         _nested,
     ),
     # every tiny fixture with two points or more
@@ -556,11 +551,12 @@ _FIXTURE_ROWS = (
     ),
 )
 
-_RANDOM_PAIR_ROWS = (
-    ("monotone", _random_pairs, _monotone_search),
-    ("fx-subset", _random_pairs, _fx_subset_search),
-    ("nested-coincidence", _random_pairs, _nested_random),
-    ("hcs-monotone", _random_pairs, _hcs_random),
+# run on each random (X, Y) in this order, which fixes the rng draws
+_RANDOM_PAIR_CHECKS = (
+    ("monotone", _monotone_search),
+    ("fx-subset", _fx_subset_search),
+    ("nested-coincidence", _nested_random),
+    ("hcs-monotone", _hcs_random),
 )
 
 
@@ -636,11 +632,11 @@ def check_figure_examples(
 # ---------------------------------------------------------------------------
 # suites
 
-def _random_batch(rows, seed, count, max_points, budget, **settings):
+def _random_batch(source, checks, seed, count, max_points, budget, **settings):
     config = RunConfig(
         budget, seed=seed, random_instances=count, max_random_points=max_points, **settings
     )
-    return _run_rows(rows, config)
+    return _run_checks(source, checks, config)
 
 
 def random_pair_property_reports(
@@ -652,7 +648,9 @@ def random_pair_property_reports(
 ) -> list[VerificationReport]:
     """Per random (X, Y): spectrum monotonicity, F(X) within CS_2, nested
     coincidence sets, and homotopy-spectrum inclusion under repetition."""
-    return _random_batch(_RANDOM_PAIR_ROWS, seed, count, max_points, budget, i_max=i_max)
+    return _random_batch(
+        _random_pairs, _RANDOM_PAIR_CHECKS, seed, count, max_points, budget, i_max=i_max
+    )
 
 
 def iso_invariance_reports(
@@ -661,8 +659,8 @@ def iso_invariance_reports(
     max_points: int = 6,
     budget: EnumerationBudget | None = None,
 ) -> list[VerificationReport]:
-    rows = (("iso-invariance", _random_images, _iso_invariance),)
-    return _random_batch(rows, seed, count, max_points, budget)
+    checks = (("iso-invariance", _iso_invariance),)
+    return _random_batch(_random_images, checks, seed, count, max_points, budget)
 
 
 def mj_reports(
@@ -672,8 +670,8 @@ def mj_reports(
     j_max: int = 4,
     budget: EnumerationBudget | None = None,
 ) -> list[VerificationReport]:
-    rows = (("mj-monotone", _random_images, _mj_monotone),)
-    return _random_batch(rows, seed, count, max_points, budget, j_max=j_max)
+    checks = (("mj-monotone", partial(_mj_monotone, capped=True)),)
+    return _random_batch(_random_images, checks, seed, count, max_points, budget, j_max=j_max)
 
 
 def run_suite(suite_id: str, config: RunConfig | None = None) -> list[VerificationReport]:
@@ -682,7 +680,9 @@ def run_suite(suite_id: str, config: RunConfig | None = None) -> list[Verificati
         raise InvalidInputError(f"unknown suite {suite_id!r}; expected one of {SUITES}")
     reports: list[VerificationReport] = []
     if suite_id in ("paper-fixtures", "all"):
-        reports += _run_rows(_FIXTURE_ROWS, config) + check_figure_examples(config)
+        for check_id, source, body in _FIXTURE_ROWS:
+            reports += _run_checks(source, ((check_id, body),), config)
+        reports += check_figure_examples(config)
     if suite_id in ("random-small", "all"):
         n, points, budget = config.random_instances, config.max_random_points, config.budget
         reports += random_pair_property_reports(config.seed, n, points, budget=budget)
@@ -740,11 +740,8 @@ def conjecture_search(
     CS_2 = ... = CS_{i_max} and that CS_2 is exactly the subset sums of the
     component sizes.
     """
+    _at_least("i_max", i_max, 2)
     config = config or RunConfig()
-    config = RunConfig(
-        config.budget, i_max, config.j_max, config.seed,
-        config.random_instances, config.max_random_points,
-    )
 
     def sweep(*_):
         for total in range(2, max_x_points + 1):
@@ -761,6 +758,6 @@ def conjecture_search(
         "so instances are exhausted by component-size multisets"
     )
     reports = [_run("conjecture", "reduction-note", config.seed, lambda: ("pass", {"note": note}))]
-    reports += _run_rows((("conjecture", sweep, _conjecture),), config)
+    reports += _run_checks(sweep, (("conjecture", partial(_conjecture, i_max=i_max)),), config)
     reports.sort(key=lambda r: (r.check_id, r.instance))
     return reports

@@ -165,3 +165,17 @@ def test_figure_examples_time_their_own_computation(monkeypatch):
     assert by_name["F(cube)"].verdict == "pass"
     assert by_name["F(cube)"].elapsed >= 0.01
     assert by_name["rigid(figure1)"].elapsed < 0.01
+
+
+def test_random_class_caps_leave_fixture_checks_exact(monkeypatch):
+    monkeypatch.setattr(verify, "_RANDOM_CLASS_NODE_BUDGET", 1)
+    fixture = [r for r in run_suite("paper-fixtures") if r.check_id == "mj-monotone"]
+    assert {r.instance for r in fixture} >= {"X=cycle:6", "X=figure1"}
+    assert _verdicts(fixture) == {"pass"}
+    capped = [r for r in mj_reports(2, 4) if "X=6p" in r.instance]
+    assert capped and _verdicts(capped) == {"skipped"}
+
+
+def test_conjecture_search_rejects_arity_below_two():
+    with pytest.raises(InvalidInputError):
+        conjecture_search(max_x_points=3, i_max=1)
