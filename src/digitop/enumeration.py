@@ -4,6 +4,13 @@ The core is a backtracking search over domain points in per-component BFS
 order: each point after the first in its component is adjacent to some
 earlier point, so every partial assignment is constrained immediately and
 dead branches die at the first violated edge.
+
+Candidate sets are Python ``int`` bitmasks over the codomain's points: a
+point's candidates are its ``allowed`` mask ANDed with the closed
+neighborhood masks of the values at its earlier neighbors, and values are
+read off lowest bit first, so maps come out in ascending order.  The last
+point emits its maps in one loop, and charges their nodes in one addition
+whenever no limit can trip inside that batch.
 """
 
 from __future__ import annotations
@@ -65,15 +72,23 @@ class EnumerationOutcome(Record):
         object.__setattr__(self, "nodes_used", nodes_used)
 
 
-def closed_neighborhoods(image: DigitalImage) -> tuple[frozenset[int], ...]:
-    return tuple(nbrs | {i} for i, nbrs in enumerate(image.neighbor_sets()))
+def mask_values(mask: int) -> list[int]:
+    """The values whose bits are set in mask, ascending."""
+    values = []
+    while mask:
+        low = mask & -mask
+        values.append(low.bit_length() - 1)
+        mask ^= low
+    return values
 
 
 class MapSpaceContext:
     """Structures shared by every search on one (domain, codomain) pair.
 
     Worth hoisting when many searches run against the same pair, as in the
-    breadth-first closure over a homotopy class.
+    breadth-first closure over a homotopy class.  ``closed[u]`` is the
+    closed neighborhood N[u] in the codomain as a bitmask (bit w set iff w
+    is u or adjacent to u), and ``full`` is the mask of every value.
     """
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage):
@@ -85,12 +100,15 @@ class MapSpaceContext:
         self.earlier = [
             [u for u in nbrs[v] if pos[u] < k] for k, v in enumerate(self.order)
         ]
-        self.closed = closed_neighborhoods(codomain)
-        self.full = frozenset(range(codomain.n_points))
+        self.closed = tuple(
+            sum(1 << w for w in nbrs_u) | 1 << u
+            for u, nbrs_u in enumerate(codomain.neighbor_sets())
+        )
+        self.full = (1 << codomain.n_points) - 1
 
     def codomain_is_complete(self) -> bool:
         """True iff every closed neighborhood is the whole codomain."""
-        return all(len(c) == len(self.full) for c in self.closed)
+        return all(c == self.full for c in self.closed)
 
 
 class Meter:
@@ -155,19 +173,27 @@ class Meter:
 
 
 class _Search:
-    """One backtracking run; ``allowed[x]`` is the candidate set at point x."""
+    """One backtracking run; ``allowed[x]`` is the bitmask of candidate values at point x.
+
+    A node's candidates are ``allowed[v] & closed[assign[u]] & ...`` over
+    the earlier neighbors u of v, read off in ascending order.  The last
+    position emits its maps in a loop in its own frame, with no call per
+    map.  When that batch ends before ``meter.check_at`` and there is no
+    result cap, its nodes are charged in one addition; otherwise one per
+    value, so the node counts and stops are the same either way.
+    """
 
     def __init__(
         self,
         context: MapSpaceContext,
-        allowed: tuple[frozenset[int], ...],
+        allowed: tuple[int, ...],
         budget: EnumerationBudget | Meter | None,
         collect: bool,
         max_results: int | None = None,
     ):
         self.order = context.order
         self.earlier = context.earlier
-        self.allowed = allowed
+        self.allowed = [allowed[v] for v in self.order]  # by position
         self.closed = context.closed
         self.n = context.domain.n_points
         if isinstance(budget, Meter):
@@ -184,43 +210,72 @@ class _Search:
 
     def run(self):
         start = self.meter.nodes
-        self._extend(0)
+        if self.n:
+            self._extend(0)
+        else:
+            # the empty assignment is the one map from an empty domain
+            self.count = 1
+            if self.collect:
+                self.results.append(())
         self.nodes = self.meter.nodes - start
         return self
 
     def _extend(self, k: int) -> bool:
         """Depth-first over positions; returns False to abort the whole search."""
-        if k == self.n:
+        v = self.order[k]
+        assign = self.assign
+        closed = self.closed
+        cands = self.allowed[k]
+        for u in self.earlier[k]:
+            cands &= closed[assign[u]]
+            if not cands:
+                return True
+        meter = self.meter
+        if k + 1 < self.n:
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                meter.nodes += 1
+                if meter.nodes >= meter.check_at and meter.over():
+                    self.exhausted = False
+                    return False
+                assign[v] = low.bit_length() - 1
+                if not self._extend(k + 1):
+                    return False
+            return True
+        # the last position: each value completes a map
+        batch = cands.bit_count()
+        if self.max_results is None and meter.nodes + batch < meter.check_at:
+            meter.nodes += batch
+            self.count += batch
+            if self.collect:
+                results = self.results
+                while cands:
+                    low = cands & -cands
+                    cands ^= low
+                    assign[v] = low.bit_length() - 1
+                    results.append(tuple(assign))
+            return True
+        for value in mask_values(cands):
+            meter.nodes += 1
+            if meter.nodes >= meter.check_at and meter.over():
+                self.exhausted = False
+                return False
             if self.count == self.max_results:
                 # a result past the cap exists, so the cap truncated the run
                 self.exhausted = False
                 return False
             self.count += 1
             if self.collect:
-                self.results.append(tuple(self.assign))
-            return True
-        v = self.order[k]
-        cands = self.allowed[v]
-        for u in self.earlier[k]:
-            cands = cands & self.closed[self.assign[u]]
-            if not cands:
-                return True
-        meter = self.meter
-        for value in sorted(cands):
-            meter.nodes += 1
-            if meter.nodes >= meter.check_at and meter.over():
-                self.exhausted = False
-                return False
-            self.assign[v] = value
-            if not self._extend(k + 1):
-                return False
+                assign[v] = value
+                self.results.append(tuple(assign))
         return True
 
 
 def assignments_in_context(
     context: MapSpaceContext,
     budget: EnumerationBudget | Meter | None = None,
-    allowed: tuple[frozenset[int], ...] | None = None,
+    allowed: tuple[int, ...] | None = None,
     max_results: int | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
     """As enumerate_assignments, reusing a precomputed context.
@@ -240,9 +295,12 @@ def enumerate_assignments(
     domain: DigitalImage,
     codomain: DigitalImage,
     budget: EnumerationBudget | None = None,
-    allowed: tuple[frozenset[int], ...] | None = None,
+    allowed: tuple[int, ...] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
     """All continuous assignments as raw tuples: (assignments, exhausted, nodes).
+
+    ``allowed``, if given, restricts each point x to the values whose bits
+    are set in ``allowed[x]``.
 
     The deterministic order is fixed by the search: domain points in
     per-component BFS order, candidate values ascending.
@@ -281,10 +339,8 @@ def one_step_neighbors(
     Includes f itself; the relation is symmetric because closed
     neighborhoods are.
     """
-    closed = closed_neighborhoods(f.codomain)
-    allowed = tuple(closed[v] for v in f.assignment)
-    assignments, exhausted, nodes = enumerate_assignments(
-        f.domain, f.codomain, budget, allowed=allowed
-    )
+    context = MapSpaceContext(f.domain, f.codomain)
+    allowed = tuple(context.closed[v] for v in f.assignment)
+    assignments, exhausted, nodes = assignments_in_context(context, budget, allowed)
     maps = tuple(_enumerated(f.domain, f.codomain, a) for a in assignments)
     return EnumerationOutcome(maps=maps, exhausted=exhausted, nodes_used=nodes)

@@ -35,6 +35,7 @@ from .enumeration import (
     MapSpaceContext,
     Meter,
     assignments_in_context,
+    mask_values,
     one_step_neighbors,
 )
 from .errors import ContinuityError, InvalidInputError
@@ -117,7 +118,7 @@ class _HomIndex:
         # at[p][v]: the members with value v at p; disjoint in v, so sums are unions
         at = [[int.from_bytes(b, "little") for b in row] for row in rows]
         self.cover = [
-            [sum(at_p[v] for v in context.closed[u]) for u in range(m)] for at_p in at
+            [sum(at_p[v] for v in mask_values(c)) for c in context.closed] for at_p in at
         ]
         self.seen = 0
         for a in reached:
@@ -249,7 +250,7 @@ def _component_maps(
     never leaves K.  A truncated list still holds f.
     """
     dist, _ = _pull_toward(f.codomain, f.assignment[0])
-    component = frozenset(v for v, d in enumerate(dist) if d is not None)
+    component = sum(1 << v for v, d in enumerate(dist) if d is not None)
     context = MapSpaceContext(f.domain, f.codomain)
     allowed = (component,) * f.domain.n_points
     found, complete, _ = assignments_in_context(context, meter, allowed, max_results)
@@ -270,8 +271,20 @@ def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ho
     finish it leaves the closure to answer.
     """
     meter = Meter(budget)
+    contractible = _pulls_to_a_constant(identity(f.domain), meter)
+    return _class_after_chain_search(f, budget, meter, contractible)
+
+
+def _class_after_chain_search(
+    f: DigitalMap, budget: EnumerationBudget | None, meter: Meter, contractible: bool
+) -> HomotopyClass:
+    """homotopy_class once the chain search for id_X has run on ``meter``.
+
+    ``contractible`` is that search's verdict, so a caller that already
+    holds it does not search again.
+    """
     max_results = budget.max_results if budget else None
-    if _pulls_to_a_constant(identity(f.domain), meter):
+    if contractible:
         found, complete = _component_maps(f, meter, max_results)
     else:
         found, complete, _ = _bfs_closure(f, budget, meter=meter)

@@ -14,7 +14,12 @@ from __future__ import annotations
 from ._record import Record
 from .enumeration import EnumerationBudget, Meter
 from .errors import InvalidInputError
-from .homotopy import HomotopyClass, _pulls_to_a_constant, homotopy_class
+from .homotopy import (
+    HomotopyClass,
+    _class_after_chain_search,
+    _pulls_to_a_constant,
+    homotopy_class,
+)
 from .images import DigitalImage
 from .maps import DigitalMap, identity
 from .spectra import Spectrum, _EqualizerSearch
@@ -200,17 +205,20 @@ def self_coincidence_sequence(
     If a greedy chain contracts X and #X >= 2, every m_j with j >= 2 is 0
     with no class and no search: the identity's class holds two distinct
     constants, whose equalizer is empty.  The chain is charged to the
-    budget.  Otherwise, once an exact 0 appears the remaining entries are 0
-    (the witnessing selection still fits any larger j), so the search is
-    not repeated.
+    budget.  Otherwise the identity's class is built on the same meter
+    from the chain search's verdict, so that search runs once.  Once an
+    exact 0 appears the remaining entries are 0 (the witnessing selection
+    still fits any larger j), so the search is not repeated.
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
     entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
-    if x_img.n_points >= 2 and _pulls_to_a_constant(identity(x_img), Meter(budget)):
+    meter = Meter(budget)
+    contractible = _pulls_to_a_constant(identity(x_img), meter)
+    if x_img.n_points >= 2 and contractible:
         entries += [(j, 0, True) for j in range(2, j_max + 1)]
         return SelfCoincidenceSequence(entries=tuple(entries))
-    cls = homotopy_class(identity(x_img), budget)
+    cls = _class_after_chain_search(identity(x_img), budget, meter, contractible)
     for j in range(2, j_max + 1):
         prev_j, prev_value, prev_exact = entries[-1]
         if prev_j >= 2 and prev_exact and prev_value == 0:

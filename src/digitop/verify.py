@@ -152,6 +152,14 @@ def _exact(result):
     return result
 
 
+def _all_maps(x_img, y_img, config):
+    """Every continuous map X -> Y within the run's budget; skip the check if it trips."""
+    outcome = enumerate_continuous_maps(x_img, y_img, config.budget)
+    if not outcome.exhausted:
+        raise _Skip({"reason": "budget tripped"})
+    return outcome.maps
+
+
 def _run(check_id: str, instance: str, seed: int, fn) -> VerificationReport:
     """Time one check body; fn returns (verdict, details) or raises _Skip."""
     started = time.perf_counter()
@@ -192,7 +200,9 @@ def _run_checks(source, checks, config: RunConfig) -> list[VerificationReport]:
     The source is called as source(rng, config) with rng = Random(config.seed)
     and yields (label, X, Y or None).  The checks share its instances and its
     rng: an instance is drawn, every body runs on it in order, and only then
-    is the next instance drawn.
+    is the next instance drawn.  A body that skips before its own draws
+    leaves the rng elsewhere, so under a tripped budget the later instances
+    can differ from those of an unbudgeted run.
     """
     rng = random.Random(config.seed)
     return [
@@ -343,7 +353,7 @@ def _monotone_search(x_img, y_img, config, rng):
     n = x_img.n_points
     if not chain[0] <= set(range(n + 1)) or n not in chain[0]:
         return _fail(x_img, y_img, values=sorted(chain[0]))
-    return "pass", {}
+    return "pass", {"chain": [sorted(c) for c in chain]}
 
 
 def _fx_subset(x_img, y_img, config, rng):
@@ -385,7 +395,7 @@ def _nested_verdict(x_img, y_img, tuples):
 
 def _nested(x_img, y_img, config, rng):
     """Tuples of four from the first, last and constant maps X -> Y."""
-    pool = list(enumerate_continuous_maps(x_img, y_img).maps)
+    pool = list(_all_maps(x_img, y_img, config))
     picked = pool[:6] + pool[-2:] + [constant(x_img, y_img, y) for y in range(y_img.n_points)]
     maps = list({m.assignment: m for m in picked}.values())
     tuples = itertools.islice(itertools.product(maps, repeat=4), 0, 256)
@@ -394,7 +404,7 @@ def _nested(x_img, y_img, config, rng):
 
 def _nested_random(x_img, y_img, config, rng):
     """Eight tuples of four maps X -> Y drawn with rng."""
-    pool = enumerate_continuous_maps(x_img, y_img).maps
+    pool = _all_maps(x_img, y_img, config)
     tuples = ([pool[rng.randrange(len(pool))] for _ in range(4)] for _ in range(8))
     return _nested_verdict(x_img, y_img, tuples)
 
@@ -414,7 +424,7 @@ def _iso_invariance(x_img, y_img, config, rng):
     perm = list(range(x_img.n_points))
     rng.shuffle(perm)
     relabeled, phi = _relabel(x_img, perm)
-    pool = enumerate_continuous_maps(x_img, x_img).maps
+    pool = _all_maps(x_img, x_img, config)
     picked = [pool[rng.randrange(len(pool))] for _ in range(3)]
     moved = [conjugate(f, phi) for f in picked]
     sizes = [len(coincidence_set(picked)), len(coincidence_set(moved))]
@@ -422,7 +432,8 @@ def _iso_invariance(x_img, y_img, config, rng):
         len(fixed_point_set(f)) == len(fixed_point_set(g)) for f, g in zip(picked, moved)
     )
     spectra_ok = (
-        fixed_point_spectrum(x_img).as_set() == fixed_point_spectrum(relabeled).as_set()
+        _exact(fixed_point_spectrum(x_img, config.budget)).as_set()
+        == _exact(fixed_point_spectrum(relabeled, config.budget)).as_set()
     )
     if sizes[0] == sizes[1] and fix_ok and spectra_ok:
         return "pass", {}
@@ -458,7 +469,7 @@ def _hcs_monotone(x_img, y_img, config, rng):
 
 def _hcs_random(x_img, y_img, config, rng):
     """As _hcs_monotone for two self-maps drawn with rng."""
-    pool = enumerate_continuous_maps(x_img, x_img).maps
+    pool = _all_maps(x_img, x_img, config)
     f = pool[rng.randrange(len(pool))]
     g = pool[rng.randrange(len(pool))]
     return _hcs_inclusion(f, g, *_class_budget(x_img, config.budget))
@@ -685,7 +696,7 @@ def run_suite(suite_id: str, config: RunConfig | None = None) -> list[Verificati
         reports += check_figure_examples(config)
     if suite_id in ("random-small", "all"):
         n, points, budget = config.random_instances, config.max_random_points, config.budget
-        reports += random_pair_property_reports(config.seed, n, points, budget=budget)
+        reports += random_pair_property_reports(config.seed, n, points, config.i_max, budget)
         reports += iso_invariance_reports(config.seed + 1, n, points, budget=budget)
         reports += mj_reports(config.seed + 2, max(1, n // 4), points, config.j_max, budget)
     reports.sort(key=lambda r: (r.check_id, r.instance))

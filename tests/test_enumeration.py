@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,11 @@ from digitop import (
     InvalidInputError,
     count_continuous_maps,
     cube,
+    cube_minus_vertex,
     cycle,
     discrete,
     enumerate_continuous_maps,
+    from_assignment,
     identity,
     interval,
     one_step_neighbors,
@@ -23,6 +28,8 @@ from digitop import (
     square4,
     tee4,
 )
+from digitop.enumeration import enumerate_assignments
+from digitop.verify import random_image
 from oracles import all_maps_oracle, one_step_oracle
 
 
@@ -147,3 +154,68 @@ def test_enumeration_matches_oracle_on_random_pairs(pair):
     outcome = enumerate_continuous_maps(x_img, y_img)
     assert outcome.exhausted
     assert sorted(m.assignment for m in outcome.maps) == sorted(all_maps_oracle(x_img, y_img))
+
+
+_KERNEL_BUDGETS = (
+    None,
+    EnumerationBudget(max_nodes=37),
+    EnumerationBudget(max_nodes=1000),
+    EnumerationBudget(max_results=5),
+    EnumerationBudget(max_results=858),
+)
+
+
+def _kernel_pairs():
+    pairs = list(itertools.product(_tiny_images(), repeat=2))
+    pairs += [(cycle(6), cycle(6)), (cycle(7), cycle(5)), (cube(), cube_minus_vertex())]
+    rng = random.Random(8)
+    pairs += [(random_image(rng, 6), random_image(rng, 6)) for _ in range(40)]
+    return pairs
+
+
+def _kernel_rows():
+    """Everything the search reports, per (X, Y) and budget, as JSON-ready rows."""
+    for x_img, y_img in _kernel_pairs():
+        for budget in _KERNEL_BUDGETS:
+            assignments, exhausted, nodes = enumerate_assignments(x_img, y_img, budget)
+            yield [assignments, exhausted, nodes, count_continuous_maps(x_img, y_img, budget)]
+            first = enumerate_continuous_maps(x_img, y_img, EnumerationBudget(max_results=3))
+            for f in first.maps:
+                outcome = one_step_neighbors(f, budget)
+                yield [[m.assignment for m in outcome.maps], outcome.exhausted, outcome.nodes_used]
+
+
+def test_search_output_is_pinned():
+    # assignments in order, exhausted flags and node counts under five
+    # budgets, plus counts and budgeted one-step searches; pinned from the
+    # frozenset backtracking search that the bitmask search replaced
+    digest = hashlib.sha256(json.dumps(list(_kernel_rows())).encode()).hexdigest()[:16]
+    assert digest == "1afa9c353324f54e"
+
+
+def test_allowed_masks_restrict_the_search():
+    # a one-step search is the enumeration restricted to the closed
+    # neighborhoods of f's values, so it keeps the unrestricted order
+    c6 = cycle(6)
+    f = from_assignment(c6, c6, (0, 1, 2, 2, 1, 0))
+    closed = [sum(1 << w for w in c6.neighbor_sets()[u]) | 1 << u for u in range(6)]
+    allowed = tuple(closed[v] for v in f.assignment)
+    got, exhausted, _ = enumerate_assignments(c6, c6, allowed=allowed)
+    assert exhausted
+    everything, _, _ = enumerate_assignments(c6, c6)
+    assert got == [a for a in everything if one_step_oracle(c6, f.assignment, a)]
+    assert got == [m.assignment for m in one_step_neighbors(f).maps]
+    # a point allowed no value leaves no map
+    assert enumerate_assignments(c6, c6, allowed=(0,) + allowed[1:]) == ([], True, 0)
+
+
+class _NoPoints:
+    n_points = 0
+
+    def neighbor_sets(self):
+        return ()
+
+
+def test_a_domain_with_no_points_has_one_empty_map():
+    assert enumerate_assignments(_NoPoints(), cycle(3)) == ([()], True, 0)
+    assert count_continuous_maps(_NoPoints(), cycle(3)) == (1, True)

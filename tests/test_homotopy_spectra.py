@@ -23,6 +23,7 @@ from digitop import (
     square4,
     tee4,
 )
+import digitop.homotopy as homotopy
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
 
 
@@ -125,6 +126,22 @@ def test_self_coincidence_sequence_is_non_increasing():
         values = [v for _, v, _ in seq.entries]
         assert values[0] == x_img.n_points
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_a_failed_chain_search_runs_once(monkeypatch):
+    targets = []
+    greedy_pull = homotopy._greedy_pull
+
+    def counted(f, target, meter):
+        targets.append(target)
+        return greedy_pull(f, target, meter)
+
+    monkeypatch.setattr(homotopy, "_greedy_pull", counted)
+    fig = figure1()
+    seq = self_coincidence_sequence(fig, 3)
+    assert seq.entries == ((1, 18, True), (2, 18, True), (3, 18, True))
+    # one failed pull toward each point; the class reuses the verdict
+    assert targets == list(range(fig.n_points))
 
 
 def test_budget_propagates_to_inexact_entries():

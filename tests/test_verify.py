@@ -134,13 +134,27 @@ def test_fixture_suite_reports_are_pinned():
 
 def test_random_suite_reports_are_pinned():
     # one hcs-monotone instance trips the class-product cap and is skipped;
-    # lifting the random-class caps (ROADMAP item 2) must re-pin this digest
+    # lifting the random-class caps (ROADMAP item 2) must re-pin this digest.
+    # The random monotone check runs up to the default i_max of 4 and lists
+    # the spectra it compared in its details.
     reports = run_suite("random-small", RunConfig(seed=1, random_instances=20))
     assert len(reports) == 105
     assert [r.instance for r in reports if r.verdict == "skipped"] == [
         "seed=1 k=10 X=6p/8e Y=6p/8e"
     ]
-    assert _digest(reports) == "ea32d8c0afc1ecc4"
+    assert _digest(reports) == "050e46dd70f6fd04"
+
+
+def test_random_monotone_check_runs_to_i_max():
+    def monotone(i_max):
+        config = RunConfig(i_max=i_max, seed=4, random_instances=4)
+        return [r for r in run_suite("random-small", config) if r.check_id == "monotone"]
+
+    for i_max in (2, 3, 5):
+        reports = monotone(i_max)
+        assert len(reports) == 4 and _verdicts(reports) == {"pass"}
+        assert {len(r.details["chain"]) for r in reports} == {i_max - 1}
+    assert _digest(monotone(2)) != _digest(monotone(3))
 
 
 @pytest.mark.parametrize("max_nodes", [5, 30, 200])
@@ -153,6 +167,10 @@ def test_a_tripped_budget_skips_and_never_fails(max_nodes):
     skipped = [r for r in reports if r.verdict == "skipped"]
     assert any(r.check_id == "figure-examples" for r in skipped)
     assert all(r.details["reason"] for r in skipped)
+    if max_nodes == 5:
+        # their map enumerations and F(X) are budgeted like every other answer
+        checks = {r.check_id for r in skipped}
+        assert {"iso-invariance", "nested-coincidence"} <= checks
 
 
 def test_figure_examples_time_their_own_computation(monkeypatch):
