@@ -7,6 +7,9 @@ value at each point, or None once agreement is broken.  One breadth-first
 closure expands these restrictions in layers of total picks and keeps each
 distinct one once, so the first layer that reaches a size gives the fewest
 picks realizing it, which answers every arity up to the largest at once.
+The closure stops once nothing larger can be found: at the full range
+0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
+ceiling stop; see ``_EqualizerSearch``).
 """
 
 from __future__ import annotations
@@ -63,7 +66,12 @@ class _EqualizerSearch:
     A state is a restriction: the agreed value at each point, or None once
     agreement is broken.  States are expanded in layers of total picks, so
     the first layer that records a value holds its fewest picks, and the
-    full-range and min-mode stops are sound wherever they fire.  Layer one
+    full-range, ceiling and min-mode stops are sound wherever they fire.
+    The ceiling stop: size #X needs every pick equal (or, with ``fixed``,
+    every pick the identity's restriction), so it needs one unbroken
+    restriction lying in every pool.  With none, 0..#X - 1 is everything
+    reachable.  Pools may overlap (truncated classes, or classes a caller
+    passes in), so this is tested, once, when only #X is missing.  Layer one
     is the first pool itself.  A state reached again in its group with no
     fewer picks in that group is dropped: its first arrival came with no
     more picks in total and completes every selection the second would.
@@ -111,9 +119,19 @@ class _EqualizerSearch:
 
     def _record(self, value: int, picks: int):
         """Called only for a value not yet recorded, so ``picks`` is its fewest."""
-        self.min_picks[value] = picks
-        if (self.min_mode and value == 0) or len(self.min_picks) == self.n + 1:
+        min_picks, n = self.min_picks, self.n
+        min_picks[value] = picks
+        if (self.min_mode and value == 0) or len(min_picks) == n + 1:
             raise _Stop
+        if len(min_picks) == n and n not in min_picks and not self._agree_everywhere():
+            raise _Stop
+
+    def _agree_everywhere(self) -> bool:
+        """Whether some unbroken restriction lies in every pool (size #X is reachable)."""
+        rest = [set(pool) for pool in self.pools[1:]]
+        return any(
+            None not in r and all(r in pool for pool in rest) for r in self.pools[0]
+        )
 
     def _close(self):
         pools, mults, meter, min_picks, n = (

@@ -26,7 +26,12 @@ from ._record import Record
 from .enumeration import EnumerationBudget, enumerate_continuous_maps
 from .errors import InvalidInputError
 from .homotopy import homotopy_class, is_contractible, is_rigid_image
-from .homotopy_spectra import hcs_of_classes, hfs_of_classes, self_coincidence_sequence
+from .homotopy_spectra import (
+    _classes_of,
+    hcs_of_classes,
+    hfs_of_classes,
+    self_coincidence_sequence,
+)
 from .images import CT, DigitalImage, Explicit, Isomorphism, components
 from .maps import (
     coincidence_set,
@@ -117,24 +122,6 @@ class RunConfig(Record):
 
 
 SUITES = ("paper-fixtures", "random-small", "all")
-
-# Dense 6-point random instances can have homotopy classes with thousands
-# of members; the class-restricted spectrum sweeps over their products are
-# the only unbounded cost in the random suite.  Unbudgeted random checks get
-# these deterministic caps instead, and a tripped cap skips the check.
-_RANDOM_CLASS_NODE_BUDGET = 2_000_000
-_RANDOM_CLASS_PRODUCT_CAP = 300_000
-
-
-def _class_budget(x_img: DigitalImage, budget) -> tuple[EnumerationBudget | None, int | None]:
-    """(budget, class-product cap) for a class-restricted check on random x_img.
-
-    Exact sweeps are always affordable up to 5 points; unbudgeted checks on
-    larger random images get the caps.  Fixture checks always run exactly.
-    """
-    if budget is None and x_img.n_points > 5:
-        return EnumerationBudget(max_nodes=_RANDOM_CLASS_NODE_BUDGET), _RANDOM_CLASS_PRODUCT_CAP
-    return budget, None
 
 
 class _Skip(Exception):
@@ -441,17 +428,9 @@ def _iso_invariance(x_img, y_img, config, rng):
     return _fail(x_img, perm=perm, maps=maps, coincidence_sizes=sizes)
 
 
-def _hcs_inclusion(f, g, budget, product_cap=None):
+def _hcs_inclusion(f, g, budget):
     """HCS(f, g) lies in HCS(f, g, g), and HFS(f, g) in HFS(f, g, g)."""
-    cls_f = homotopy_class(f, budget)
-    if cls_f.complete and g.assignment in {m.assignment for m in cls_f.members}:
-        cls_g = cls_f
-    else:
-        cls_g = homotopy_class(g, budget)
-    if product_cap is not None and cls_f.complete and cls_g.complete:
-        product = len(cls_f.members) * len(cls_g.members)
-        if product > product_cap:
-            raise _Skip({"reason": f"class product {product} exceeds cap"})
+    cls_f, cls_g = _classes_of([f, g], budget, fixed=False)
     details = {"f": list(f.assignment), "g": list(g.assignment)}
     for name, spectrum_of in (("hcs", hcs_of_classes), ("hfs", hfs_of_classes)):
         shorter = _exact(spectrum_of([cls_f, cls_g], budget).values)
@@ -472,7 +451,7 @@ def _hcs_random(x_img, y_img, config, rng):
     pool = _all_maps(x_img, x_img, config)
     f = pool[rng.randrange(len(pool))]
     g = pool[rng.randrange(len(pool))]
-    return _hcs_inclusion(f, g, *_class_budget(x_img, config.budget))
+    return _hcs_inclusion(f, g, config.budget)
 
 
 def _rigid_hcs(x_img, y_img, config, rng):
@@ -487,10 +466,9 @@ def _rigid_hcs(x_img, y_img, config, rng):
     return "pass", {}
 
 
-def _mj_monotone(x_img, y_img, config, rng, capped=False):
-    """The self-coincidence sequence never increases; capped for random images."""
-    budget = _class_budget(x_img, config.budget)[0] if capped else config.budget
-    entries = list(self_coincidence_sequence(x_img, config.j_max, budget).entries)
+def _mj_monotone(x_img, y_img, config, rng):
+    """The self-coincidence sequence never increases."""
+    entries = list(self_coincidence_sequence(x_img, config.j_max, config.budget).entries)
     if not all(exact for _, _, exact in entries):
         raise _Skip({"reason": "budget tripped", "entries": entries})
     values = [value for _, value, _ in entries]
@@ -681,7 +659,7 @@ def mj_reports(
     j_max: int = 4,
     budget: EnumerationBudget | None = None,
 ) -> list[VerificationReport]:
-    checks = (("mj-monotone", partial(_mj_monotone, capped=True)),)
+    checks = (("mj-monotone", _mj_monotone),)
     return _random_batch(_random_images, checks, seed, count, max_points, budget, j_max=j_max)
 
 

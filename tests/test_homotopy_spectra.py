@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from digitop import (
+    DigitalImage,
     EnumerationBudget,
+    Explicit,
     InvalidInputError,
     constant,
     cycle,
@@ -24,6 +26,7 @@ from digitop import (
     tee4,
 )
 import digitop.homotopy as homotopy
+from digitop.spectra import _EqualizerSearch
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
 
 
@@ -42,18 +45,54 @@ def test_hcs_of_constants_on_contractible_image():
     assert result.values.as_set() == {0, 1, 2, 3, 4}
 
 
+def _labeled(n: int, edges) -> DigitalImage:
+    return DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(set(edges)))
+
+
 def test_hcs_matches_oracle_on_tiny_spaces():
+    edge = _labeled(3, [(0, 1)])
     cases = [
         (interval(0, 2), interval(0, 2), [(0, 0, 0), (0, 1, 2)]),
         (cycle(4), cycle(4), [(0, 1, 2, 3), (1, 2, 3, 0)]),
         (square4(), tee4(), [(1, 0, 1, 2), (3, 3, 3, 3)]),
         (cycle(5), cycle(5), [(0, 1, 2, 3, 4), (1, 1, 1, 1, 1)]),
+        # two classes share no map, so the ceiling stop ends the search at 0..2
+        (edge, edge, [(0, 0, 0), (0, 0, 2)]),
     ]
     for x_img, y_img, assignments in cases:
         maps = [from_assignment(x_img, y_img, a) for a in assignments]
         result = hcs(maps)
         assert result.values.exact
         assert result.values.as_set() == hcs_oracle(x_img, y_img, assignments)
+
+
+def test_distinct_classes_stop_below_the_full_range():
+    # classes of 3 175 and 635 members share no map; with no ceiling stop the
+    # closure built all of their pairs, some 2 million nodes
+    x_img = _labeled(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (3, 5)])
+    f = from_assignment(x_img, x_img, (2, 1, 1, 1, 3, 1))
+    g = from_assignment(x_img, x_img, (0, 0, 0, 2, 4, 2))
+    budget = EnumerationBudget(max_nodes=50_000)
+    for maps in ([f, g], [f, g, g]):
+        result = hcs(maps, budget)
+        assert result.values.exact
+        assert result.values.values == (0, 1, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize(
+    "pools, fixed, expected, nodes",
+    [
+        # the groups share (1, 1), so #X = 2 is reachable even though 0 and 1 come first
+        ((((0, 0), (1, 1)), ((0, 1), (1, 1))), False, {0, 1, 2}, 4),
+        # the pools share the map (0, 0), but only the second holds the identity
+        ((((0, 0), (1, 1)), ((0, 0), (0, 1))), True, {0, 1}, 3),
+    ],
+)
+def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
+    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, fixed, None)
+    min_picks, exact = search.run()
+    assert exact and set(min_picks) == expected
+    assert search.meter.nodes == nodes
 
 
 def test_hfs_matches_oracle_on_tiny_spaces():
