@@ -5,13 +5,17 @@ general homotopy is reachability under that relation through continuous
 maps, so a homotopy class is a breadth-first closure and every membership
 question comes with an explicit chain of one-step moves as a witness.
 
+One engine (``_Homotopy``) builds every class an operation asks for on a
+pair (X, Y), so those classes share one chain search, one index of Hom(X, Y)
+and one budget.
+
 A class question first looks for a certificate that the domain X is
 contractible: a greedy chain of one-step moves from id_X to a constant
 (``_pulls_to_a_constant``).  With one, every f: X -> Y is homotopic to a
 constant, so the class of f is every map into the component of Y that
 holds f's image, and one restricted enumeration lists it.
 
-Without one, a breadth-first closure (``_bfs_closure``) answers, and it
+Without one, a breadth-first closure (``_Homotopy.closure``) answers, and it
 also answers every homotopy and nullhomotopy question, which need shortest
 chains and early stops.  It finds a member's one-step neighbors either by
 a backtracking search restricted to the closed neighborhoods of the
@@ -38,9 +42,9 @@ from .enumeration import (
     mask_values,
     one_step_neighbors,
 )
-from .errors import ContinuityError, InvalidInputError
+from .errors import InvalidInputError
 from .images import DigitalImage
-from .maps import DigitalMap, _enumerated, constant, identity
+from .maps import DigitalMap, _enumerated, constant, continuity_violation, identity
 
 Ternary = Literal["yes", "no", "unknown"]
 
@@ -90,23 +94,26 @@ class HomotopyClass(Record):
         object.__setattr__(self, "complete", complete)
 
     @cached_property
-    def _member_set(self) -> frozenset[DigitalMap]:
-        return frozenset(self.members)
+    def _assignments(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(m.assignment for m in self.members)
 
     def __contains__(self, f: DigitalMap) -> bool:
-        return f in self._member_set
+        rep = self.representative
+        same_pair = f.domain == rep.domain and f.codomain == rep.codomain
+        return same_pair and f.assignment in self._assignments
 
 
 class _HomIndex:
     """Hom(X, Y) enumerated once, with bitsets that give one-step neighbors.
 
-    Members are numbered in enumeration order.  ``cover[p][u]`` has bit i
-    set iff member i sends p into the closed neighborhood N[u], so the
-    one-step neighbors of an assignment a are AND_p cover[p][a[p]];
-    ``seen`` marks the members the closure has reached.
+    Members are numbered in enumeration order.  ``at[p][v]`` has bit i set
+    iff member i sends p to v, ``cover[p][u]`` iff it sends p into N[u], so
+    the one-step neighbors of an assignment a are AND_p cover[p][a[p]].
+    ``seen`` marks the members the running closure has reached; the index
+    serves every closure on its pair, and each ``mark``s its own first.
     """
 
-    def __init__(self, context: MapSpaceContext, pool, reached):
+    def __init__(self, context: MapSpaceContext, pool):
         self.pool = pool
         size = (len(pool) + 7) // 8
         m = context.codomain.n_points
@@ -115,15 +122,19 @@ class _HomIndex:
             byte, bit = i >> 3, 1 << (i & 7)
             for row, v in zip(rows, a):
                 row[v][byte] |= bit
-        # at[p][v]: the members with value v at p; disjoint in v, so sums are unions
-        at = [[int.from_bytes(b, "little") for b in row] for row in rows]
+        # disjoint in v, so sums are unions
+        self.at = [[int.from_bytes(b, "little") for b in row] for row in rows]
         self.cover = [
-            [sum(at_p[v] for v in mask_values(c)) for c in context.closed] for at_p in at
+            [sum(at_p[v] for v in mask_values(c)) for c in context.closed] for at_p in self.at
         ]
+        self.seen = 0
+
+    def mark(self, reached) -> None:
+        """Set ``seen`` to the members whose assignments are in reached."""
         self.seen = 0
         for a in reached:
             bit = -1
-            for at_p, v in zip(at, a):
+            for at_p, v in zip(self.at, a):
                 bit &= at_p[v]
             self.seen |= bit
 
@@ -141,124 +152,155 @@ class _HomIndex:
         return found
 
 
-def _try_index(
-    context: MapSpaceContext, meter: Meter, nodes: int, reached
-) -> _HomIndex | None:
-    """Index Hom(X, Y) if enumerating it takes at most ``nodes`` nodes, else None.
+class _Homotopy:
+    """The homotopy engine of one operation on one pair (X, Y).
 
-    The attempt is charged to ``meter`` either way.
+    One meter pays for the chain search for id_X (run at most once), every
+    closure and enumeration, and the index of Hom(X, Y), which the first
+    closure whose try succeeds builds and every later closure starts on.
+    The context is built on first use, never for a chain-search answer.
     """
-    sub = meter.capped(nodes)
-    pool, exhausted, _ = assignments_in_context(context, sub)
-    meter.nodes += sub.nodes
-    return _HomIndex(context, pool, reached) if exhausted else None
 
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage, budget):
+        self.domain, self.codomain = domain, codomain
+        self.meter = Meter(budget)
+        self.max_results = budget.max_results if budget else None
+        self.index: _HomIndex | None = None
+        self.classes: list[HomotopyClass] = []
 
-def _bfs_closure(
-    f: DigitalMap,
-    budget: EnumerationBudget | None,
-    stop_at: Collection[tuple[int, ...]] = frozenset(),
-    meter: Meter | None = None,
-) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], bool, bool]:
-    """Breadth-first closure of {f} under one-step neighbors.
+    @cached_property
+    def context(self) -> MapSpaceContext:
+        return MapSpaceContext(self.domain, self.codomain)
 
-    Returns (parents keyed by assignment, complete, found_stop).  parents[a]
-    is the predecessor assignment on a shortest chain from f, None for f.
-    ``stop_at`` is a set of assignments; the closure stops at the first one
-    it reaches.  ``meter``, if given, is the budget's meter with earlier
-    work already charged.  Works on raw assignments; members are only
-    wrapped by the callers.
+    @cached_property
+    def contractible(self) -> bool:
+        """True iff a greedy chain pulls id_X to a constant within the meter."""
+        return _pulls_to_a_constant(identity(self.domain), self.meter)
 
-    A member's neighbors come from one of two sources, raced on the shared
-    meter.  The per-member search enumerates the maps inside the closed
-    neighborhoods of its values, a fresh backtracking run per member.  The
-    index (``_HomIndex``) enumerates Hom(X, Y) once and reads neighbors off
-    as bitset intersections.  The closure starts with the per-member search.
-    After an expansion that brings the search's own nodes to the next
-    threshold, it tries to enumerate Hom(X, Y) within that many nodes; the
-    first try follows the first expansion and each later threshold is twice
-    the search's nodes at the last try.  If a try completes, the closure finishes over the index from
-    the same parents and queue.  So a rigid map finishes before any try, a
-    small class in a huge Hom space pays at most about three times the
-    per-member nodes, and a class that fills its Hom space costs one
-    enumeration.  Both sources yield new members in enumeration order, so
-    the parents, the shortest chains and a ``max_results`` cut are the same
-    whichever answers.  The cap reports truncation only once a member past
-    it exists.
-    """
-    if meter is None:
-        meter = Meter(budget)
-    max_results = budget.max_results if budget else None
-    parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
-    if f.assignment in stop_at:
-        return parents, True, True
-    context = MapSpaceContext(f.domain, f.codomain)
-    if context.codomain_is_complete():
-        # every function is continuous and any two are pointwise equal or
-        # adjacent, so the class is the whole function space in one step
-        if stop_at:
-            parents[min(stop_at)] = f.assignment
+    def class_of(self, f: DigitalMap) -> HomotopyClass:
+        """f's class: one already built that holds f, else a new one (see homotopy_class)."""
+        for cls in self.classes:
+            if f in cls:
+                return cls
+        if self.contractible:
+            found, complete = self._component_maps(f)
+        else:
+            found, complete, _ = self.closure(f)
+        members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(found))
+        self.classes.append(HomotopyClass(f, members, complete))
+        return self.classes[-1]
+
+    def _try_index(self, nodes: int) -> _HomIndex | None:
+        """Index Hom(X, Y) if that takes at most ``nodes`` nodes; charged either way."""
+        sub = self.meter.capped(nodes)
+        pool, exhausted, _ = assignments_in_context(self.context, sub)
+        self.meter.nodes += sub.nodes
+        if exhausted:
+            self.index = _HomIndex(self.context, pool)
+        return self.index
+
+    def closure(
+        self, f: DigitalMap, stop_at: Collection[tuple[int, ...]] = frozenset()
+    ) -> tuple[dict[tuple[int, ...], tuple[int, ...] | None], bool, bool]:
+        """Breadth-first closure of {f} under one-step neighbors.
+
+        Returns (parents keyed by assignment, complete, found_stop).  parents[a]
+        is the predecessor assignment on a shortest chain from f, None for f.
+        ``stop_at`` is a set of assignments; the closure stops at the first one
+        it reaches.  Works on raw assignments; members are only wrapped by the
+        callers.
+
+        A member's neighbors come from one of two sources, raced on the shared
+        meter.  The per-member search enumerates the maps inside the closed
+        neighborhoods of its values, a fresh backtracking run per member.  The
+        index (``_HomIndex``) enumerates Hom(X, Y) once and reads neighbors off
+        as bitset intersections.  A closure starts on the index if an earlier
+        closure built it, and otherwise with the per-member search.  After an
+        expansion that brings the meter's nodes not spent on this closure's
+        tries to the next threshold, it tries to enumerate Hom(X, Y) within
+        that many nodes; the first try follows the first expansion and each
+        later threshold is twice that count at the last try.  If a try
+        completes, the closure finishes over the index from the same parents
+        and queue.  So a rigid map finishes before any try, a small class in a
+        huge Hom space pays at most about three times the per-member nodes,
+        and a class that fills its Hom space costs one enumeration.  Both
+        sources yield new members in enumeration order, so the parents, the
+        shortest chains and a ``max_results`` cut are the same whichever
+        answers.  The cap reports truncation only once a member past it
+        exists.
+        """
+        meter, max_results = self.meter, self.max_results
+        parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
+        if f.assignment in stop_at:
             return parents, True, True
-        assignments, exhausted, _ = assignments_in_context(context, meter)
-        for a in assignments:
-            if a not in parents:
+        context = self.context
+        if context.codomain_is_complete():
+            # every function is continuous and any two are pointwise equal or
+            # adjacent, so the class is the whole function space in one step
+            if stop_at:
+                parents[min(stop_at)] = f.assignment
+                return parents, True, True
+            assignments, exhausted, _ = assignments_in_context(context, meter)
+            for a in assignments:
+                if a not in parents:
+                    if len(parents) == max_results:
+                        return parents, False, False
+                    parents[a] = f.assignment
+            return parents, exhausted, False
+        queue = deque([f.assignment])
+        index: _HomIndex | None = None
+        tried = 0  # nodes spent on this closure's tries to build the index
+        next_try = 0  # nodes not spent on tries at which the next try starts
+        while queue:
+            if index is None and self.index is not None:
+                index = self.index
+                index.mark(parents)
+            if meter.late() or (index is None and meter.spent()):
+                return parents, False, False
+            current = queue.popleft()
+            if index is not None:
+                found = index.new_neighbors(current)
+            else:
+                allowed = tuple(context.closed[v] for v in current)
+                found, exhausted, _ = assignments_in_context(context, meter, allowed)
+                if not exhausted:
+                    return parents, False, False
+            for a in found:
+                if a in parents:
+                    continue
                 if len(parents) == max_results:
                     return parents, False, False
-                parents[a] = f.assignment
-        return parents, exhausted, False
-    queue = deque([f.assignment])
-    index: _HomIndex | None = None
-    tried = 0  # nodes spent on tries to build the index
-    next_try = 0  # per-member nodes at which the next try starts
-    while queue:
-        if meter.late() or (index is None and meter.spent()):
-            return parents, False, False
-        current = queue.popleft()
-        if index is not None:
-            found = index.new_neighbors(current)
-        else:
-            allowed = tuple(context.closed[v] for v in current)
-            found, exhausted, _ = assignments_in_context(context, meter, allowed)
-            if not exhausted:
-                return parents, False, False
-        for a in found:
-            if a in parents:
-                continue
-            if len(parents) == max_results:
-                return parents, False, False
-            parents[a] = current
-            if a in stop_at:
-                return parents, False, True
-            queue.append(a)
-        if index is None and queue and not meter.spent():
-            own = meter.nodes - tried
-            if own >= next_try:
-                index = _try_index(context, meter, own, parents)
-                tried = meter.nodes - own
-                next_try = 2 * own
-    return parents, True, False
+                parents[a] = current
+                if a in stop_at:
+                    return parents, False, True
+                queue.append(a)
+            if index is None and queue and not meter.spent():
+                own = meter.nodes - tried
+                if own >= next_try:
+                    self._try_index(own)
+                    tried = meter.nodes - own
+                    next_try = 2 * own
+        return parents, True, False
 
+    def _component_maps(self, f: DigitalMap) -> tuple[list[tuple[int, ...]], bool]:
+        """Hom(X, K) for the component K of Y holding f's image: (assignments, complete).
 
-def _component_maps(
-    f: DigitalMap, meter: Meter, max_results: int | None
-) -> tuple[list[tuple[int, ...]], bool]:
-    """Hom(X, K) for the component K of Y holding f's image: (assignments, complete).
-
-    This is f's class when X is contractible.  A chain from id_X to the
-    constant at x0 composes with f to a chain from f to the constant at
-    f(x0); constants into the connected K are homotopic, and a one-step move
-    never leaves K.  A truncated list still holds f.
-    """
-    dist, _ = _pull_toward(f.codomain, f.assignment[0])
-    component = sum(1 << v for v, d in enumerate(dist) if d is not None)
-    context = MapSpaceContext(f.domain, f.codomain)
-    allowed = (component,) * f.domain.n_points
-    found, complete, _ = assignments_in_context(context, meter, allowed, max_results)
-    if not complete and f.assignment not in found:
-        if len(found) == max_results:
-            found.pop()
-        found.append(f.assignment)
-    return found, complete
+        This is f's class when X is contractible.  A chain from id_X to the
+        constant at x0 composes with f to a chain from f to the constant at
+        f(x0); constants into the connected K are homotopic, and a one-step move
+        never leaves K.  A truncated list still holds f.
+        """
+        dist, _ = _pull_toward(f.codomain, f.assignment[0])
+        component = sum(1 << v for v, d in enumerate(dist) if d is not None)
+        allowed = (component,) * f.domain.n_points
+        found, complete, _ = assignments_in_context(
+            self.context, self.meter, allowed, self.max_results
+        )
+        if not complete and f.assignment not in found:
+            if len(found) == self.max_results:
+                found.pop()
+            found.append(f.assignment)
+        return found, complete
 
 
 def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> HomotopyClass:
@@ -270,26 +312,7 @@ def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ho
     chain's steps are charged to the same budget, and a budget too small to
     finish it leaves the closure to answer.
     """
-    meter = Meter(budget)
-    contractible = _pulls_to_a_constant(identity(f.domain), meter)
-    return _class_after_chain_search(f, budget, meter, contractible)
-
-
-def _class_after_chain_search(
-    f: DigitalMap, budget: EnumerationBudget | None, meter: Meter, contractible: bool
-) -> HomotopyClass:
-    """homotopy_class once the chain search for id_X has run on ``meter``.
-
-    ``contractible`` is that search's verdict, so a caller that already
-    holds it does not search again.
-    """
-    max_results = budget.max_results if budget else None
-    if contractible:
-        found, complete = _component_maps(f, meter, max_results)
-    else:
-        found, complete, _ = _bfs_closure(f, budget, meter=meter)
-    members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(found))
-    return HomotopyClass(representative=f, members=members, complete=complete)
+    return _Homotopy(f.domain, f.codomain, budget).class_of(f)
 
 
 class HomotopyAnswer(Record):
@@ -308,7 +331,8 @@ def are_homotopic(
     """Decide f ~ g; yes carries a shortest one-step chain from f to g."""
     if f.domain != g.domain or f.codomain != g.codomain:
         raise InvalidInputError("maps must share domain and codomain")
-    parents, complete, found = _bfs_closure(f, budget, stop_at={g.assignment})
+    engine = _Homotopy(f.domain, f.codomain, budget)
+    parents, complete, found = engine.closure(f, stop_at={g.assignment})
     if found:
         chain_assignments = [g.assignment]
         while parents[chain_assignments[-1]] is not None:
@@ -357,34 +381,29 @@ def _pull_toward(image: DigitalImage, target: int) -> tuple[list[int | None], li
     return dist, toward
 
 
-def _greedy_pull(
-    f: DigitalMap, target: int, meter: Meter
-) -> tuple[DigitalMap, ...] | None:
-    """Chain from f to the constant at target by stepping every value toward it.
+def _greedy_pull(f: DigitalMap, target: int, meter: Meter) -> bool:
+    """True iff stepping every value toward target chains f to the constant at target.
 
     Each step moves each value to its lowest-index neighbor strictly closer
     to the target, so the chain ends after as many steps as the farthest
     value is from the target; gives up when f leaves the target's component
     or a step breaks continuity.  A step costs the meter one node per domain
-    point, and a tripped meter also gives None.  Every step is a validated
-    DigitalMap, so a returned chain is checked.
+    point, and a tripped meter also gives False.  Every step is checked for
+    continuity, so True certifies the chain.
     """
     dist, toward = _pull_toward(f.codomain, target)
     if any(dist[v] is None for v in f.assignment):
-        return None
+        return False
     n = f.domain.n_points
-    chain = [f]
     current = f.assignment
     while any(v != target for v in current):
         meter.nodes += n
         if meter.nodes >= meter.check_at and meter.over():
-            return None
+            return False
         current = tuple(toward[v] for v in current)
-        try:
-            chain.append(DigitalMap(f.domain, f.codomain, current))
-        except ContinuityError:
-            return None
-    return tuple(chain)
+        if continuity_violation(f.domain, f.codomain, current) is not None:
+            return False
+    return True
 
 
 def _pulls_to_a_constant(f: DigitalMap, meter: Meter) -> bool:
@@ -392,19 +411,16 @@ def _pulls_to_a_constant(f: DigitalMap, meter: Meter) -> bool:
 
     For f = id_X this certifies that X is contractible.
     """
-    for target in range(f.codomain.n_points):
-        if _greedy_pull(f, target, meter) is not None:
-            return True
-    return False
+    return any(_greedy_pull(f, target, meter) for target in range(f.codomain.n_points))
 
 
 def is_nullhomotopic(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ternary:
     """Is f homotopic to some constant map?  Greedy chain first, then the closure."""
-    meter = Meter(budget)
-    if _pulls_to_a_constant(f, meter):
+    engine = _Homotopy(f.domain, f.codomain, budget)
+    if _pulls_to_a_constant(f, engine.meter):
         return "yes"
     constants = {constant(f.domain, f.codomain, y).assignment for y in range(f.codomain.n_points)}
-    _, complete, found = _bfs_closure(f, budget, stop_at=constants, meter=meter)
+    _, complete, found = engine.closure(f, stop_at=constants)
     if found:
         return "yes"
     return "no" if complete else "unknown"

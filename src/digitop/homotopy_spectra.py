@@ -12,14 +12,9 @@ equalizer restrictions runs over those groups.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget, Meter
+from .enumeration import EnumerationBudget
 from .errors import InvalidInputError
-from .homotopy import (
-    HomotopyClass,
-    _class_after_chain_search,
-    _pulls_to_a_constant,
-    homotopy_class,
-)
+from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage
 from .maps import DigitalMap, identity
 from .spectra import Spectrum, _EqualizerSearch
@@ -113,16 +108,10 @@ def _classes_of(
         raise InvalidInputError("need at least one map")
     if fixed:
         _require_self_maps(maps[0])
-    cache: dict[tuple[int, ...], HomotopyClass] = {}
-    classes = []
-    for f in maps:
-        cls = cache.get(f.assignment)
-        if cls is None:
-            cls = homotopy_class(f, budget)
-            for member in cls.members:
-                cache[member.assignment] = cls
-        classes.append(cls)
-    return tuple(classes)
+    if any(f.domain != maps[0].domain or f.codomain != maps[0].codomain for f in maps):
+        raise InvalidInputError("all classes must share domain and codomain")
+    engine = _Homotopy(maps[0].domain, maps[0].codomain, budget)
+    return tuple(engine.class_of(f) for f in maps)
 
 
 def _spectrum_of_classes(
@@ -205,20 +194,19 @@ def self_coincidence_sequence(
     If a greedy chain contracts X and #X >= 2, every m_j with j >= 2 is 0
     with no class and no search: the identity's class holds two distinct
     constants, whose equalizer is empty.  The chain is charged to the
-    budget.  Otherwise the identity's class is built on the same meter
-    from the chain search's verdict, so that search runs once.  Once an
+    budget.  Otherwise the same engine builds the identity's class on the
+    same meter, so that search runs once.  Once an
     exact 0 appears the remaining entries are 0 (the witnessing selection
     still fits any larger j), so the search is not repeated.
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
     entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
-    meter = Meter(budget)
-    contractible = _pulls_to_a_constant(identity(x_img), meter)
-    if x_img.n_points >= 2 and contractible:
+    engine = _Homotopy(x_img, x_img, budget)
+    if x_img.n_points >= 2 and engine.contractible:
         entries += [(j, 0, True) for j in range(2, j_max + 1)]
         return SelfCoincidenceSequence(entries=tuple(entries))
-    cls = _class_after_chain_search(identity(x_img), budget, meter, contractible)
+    cls = engine.class_of(identity(x_img))
     for j in range(2, j_max + 1):
         prev_j, prev_value, prev_exact = entries[-1]
         if prev_j >= 2 and prev_exact and prev_value == 0:

@@ -185,17 +185,17 @@ def _run_checks(source, checks, config: RunConfig) -> list[VerificationReport]:
     """Run every (check id, body) of checks on each instance source yields.
 
     The source is called as source(rng, config) with rng = Random(config.seed)
-    and yields (label, X, Y or None).  The checks share its instances and its
-    rng: an instance is drawn, every body runs on it in order, and only then
-    is the next instance drawn.  A body that skips before its own draws
-    leaves the rng elsewhere, so under a tripped budget the later instances
-    can differ from those of an unbudgeted run.
+    and yields (label, X, Y or None); only the source draws from that rng.
+    Each body gets an rng of its own, seeded from its check id and the
+    instance label, so the instances and every body's draws are the same
+    whether or not a budget trips.
     """
     rng = random.Random(config.seed)
     return [
-        _run(check_id, label, config.seed, partial(body, x_img, y_img, config, rng))
+        _run(check_id, label, config.seed, partial(body, x_img, y_img, config, own_rng))
         for label, x_img, y_img in source(rng, config)
         for check_id, body in checks
+        for own_rng in (random.Random(f"{check_id} {label}"),)
     ]
 
 
@@ -540,7 +540,7 @@ _FIXTURE_ROWS = (
     ),
 )
 
-# run on each random (X, Y) in this order, which fixes the rng draws
+# run on each random (X, Y) in this order
 _RANDOM_PAIR_CHECKS = (
     ("monotone", _monotone_search),
     ("fx-subset", _fx_subset_search),

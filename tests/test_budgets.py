@@ -38,6 +38,7 @@ from digitop import (
     square4,
     tee4,
 )
+from digitop.homotopy_spectra import _classes_of
 
 NODE_BUDGETS = range(1, 61)
 
@@ -212,14 +213,14 @@ def test_budgeted_self_coincidence_sequence_is_honest():
 def test_class_sweeps_reach_the_index(monkeypatch):
     """Some exact run in each class sweep finishes over the indexed Hom space."""
     built = []
-    try_index = homotopy._try_index
+    try_index = homotopy._Homotopy._try_index
 
-    def recording(*args):
-        index = try_index(*args)
+    def recording(engine, nodes):
+        index = try_index(engine, nodes)
         built.append(index is not None)
         return index
 
-    monkeypatch.setattr(homotopy, "_try_index", recording)
+    monkeypatch.setattr(homotopy._Homotopy, "_try_index", recording)
     for name in ("homotopy_class/cycle", "homotopy_class/index"):
         run, _ = CASES[name]
         indexed_exact = []
@@ -228,6 +229,19 @@ def test_class_sweeps_reach_the_index(monkeypatch):
             _, exact = run(EnumerationBudget(max_nodes=k))
             indexed_exact.append(exact and any(built))
         assert any(indexed_exact), name
+
+
+def test_classes_of_one_operation_share_one_budget():
+    # X = [0, 3] is contractible, so each class is one enumeration into a
+    # component of Y; each fits the budget alone, but not both in turn
+    y_img = disjoint_paths((3, 3))
+    maps = [constant(interval(0, 3), y_img, 0), constant(interval(0, 3), y_img, 3)]
+    budget = EnumerationBudget(max_nodes=100)
+    assert all(homotopy_class(f, budget).complete for f in maps)
+    first, second = _classes_of(maps, budget, fixed=False)
+    assert first.complete and len(first.members) == 41
+    assert not second.complete and maps[1] in second
+    assert len(second.members) < 41
 
 
 def test_classes_complete_reports_the_classes_not_the_search():

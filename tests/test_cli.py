@@ -112,12 +112,12 @@ def test_malformed_budget_env_var_is_input_error(capsys, monkeypatch):
 
 
 def test_hfs_rejects_non_self_maps_before_computing_classes(capsys, tmp_path, monkeypatch):
-    import digitop.homotopy_spectra as hs
+    import digitop.homotopy as homotopy
 
     def no_classes(*args, **kwargs):
         raise AssertionError("a homotopy class was computed")
 
-    monkeypatch.setattr(hs, "homotopy_class", no_classes)
+    monkeypatch.setattr(homotopy._Homotopy, "class_of", no_classes)
     path = tmp_path / "c.json"
     dump_map(constant(builders.interval(0, 2), builders.interval(0, 3), 0), str(path))
     for command in ("hfs", "mcf"):

@@ -36,7 +36,7 @@ from digitop import (
 )
 from digitop import homotopy
 from digitop.enumeration import Meter
-from digitop.homotopy import _bfs_closure, _pulls_to_a_constant
+from digitop.homotopy import _Homotopy, _pulls_to_a_constant
 from oracles import all_maps_oracle, homotopy_class_oracle, mj_oracle, one_step_distance
 
 
@@ -59,6 +59,14 @@ def test_class_sizes_on_cycles():
     assert len(homotopy_class(identity(interval(0, 3))).members) == 68
 
 
+def test_membership_compares_domain_and_codomain():
+    cls = homotopy_class(identity(cycle(4)))
+    assert identity(cycle(4)) in cls
+    # the same assignment on another 4-point image
+    assert identity(interval(0, 3)) not in cls
+    assert constant(cycle(4), interval(0, 3), 0) not in cls
+
+
 def test_class_sizes_of_contractible_domains():
     # listed by one restricted enumeration each, with no closure
     for image, size in ((cube(), 15_488), (interval(0, 8), 40_503)):
@@ -71,7 +79,7 @@ def test_contractible_domain_skips_the_closure(monkeypatch):
     def closure(*args, **kwargs):
         raise AssertionError("closure run on a contractible domain")
 
-    monkeypatch.setattr(homotopy, "_bfs_closure", closure)
+    monkeypatch.setattr(homotopy._Homotopy, "closure", closure)
     cls = homotopy_class(constant(tee4(), cycle(5), 0))
     assert cls.complete
     assert len(cls.members) == len(enumerate_continuous_maps(tee4(), cycle(5)).maps)
@@ -142,7 +150,7 @@ def test_max_results_equal_to_the_class_size_is_complete():
 def test_closure_stops_at_the_first_target_of_a_set():
     iv = interval(0, 3)
     constants = {constant(iv, iv, y).assignment for y in range(4)}
-    parents, complete, found = _bfs_closure(identity(iv), None, stop_at=constants)
+    parents, complete, found = _Homotopy(iv, iv, None).closure(identity(iv), stop_at=constants)
     assert found
     assert not complete
     assert len(constants & parents.keys()) == 1
@@ -296,7 +304,7 @@ def test_certified_class_matches_the_closure_and_oracle(f):
     assert cls.complete
     got = [m.assignment for m in cls.members]
     assert got == sorted(got)
-    parents, complete, _ = _bfs_closure(f, None)
+    parents, complete, _ = _Homotopy(f.domain, f.codomain, None).closure(f)
     assert complete
     assert set(got) == parents.keys()
     if f.domain.n_points <= 4:

@@ -66,17 +66,39 @@ def test_hcs_matches_oracle_on_tiny_spaces():
         assert result.values.as_set() == hcs_oracle(x_img, y_img, assignments)
 
 
-def test_distinct_classes_stop_below_the_full_range():
-    # classes of 3 175 and 635 members share no map; with no ceiling stop the
-    # closure built all of their pairs, some 2 million nodes
+def _distinct_classes():
+    """Two self-maps of a 6-point image whose classes (3 175 and 635 members) share no map."""
     x_img = _labeled(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (3, 5)])
     f = from_assignment(x_img, x_img, (2, 1, 1, 1, 3, 1))
     g = from_assignment(x_img, x_img, (0, 0, 0, 2, 4, 2))
+    return f, g
+
+
+def test_distinct_classes_stop_below_the_full_range():
+    # with no ceiling stop the closure built all pairs of the two classes,
+    # some 2 million nodes
+    f, g = _distinct_classes()
     budget = EnumerationBudget(max_nodes=50_000)
     for maps in ([f, g], [f, g, g]):
         result = hcs(maps, budget)
         assert result.values.exact
         assert result.values.values == (0, 1, 2, 3, 4, 5)
+
+
+def test_classes_of_one_pair_share_one_index(monkeypatch):
+    built = []
+
+    class Counted(homotopy._HomIndex):
+        def __init__(self, context, pool):
+            built.append(len(pool))
+            super().__init__(context, pool)
+
+    monkeypatch.setattr(homotopy, "_HomIndex", Counted)
+    result = hcs(list(_distinct_classes()))
+    assert result.values.exact
+    assert result.values.values == (0, 1, 2, 3, 4, 5)
+    # the second closure starts on the index the first one built
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize(
@@ -108,6 +130,13 @@ def test_hfs_requires_self_maps():
         hfs([constant(cycle(3), cycle(4), 0)])
     with pytest.raises(InvalidInputError):
         mcf([constant(cycle(3), cycle(4), 0)])
+
+
+def test_maps_on_different_pairs_are_rejected():
+    # the same assignment on two 4-point domains
+    for spectrum in (hcs, mc):
+        with pytest.raises(InvalidInputError):
+            spectrum([identity(cycle(4)), identity(interval(0, 3))])
 
 
 def test_equal_maps_merge_into_one_class_group():
@@ -181,6 +210,11 @@ def test_a_failed_chain_search_runs_once(monkeypatch):
     assert seq.entries == ((1, 18, True), (2, 18, True), (3, 18, True))
     # one failed pull toward each point; the class reuses the verdict
     assert targets == list(range(fig.n_points))
+    targets.clear()
+    c5 = cycle(5)
+    assert hcs([identity(c5), constant(c5, c5, 0)]).values.exact
+    # both classes come from one engine, which pulls id_X toward each point once
+    assert targets == list(range(c5.n_points))
 
 
 def test_budget_propagates_to_inexact_entries():
