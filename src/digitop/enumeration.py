@@ -10,7 +10,8 @@ point's candidates are its ``allowed`` mask ANDed with the closed
 neighborhood masks of the values at its earlier neighbors, and values are
 read off lowest bit first, so maps come out in ascending order.  The last
 point emits its maps in one loop, and charges their nodes in one addition
-whenever no limit can trip inside that batch.
+whenever no limit can trip inside that batch.  A search of self-maps can
+instead record only their distinct fixed-point sets, one step per batch.
 """
 
 from __future__ import annotations
@@ -181,18 +182,29 @@ class _Search:
     map.  When that batch ends before ``meter.check_at`` and there is no
     result cap, its nodes are charged in one addition; otherwise one per
     value, so the node counts and stops are the same either way.
+
+    With ``fixed_sets`` (self-maps only, and not with ``collect``) the
+    search keeps, in ``fixed_sets``, the distinct fixed-point sets of its
+    maps as bitmasks over the points, in the order their first maps come
+    out.  A batch shares the fixed points of its prefix and differs only
+    in whether the last point v is fixed, so it adds at most two sets
+    with no loop over its maps: the prefix's set with v fixed (value v)
+    and without (any other value), in the order of their first values.
     """
 
     def __init__(
         self,
         context: MapSpaceContext,
-        allowed: tuple[int, ...],
+        allowed: tuple[int, ...] | None,
         budget: EnumerationBudget | Meter | None,
         collect: bool,
         max_results: int | None = None,
+        fixed_sets: bool = False,
     ):
         self.order = context.order
         self.earlier = context.earlier
+        if allowed is None:
+            allowed = (context.full,) * len(self.order)
         self.allowed = [allowed[v] for v in self.order]  # by position
         self.closed = context.closed
         self.n = context.domain.n_points
@@ -207,6 +219,10 @@ class _Search:
         self.results: list[tuple[int, ...]] = []
         self.count = 0
         self.exhausted = True
+        self.fixed_sets: dict[int, None] | None = None
+        if fixed_sets:
+            self.fixed_sets = {}
+            self.prefix = self.order[:-1]  # every point but the last
 
     def run(self):
         start = self.meter.nodes
@@ -217,6 +233,8 @@ class _Search:
             self.count = 1
             if self.collect:
                 self.results.append(())
+            elif self.fixed_sets is not None:
+                self.fixed_sets[0] = None
         self.nodes = self.meter.nodes - start
         return self
 
@@ -255,6 +273,16 @@ class _Search:
                     cands ^= low
                     assign[v] = low.bit_length() - 1
                     results.append(tuple(assign))
+            elif self.fixed_sets is not None:
+                sets = self.fixed_sets
+                prefix = self._prefix_fixed()
+                bit = 1 << v
+                if cands & bit:
+                    if cands & (bit - 1):
+                        sets[prefix] = None
+                    sets[prefix | bit] = None
+                if cands & ~bit:
+                    sets[prefix] = None
             return True
         for value in mask_values(cands):
             meter.nodes += 1
@@ -269,7 +297,19 @@ class _Search:
             if self.collect:
                 assign[v] = value
                 self.results.append(tuple(assign))
+            elif self.fixed_sets is not None:
+                prefix = self._prefix_fixed()
+                self.fixed_sets[(prefix | 1 << v) if value == v else prefix] = None
         return True
+
+    def _prefix_fixed(self) -> int:
+        """The fixed points among every position but the last, as a bitmask."""
+        assign = self.assign
+        fixed = 0
+        for x in self.prefix:
+            if assign[x] == x:
+                fixed |= 1 << x
+        return fixed
 
 
 def assignments_in_context(
@@ -285,8 +325,6 @@ def assignments_in_context(
     metered search takes its result cap from ``max_results``; an
     EnumerationBudget brings its own.
     """
-    if allowed is None:
-        allowed = (context.full,) * context.domain.n_points
     search = _Search(context, allowed, budget, collect=True, max_results=max_results).run()
     return search.results, search.exhausted, search.nodes
 
@@ -296,7 +334,8 @@ def enumerate_assignments(
     codomain: DigitalImage,
     budget: EnumerationBudget | None = None,
     allowed: tuple[int, ...] | None = None,
-) -> tuple[list[tuple[int, ...]], bool, int]:
+    fixed_sets: bool = False,
+) -> tuple[list, bool, int]:
     """All continuous assignments as raw tuples: (assignments, exhausted, nodes).
 
     ``allowed``, if given, restricts each point x to the values whose bits
@@ -304,8 +343,17 @@ def enumerate_assignments(
 
     The deterministic order is fixed by the search: domain points in
     per-component BFS order, candidate values ascending.
+
+    With ``fixed_sets``, for self-maps (domain is codomain), the list
+    holds instead the distinct fixed-point sets of those assignments, each
+    an ``int`` bitmask over the points, in the order of their first maps;
+    no map is built, and the stops and node count are the same.
     """
-    return assignments_in_context(MapSpaceContext(domain, codomain), budget, allowed)
+    context = MapSpaceContext(domain, codomain)
+    if not fixed_sets:
+        return assignments_in_context(context, budget, allowed)
+    search = _Search(context, allowed, budget, collect=False, fixed_sets=True).run()
+    return list(search.fixed_sets), search.exhausted, search.nodes
 
 
 def enumerate_continuous_maps(
@@ -325,9 +373,7 @@ def count_continuous_maps(
     budget: EnumerationBudget | None = None,
 ) -> tuple[int, bool]:
     """Number of continuous maps, without materializing them."""
-    context = MapSpaceContext(domain, codomain)
-    allowed = (context.full,) * domain.n_points
-    search = _Search(context, allowed, budget, collect=False).run()
+    search = _Search(MapSpaceContext(domain, codomain), None, budget, collect=False).run()
     return search.count, search.exhausted
 
 

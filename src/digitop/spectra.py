@@ -10,6 +10,11 @@ picks realizing it, which answers every arity up to the largest at once.
 The closure stops once nothing larger can be found: at the full range
 0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
 ceiling stop; see ``_EqualizerSearch``).
+
+The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
+fixed-point set, so they read the distinct fixed-point sets straight from
+the map search and build no self-map: F is their sizes, and the CFS
+closure starts from their restrictions.
 """
 
 from __future__ import annotations
@@ -198,14 +203,23 @@ def _fewest_picks(
     """Enumerate the maps X -> Y, then search selections of at most ``arity``.
 
     Returns ({achievable size: fewest picks realizing it}, exact).  With
-    ``fixed`` the identity joins every equalizer (common fixed points).
+    ``fixed`` (Y is X) the identity joins every equalizer (common fixed
+    points), so only the maps' distinct fixed-point sets matter: the
+    enumeration records those sets and builds no map, and the pool is
+    their restrictions, the fixed points kept and every other point None.
     The pool enumeration and the search each get the whole budget.
     """
-    pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
+    if fixed:
+        sets, pool_exact, _ = enumerate_assignments(x_img, x_img, budget, fixed_sets=True)
+        points = range(x_img.n_points)
+        pool = [tuple([x if s >> x & 1 else None for x in points]) for s in sets]
+    else:
+        pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
     if not pool:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False
-    search = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, budget)
+    # with ``fixed`` the pool is already collapsed to fixed-point restrictions
+    search = _EqualizerSearch([(pool, arity)], x_img.n_points, False, budget)
     min_picks, search_exact = search.run()
     return min_picks, pool_exact and search_exact
 
@@ -314,15 +328,15 @@ def coincidence_spectra_by_arity(
 def fixed_point_spectrum(
     x_img: DigitalImage, budget: EnumerationBudget | None = None
 ) -> Spectrum:
-    """F(X): achievable fixed-point counts over continuous self-maps."""
-    n = x_img.n_points
-    assignments, exhausted, _ = enumerate_assignments(x_img, x_img, budget)
-    values = set()
-    for a in assignments:
-        values.add(sum(1 for x, v in enumerate(a) if v == x))
-        if len(values) == n + 1:
-            return Spectrum(values=tuple(values), exact=True, i=None)
-    return Spectrum(values=tuple(values), exact=exhausted, i=None)
+    """F(X): achievable fixed-point counts over continuous self-maps.
+
+    The counts are the sizes of the distinct fixed-point sets the
+    enumeration records; no self-map is built.  All of 0..#X is exact
+    even when a budget cut the enumeration short.
+    """
+    sets, exhausted, _ = enumerate_assignments(x_img, x_img, budget, fixed_sets=True)
+    values = {s.bit_count() for s in sets}
+    return Spectrum(values=values, exact=exhausted or len(values) == x_img.n_points + 1)
 
 
 def common_fixed_spectrum(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from digitop import (
     EnumerationBudget,
     Explicit,
     InvalidInputError,
+    builtin,
     coincidence_spectra_by_arity,
     coincidence_spectrum,
     coincidence_spectrum_by_search,
@@ -27,10 +31,13 @@ from digitop import (
     interval,
     mc,
     mcf,
+    random_connected_image,
     singleton,
     square4,
     tee4,
 )
+from digitop.enumeration import enumerate_assignments
+from digitop.spectra import _fewest_picks
 from oracles import (
     all_maps_oracle,
     cfs_oracle,
@@ -161,6 +168,62 @@ def test_cfs_union_stabilizes():
     assert u.as_set() == {0, 1, 2, 3, 4}
 
 
+def _disjoint_union(a: DigitalImage, b: DigitalImage) -> DigitalImage:
+    """a and b side by side, b's points shifted past a's, with no edge between them."""
+    n = a.n_points
+    edges = {(i, j) for i, nbrs in enumerate(a.neighbor_sets()) for j in nbrs if i < j}
+    edges |= {(n + i, n + j) for i, nbrs in enumerate(b.neighbor_sets()) for j in nbrs if i < j}
+    return DigitalImage(
+        points=tuple((i,) for i in range(n + b.n_points)), adjacency=Explicit(edges)
+    )
+
+
+def _fixed_digest_images():
+    """Fixtures plus seeded connected, disconnected and one-point images."""
+    rng = random.Random(11)
+    images = [builtin(name) for name in (
+        "cube", "cube_minus_vertex", "square4", "tee4", "singleton",
+        "cycle:5", "cycle:6", "interval:0:3", "discrete:3",
+    )]
+    images += [random_connected_image(rng, rng.randint(2, 7)) for _ in range(12)]
+    images += [
+        _disjoint_union(
+            random_connected_image(rng, rng.randint(1, 4)),
+            random_connected_image(rng, rng.randint(1, 3)),
+        )
+        for _ in range(12)
+    ]
+    images.append(random_connected_image(rng, 1))
+    return images
+
+
+_FIXED_DIGEST_BUDGETS = (None, 5, 40, 300, 2000)
+
+
+def _fixed_rows():
+    """F, the fewest picks of CFS_1..3 and the CFS union, per image and node budget."""
+    # figure1 has too many self-maps for an unbudgeted search here
+    pairs = [(x_img, nodes) for x_img in _fixed_digest_images() for nodes in _FIXED_DIGEST_BUDGETS]
+    pairs += [(builtin("figure1"), nodes) for nodes in _FIXED_DIGEST_BUDGETS[1:]]
+    for x_img, nodes in pairs:
+        budget = EnumerationBudget(max_nodes=nodes) if nodes else None
+        f = fixed_point_spectrum(x_img, budget)
+        yield [list(f.values), f.exact]
+        for i in (1, 2, 3):
+            min_picks, exact = _fewest_picks(x_img, x_img, i, budget, fixed=True)
+            yield [list(min_picks.items()), exact]
+        u = common_fixed_spectrum_union(x_img, 3, budget)
+        yield [list(u.values), u.exact, u.stabilized_at]
+
+
+def test_fixed_spectra_are_pinned():
+    # values, exact flags, fewest picks in the order they were found and
+    # stabilization arities, unbudgeted and under four node budgets, pinned
+    # from the search that built every self-map before reading its fixed points
+    digest = hashlib.sha256(json.dumps(list(_fixed_rows())).encode()).hexdigest()[:16]
+    assert digest == "ab73f9ee13af2ead"
+
+
 def test_budget_marks_inexact():
     s = coincidence_spectrum_by_search(cycle(4), cycle(4), 2, EnumerationBudget(max_nodes=2))
     assert not s.exact
@@ -234,6 +297,55 @@ def test_cfs_and_union_match_oracle(x_img):
     assert union.exact
     assert union.as_set() == truth[i_max]
     assert union.stabilized_at == _stabilized(truth)
+
+
+def _labelled_graphs(max_points):
+    """Every graph on the points 0..n-1 for n = 1..max_points, as an image."""
+    for n in range(1, max_points + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            edges = {pair for bit, pair in enumerate(pairs) if chosen >> bit & 1}
+            yield DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
+
+
+def test_fixed_spectra_match_oracle_on_every_graph_up_to_4_points():
+    # the 1 024 graphs on 5 points take minutes against the oracles, so
+    # they are left out
+    graphs = list(_labelled_graphs(4))
+    assert len(graphs) == 75
+    for x_img in graphs:
+        edges = sorted(x_img.adjacency.edges)
+        f = fixed_point_spectrum(x_img)
+        assert f.exact
+        assert f.as_set() == fixed_spectrum_oracle(x_img), edges
+        truth = {i: cfs_oracle(x_img, i) for i in (1, 2, 3)}
+        for i, values in truth.items():
+            s = common_fixed_spectrum(x_img, i)
+            assert s.exact
+            assert s.as_set() == values, (edges, i)
+        union = common_fixed_spectrum_union(x_img, 3)
+        assert union.exact
+        assert union.as_set() == truth[3], edges
+        assert union.stabilized_at == _stabilized(truth), edges
+
+
+@given(
+    tiny_images(5),
+    st.one_of(
+        st.none(),
+        st.builds(lambda k: EnumerationBudget(max_results=k), st.integers(1, 60)),
+        st.builds(lambda k: EnumerationBudget(max_nodes=k), st.integers(1, 300)),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_fixed_sets_are_those_of_the_enumerated_maps(x_img, budget):
+    maps, exhausted, nodes = enumerate_assignments(x_img, x_img, budget)
+    sets, sets_exhausted, sets_nodes = enumerate_assignments(
+        x_img, x_img, budget, fixed_sets=True
+    )
+    fixed = (sum(1 << x for x, v in enumerate(a) if v == x) for a in maps)
+    assert sets == list(dict.fromkeys(fixed))
+    assert (sets_exhausted, sets_nodes) == (exhausted, nodes)
 
 
 @given(tiny_pairs(), st.data())
