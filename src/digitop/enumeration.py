@@ -329,6 +329,25 @@ def assignments_in_context(
     return search.results, search.exhausted, search.nodes
 
 
+def fixed_sets_in_context(
+    context: MapSpaceContext,
+    budget: EnumerationBudget | Meter | None = None,
+    allowed: tuple[int, ...] | None = None,
+    max_results: int | None = None,
+) -> tuple[list[int], bool, int]:
+    """The distinct fixed-point sets of the self-maps of an (X, X) context.
+
+    Returns (sets, exhausted, nodes); each set is an ``int`` bitmask over
+    the points, in the order of its first map.  ``budget``, ``allowed``
+    and ``max_results`` (a cap on maps, not on sets) work as in
+    assignments_in_context.
+    """
+    search = _Search(
+        context, allowed, budget, collect=False, max_results=max_results, fixed_sets=True
+    ).run()
+    return list(search.fixed_sets), search.exhausted, search.nodes
+
+
 def enumerate_assignments(
     domain: DigitalImage,
     codomain: DigitalImage,
@@ -350,10 +369,9 @@ def enumerate_assignments(
     no map is built, and the stops and node count are the same.
     """
     context = MapSpaceContext(domain, codomain)
-    if not fixed_sets:
-        return assignments_in_context(context, budget, allowed)
-    search = _Search(context, allowed, budget, collect=False, fixed_sets=True).run()
-    return list(search.fixed_sets), search.exhausted, search.nodes
+    if fixed_sets:
+        return fixed_sets_in_context(context, budget, allowed)
+    return assignments_in_context(context, budget, allowed)
 
 
 def enumerate_continuous_maps(

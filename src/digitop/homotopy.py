@@ -40,7 +40,6 @@ from .enumeration import (
     Meter,
     assignments_in_context,
     mask_values,
-    one_step_neighbors,
 )
 from .errors import InvalidInputError
 from .images import DigitalImage
@@ -348,7 +347,22 @@ def are_homotopic(
 
 def is_rigid_map(f: DigitalMap) -> bool:
     """Exact: f is homotopic only to itself iff its one-step neighborhood is {f}."""
-    return one_step_neighbors(f, EnumerationBudget(max_results=1)).exhausted
+    return _rigid_within(f, Meter())
+
+
+def _rigid_within(f: DigitalMap, meter: Meter) -> bool | None:
+    """is_rigid_map paid from meter; None when the meter trips before the answer.
+
+    The neighborhood search stops at a second neighbor.  That stop and a
+    tripped meter both leave the search unexhausted, but only a trip leaves
+    the meter over its limit: the cap is tested after the node's own check.
+    """
+    context = MapSpaceContext(f.domain, f.codomain)
+    allowed = tuple(context.closed[v] for v in f.assignment)
+    _, exhausted, _ = assignments_in_context(context, meter, allowed, max_results=1)
+    if exhausted:
+        return True
+    return None if meter.over() else False
 
 
 def is_rigid_image(image: DigitalImage) -> bool:

@@ -7,17 +7,27 @@ set S of distinct maps is realizable iff one member per class can be picked
 whose union is S.  Equal classes are merged first into groups with
 multiplicities, and the spectra module's breadth-first closure over
 equalizer restrictions runs over those groups.
+
+An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
+first whether a greedy chain contracts the domain X.  If one does, every
+class is all of Hom(X, K) for the component K of Y that holds the map's
+image, and no class is built: HCS and MC follow from the components alone
+(``_contractible_sizes``), and HFS and MCF are CFS_k(X), searched over the
+distinct fixed-point sets of the self-maps (``_fixed_set_search``).
+Otherwise the same engine builds the classes, so the chain search runs
+once per operation either way.  ``hcs_of_classes`` and ``hfs_of_classes``
+always search the classes they are given.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget
+from .enumeration import EnumerationBudget, fixed_sets_in_context
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
-from .images import DigitalImage
+from .images import DigitalImage, components
 from .maps import DigitalMap, identity
-from .spectra import Spectrum, _EqualizerSearch
+from .spectra import Spectrum, _EqualizerSearch, _fixed_restrictions
 
 
 class HomotopySpectrumResult(Record):
@@ -83,12 +93,12 @@ def _search_classes(
     budget: EnumerationBudget | None,
     fixed: bool,
     min_mode: bool,
-) -> tuple[dict[int, int], bool, bool]:
+) -> tuple[tuple[int, ...], bool, bool]:
     """Equalizer search over one map drawn from each class.
 
-    Returns ({size: fewest picks}, classes complete, search exact).  With
-    ``fixed`` the identity joins every equalizer (common fixed points);
-    ``min_mode`` stops at the first empty equalizer.
+    Returns (sizes found, classes complete, search exact).  With ``fixed``
+    the identity joins every equalizer (common fixed points); ``min_mode``
+    stops at the first empty equalizer.
     """
     if not classes:
         raise InvalidInputError("need at least one homotopy class")
@@ -97,12 +107,13 @@ def _search_classes(
     groups, complete, n = _merge_classes(classes)
     search = _EqualizerSearch(groups, n, fixed, budget, min_mode)
     min_picks, search_exact = search.run()
-    return min_picks, complete, search_exact
+    return tuple(min_picks), complete, search_exact
 
 
-def _classes_of(
+def _engine_of(
     maps, budget: EnumerationBudget | None, fixed: bool
-) -> tuple[HomotopyClass, ...]:
+) -> tuple[tuple[DigitalMap, ...], _Homotopy]:
+    """The maps, checked to share one pair, and the one engine of their operation."""
     maps = tuple(maps)
     if not maps:
         raise InvalidInputError("need at least one map")
@@ -110,20 +121,85 @@ def _classes_of(
         _require_self_maps(maps[0])
     if any(f.domain != maps[0].domain or f.codomain != maps[0].codomain for f in maps):
         raise InvalidInputError("all classes must share domain and codomain")
-    engine = _Homotopy(maps[0].domain, maps[0].codomain, budget)
+    return maps, _Homotopy(maps[0].domain, maps[0].codomain, budget)
+
+
+def _classes_of(
+    maps, budget: EnumerationBudget | None, fixed: bool
+) -> tuple[HomotopyClass, ...]:
+    maps, engine = _engine_of(maps, budget, fixed)
     return tuple(engine.class_of(f) for f in maps)
 
 
-def _spectrum_of_classes(
-    classes, budget: EnumerationBudget | None, fixed: bool
+def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
+    """HCS of maps out of a contractible X, with no class and no search.
+
+    X is connected, so each image lies in one component of Y, and each
+    class is every map into that component.  Maps into two components agree
+    nowhere; one map, or maps into one one-point component, agree
+    everywhere.  Otherwise the component has an edge {a, b}: every map into
+    it lies in the one class, so the constant at a with the map sending a
+    chosen set of points to a and the rest to b realizes every size.
+    """
+    n = maps[0].domain.n_points
+    if len(maps) == 1:
+        return (n,)
+    block_of = {v: block for block in components(maps[0].codomain) for v in block}
+    held = {block_of[f.assignment[0]] for f in maps}
+    if len(held) > 1:
+        return (0,)
+    if len(next(iter(held))) == 1:
+        return (n,)
+    return tuple(range(n + 1))
+
+
+def _fixed_set_search(
+    engine: _Homotopy,
+    maps: tuple[DigitalMap, ...],
+    budget: EnumerationBudget | None,
+    min_mode: bool,
+) -> tuple[tuple[int, ...], bool, bool]:
+    """HFS of self-maps of a contractible X: every class is Hom(X, X), so this is CFS_k(X).
+
+    The distinct fixed-point sets of the self-maps are enumerated on the
+    engine's meter, with its result cap counting maps, and no map is
+    built; a truncated list still holds the arguments' own sets.  The
+    equalizer search over their restrictions, one group of multiplicity k,
+    gets a budget of its own.  Returns as ``_search_classes``.
+    """
+    sets, complete, _ = fixed_sets_in_context(
+        engine.context, engine.meter, max_results=engine.max_results
+    )
+    if not complete:
+        own = (sum(1 << x for x, v in enumerate(f.assignment) if v == x) for f in maps)
+        sets = list(dict.fromkeys([*sets, *own]))
+    n = engine.domain.n_points
+    pool = _fixed_restrictions(sets, n)
+    search = _EqualizerSearch([(pool, len(maps))], n, False, budget, min_mode)
+    min_picks, search_exact = search.run()
+    return tuple(min_picks), complete, search_exact
+
+
+def _sizes(
+    engine: _Homotopy,
+    maps: tuple[DigitalMap, ...],
+    budget: EnumerationBudget | None,
+    fixed: bool,
+    min_mode: bool,
+) -> tuple[tuple[int, ...], bool, bool]:
+    """As ``_search_classes`` for the classes of maps, by closed form where X contracts."""
+    if engine.contractible:
+        if fixed:
+            return _fixed_set_search(engine, maps, budget, min_mode)
+        return _contractible_sizes(maps), True, True
+    classes = tuple(engine.class_of(f) for f in maps)
+    return _search_classes(classes, budget, fixed, min_mode)
+
+
+def _result(
+    sizes: tuple[int, ...], complete: bool, search_exact: bool, arity: int
 ) -> HomotopySpectrumResult:
-    classes = tuple(classes)
-    min_picks, complete, search_exact = _search_classes(
-        classes, budget, fixed, min_mode=False
-    )
-    values = Spectrum(
-        values=tuple(min_picks), exact=complete and search_exact, i=len(classes)
-    )
+    values = Spectrum(values=sizes, exact=complete and search_exact, i=arity)
     return HomotopySpectrumResult(
         values=values,
         classes_complete=complete,
@@ -131,14 +207,27 @@ def _spectrum_of_classes(
     )
 
 
-def _minimum_of_classes(
+def _spectrum_of_classes(
     classes, budget: EnumerationBudget | None, fixed: bool
+) -> HomotopySpectrumResult:
+    classes = tuple(classes)
+    return _result(*_search_classes(classes, budget, fixed, min_mode=False), len(classes))
+
+
+def _spectrum(maps, budget: EnumerationBudget | None, fixed: bool) -> HomotopySpectrumResult:
+    maps, engine = _engine_of(maps, budget, fixed)
+    return _result(*_sizes(engine, maps, budget, fixed, min_mode=False), len(maps))
+
+
+def _minimum(
+    engine: _Homotopy,
+    maps: tuple[DigitalMap, ...],
+    budget: EnumerationBudget | None,
+    fixed: bool,
 ) -> tuple[int | None, bool]:
     """(least equalizer size, exact) for mc, mcf and m_j; stops at the first 0."""
-    min_picks, complete, search_exact = _search_classes(
-        tuple(classes), budget, fixed, min_mode=True
-    )
-    value = min(min_picks) if min_picks else None
+    sizes, complete, search_exact = _sizes(engine, maps, budget, fixed, min_mode=True)
+    value = min(sizes) if sizes else None
     return value, (complete and search_exact) or value == 0
 
 
@@ -154,12 +243,12 @@ def hfs_of_classes(classes, budget: EnumerationBudget | None = None) -> Homotopy
 
 def hcs(maps, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """Achievable coincidence-set sizes with every map free to move in its class."""
-    return hcs_of_classes(_classes_of(maps, budget, fixed=False), budget)
+    return _spectrum(maps, budget, fixed=False)
 
 
 def hfs(maps, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
     """As hcs, but for common fixed points."""
-    return hfs_of_classes(_classes_of(maps, budget, fixed=True), budget)
+    return _spectrum(maps, budget, fixed=True)
 
 
 def mc(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]:
@@ -167,12 +256,14 @@ def mc(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]
 
     Returns (value, exact); an inexact value is an upper bound.
     """
-    return _minimum_of_classes(_classes_of(maps, budget, fixed=False), budget, fixed=False)
+    maps, engine = _engine_of(maps, budget, fixed=False)
+    return _minimum(engine, maps, budget, fixed=False)
 
 
 def mcf(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]:
     """Minimum common-fixed-point count; the identity itself is never deformed."""
-    return _minimum_of_classes(_classes_of(maps, budget, fixed=True), budget, fixed=True)
+    maps, engine = _engine_of(maps, budget, fixed=True)
+    return _minimum(engine, maps, budget, fixed=True)
 
 
 def m_j_of_map(
@@ -191,27 +282,23 @@ def self_coincidence_sequence(
 ) -> SelfCoincidenceSequence:
     """m_j(X) = MC of j copies of the identity, for j = 1..j_max.
 
-    If a greedy chain contracts X and #X >= 2, every m_j with j >= 2 is 0
-    with no class and no search: the identity's class holds two distinct
-    constants, whose equalizer is empty.  The chain is charged to the
-    budget.  Otherwise the same engine builds the identity's class on the
-    same meter, so that search runs once.  Once an
-    exact 0 appears the remaining entries are 0 (the witnessing selection
-    still fits any larger j), so the search is not repeated.
+    One engine answers every j, so the chain search runs at most once and
+    the identity's class, when X does not contract, is built once.  On a
+    greedy-contractible X with #X >= 2, m_2 is 0 by the closed form of mc
+    (the identity's class holds two distinct constants).  Once an exact 0
+    appears the remaining entries are 0 (the witnessing selection still
+    fits any larger j), so the search is not repeated.
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
     entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
     engine = _Homotopy(x_img, x_img, budget)
-    if x_img.n_points >= 2 and engine.contractible:
-        entries += [(j, 0, True) for j in range(2, j_max + 1)]
-        return SelfCoincidenceSequence(entries=tuple(entries))
-    cls = engine.class_of(identity(x_img))
+    ident = identity(x_img)
     for j in range(2, j_max + 1):
         prev_j, prev_value, prev_exact = entries[-1]
         if prev_j >= 2 and prev_exact and prev_value == 0:
             entries.append((j, 0, True))
             continue
-        value, exact = _minimum_of_classes([cls] * j, budget, fixed=False)
+        value, exact = _minimum(engine, (ident,) * j, budget, fixed=False)
         entries.append((j, value, exact))
     return SelfCoincidenceSequence(entries=tuple(entries))

@@ -193,6 +193,12 @@ class _EqualizerSearch:
             layer = {key: states for key, states in following.items() if states}
 
 
+def _fixed_restrictions(sets, n_points: int) -> list[Restriction]:
+    """Fixed-point sets (bitmasks) as restrictions: each fixed point kept, the rest None."""
+    points = range(n_points)
+    return [tuple([x if s >> x & 1 else None for x in points]) for s in sets]
+
+
 def _fewest_picks(
     x_img: DigitalImage,
     y_img: DigitalImage,
@@ -211,8 +217,7 @@ def _fewest_picks(
     """
     if fixed:
         sets, pool_exact, _ = enumerate_assignments(x_img, x_img, budget, fixed_sets=True)
-        points = range(x_img.n_points)
-        pool = [tuple([x if s >> x & 1 else None for x in points]) for s in sets]
+        pool = _fixed_restrictions(sets, x_img.n_points)
     else:
         pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
     if not pool:

@@ -23,9 +23,9 @@ from functools import partial
 
 from . import builders
 from ._record import Record
-from .enumeration import EnumerationBudget, enumerate_continuous_maps
+from .enumeration import EnumerationBudget, Meter, enumerate_continuous_maps
 from .errors import InvalidInputError
-from .homotopy import homotopy_class, is_contractible, is_rigid_image
+from .homotopy import _rigid_within, homotopy_class, is_contractible
 from .homotopy_spectra import (
     _classes_of,
     hcs_of_classes,
@@ -145,6 +145,14 @@ def _all_maps(x_img, y_img, config):
     if not outcome.exhausted:
         raise _Skip({"reason": "budget tripped"})
     return outcome.maps
+
+
+def _rigid(img: DigitalImage, config) -> bool:
+    """Whether id_img is rigid, within the run's budget; skip the check if it trips."""
+    answer = _rigid_within(identity(img), Meter(config.budget))
+    if answer is None:
+        raise _Skip({"reason": "budget tripped"})
+    return answer
 
 
 def _run(check_id: str, instance: str, seed: int, fn) -> VerificationReport:
@@ -456,7 +464,7 @@ def _hcs_random(x_img, y_img, config, rng):
 
 def _rigid_hcs(x_img, y_img, config, rng):
     """On a rigid image nothing can move: HCS of identities is exactly {#X}."""
-    if not is_rigid_image(x_img):
+    if not _rigid(x_img, config):
         return _fail(x_img, reason="fixture is not rigid")
     cls = homotopy_class(identity(x_img), config.budget)
     for i in range(2, config.i_max + 1):
@@ -605,7 +613,7 @@ def check_figure_examples(
         ("CS_2(cube,singleton)", partial(cs2, builders.singleton()), [cube_img.n_points]),
         ("contractible(cube)", partial(contractible, cube_img), "yes"),
         ("contractible(cube_minus_vertex)", partial(contractible, cube_minus), "yes"),
-        ("rigid(figure1)", partial(is_rigid_image, fig1), True),
+        ("rigid(figure1)", partial(_rigid, fig1, config), True),
         ("C(f,g,c) on square4->tee4", coincidences, []),
     ]
     items += [

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: full function spaces filtered by a
 direct edge check, homotopy as connected components of the explicit
-one-step graph, spectra as loops over tuples.  Only usable on tiny images.
+one-step graph over that whole space, spectra as loops over tuples.  Only
+usable on tiny images.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from digitop import DigitalImage
@@ -37,16 +39,47 @@ def homotopy_class_oracle(
     x_img: DigitalImage, y_img: DigitalImage, assignment
 ) -> set[tuple[int, ...]]:
     """Connected component of the one-step graph over all continuous maps."""
+    return set(_one_step_components(x_img, y_img)[tuple(assignment)])
+
+
+@functools.lru_cache(maxsize=4)
+def _one_step_components(
+    x_img: DigitalImage, y_img: DigitalImage
+) -> dict[tuple[int, ...], frozenset[tuple[int, ...]]]:
+    """Every continuous map's component of the one-step graph, by breadth-first search.
+
+    Maps are numbered in pool order; near[p][u] has bit i set iff map i
+    sends p to u or a neighbor of u, so the maps one step from a are the
+    AND over p of near[p][a[p]].
+    """
     pool = all_maps_oracle(x_img, y_img)
-    component = {tuple(assignment)}
-    frontier = [tuple(assignment)]
-    while frontier:
-        current = frontier.pop()
-        for other in pool:
-            if other not in component and one_step_oracle(y_img, current, other):
-                component.add(other)
-                frontier.append(other)
-    return component
+    near = [
+        [
+            sum(1 << i for i, a in enumerate(pool) if one_step_oracle(y_img, (a[p],), (u,)))
+            for u in range(y_img.n_points)
+        ]
+        for p in range(x_img.n_points)
+    ]
+    component_of = {}
+    unseen = (1 << len(pool)) - 1
+    while unseen:
+        start = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << start
+        members, frontier = [start], [start]
+        while frontier:
+            a = pool[frontier.pop()]
+            step = unseen
+            for p, v in enumerate(a):
+                step &= near[p][v]
+            unseen &= ~step
+            while step:
+                low = step & -step
+                step ^= low
+                members.append(low.bit_length() - 1)
+                frontier.append(members[-1])
+        component = frozenset(pool[i] for i in members)
+        component_of.update((a, component) for a in component)
+    return component_of
 
 
 def one_step_distance(x_img: DigitalImage, y_img: DigitalImage, a, b) -> int | None:
@@ -110,19 +143,34 @@ def cfs_oracle(x_img: DigitalImage, i: int) -> set[int]:
 
 
 def hcs_oracle(x_img: DigitalImage, y_img: DigitalImage, assignments) -> set[int]:
-    """Coincidence sizes with each map ranging over its full homotopy class."""
+    """Coincidence sizes with each map ranging over its full homotopy class.
+
+    Stops once every size 0..#X has been seen, since no other size exists.
+    """
     classes = [homotopy_class_oracle(x_img, y_img, a) for a in assignments]
-    return {
-        equalizer_size(choice) for choice in itertools.product(*classes)
-    }
+    full = set(range(x_img.n_points + 1))
+    sizes = set()
+    for choice in itertools.product(*classes):
+        sizes.add(equalizer_size(choice))
+        if sizes == full:
+            break
+    return sizes
 
 
 def hfs_oracle(x_img: DigitalImage, assignments) -> set[int]:
-    ident = tuple(range(x_img.n_points))
-    classes = [homotopy_class_oracle(x_img, x_img, a) for a in assignments]
-    return {
-        equalizer_size(choice + (ident,)) for choice in itertools.product(*classes)
-    }
+    """Common fixed-point sizes with each map ranging over its class.
+
+    Only a member's fixed-point set matters, so each class is reduced to
+    its distinct fixed-point sets before the loop over choices.
+    """
+    classes = [
+        {
+            frozenset(x for x, v in enumerate(m) if v == x)
+            for m in homotopy_class_oracle(x_img, x_img, a)
+        }
+        for a in assignments
+    ]
+    return {len(frozenset.intersection(*choice)) for choice in itertools.product(*classes)}
 
 
 def mj_oracle(x_img: DigitalImage, j: int) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from digitop import (
     DigitalImage,
@@ -15,9 +17,11 @@ from digitop import (
     hcs,
     hcs_of_classes,
     hfs,
+    hfs_of_classes,
     homotopy_class,
     identity,
     interval,
+    is_connected,
     m_j_of_map,
     mc,
     mcf,
@@ -26,8 +30,11 @@ from digitop import (
     tee4,
 )
 import digitop.homotopy as homotopy
+from digitop.enumeration import enumerate_assignments
+from digitop.homotopy_spectra import _classes_of
 from digitop.spectra import _EqualizerSearch
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
+from test_spectra import SWEEP_POINTS, _labelled_graphs
 
 
 def test_hcs_of_identities_on_rigid_image():
@@ -221,3 +228,107 @@ def test_budget_propagates_to_inexact_entries():
     seq = self_coincidence_sequence(cycle(6), 3, EnumerationBudget(max_nodes=2))
     assert seq.entries[0] == (1, 6, True)
     assert not seq.entries[1][2]
+
+
+# A codomain with a one-point component {0} and a two-point component {1, 2}.
+SPLIT = _labeled(3, [(1, 2)])
+
+
+def test_closed_forms_match_oracle_on_every_connected_labelled_graph():
+    graphs = [x_img for x_img in _labelled_graphs(SWEEP_POINTS) if is_connected(x_img)]
+    # connected labelled graphs on 1, 2, 3, 4 and 5 points
+    assert len(graphs) == sum((1, 1, 4, 38, 728)[:SWEEP_POINTS])
+    for x_img in graphs:
+        edges = sorted(x_img.adjacency.edges)
+        n = x_img.n_points
+        ident, first, last = tuple(range(n)), (0,) * n, (n - 1,) * n
+        one, into_edge = (1,) * n, tuple(1 + x % 2 for x in range(n))
+        cases = [
+            (x_img, [ident]),
+            (x_img, [ident, first]),
+            (x_img, [first, last, ident]),
+            (SPLIT, [first]),
+            (SPLIT, [first, first, first]),
+            (SPLIT, [first, one]),
+            (SPLIT, [one, into_edge]),
+            (SPLIT, [one, into_edge, first]),
+        ]
+        for y_img, assignments in cases:
+            maps = [from_assignment(x_img, y_img, a) for a in assignments]
+            truth = hcs_oracle(x_img, y_img, assignments)
+            result = hcs(maps)
+            assert result.values.exact, (edges, assignments)
+            assert result.values.as_set() == truth, (edges, assignments)
+            assert mc(maps) == (min(truth), True), (edges, assignments)
+        for assignments in ([ident], [first], [ident, first], [first, last]):
+            maps = [from_assignment(x_img, x_img, a) for a in assignments]
+            truth = hfs_oracle(x_img, assignments)
+            result = hfs(maps)
+            assert result.values.exact, (edges, assignments)
+            assert result.values.as_set() == truth, (edges, assignments)
+            assert mcf(maps) == (min(truth), True), (edges, assignments)
+
+
+@st.composite
+def contractible_images(draw, max_points):
+    """A connected image of 1 to max_points points that a greedy chain contracts."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    # a spanning tree, each point joined to an earlier one, plus any other pairs
+    edges = {(draw(st.integers(min_value=0, max_value=k - 1)), k) for k in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    x_img = _labeled(n, edges)
+    assume(homotopy._Homotopy(x_img, x_img, None).contractible)
+    return x_img
+
+
+@given(contractible_images(6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_forms_match_the_class_search(x_img, data):
+    def pick(codomain, count):
+        # the first maps of the enumeration: any 6-point pool is too large to list
+        pool, _, _ = enumerate_assignments(x_img, codomain, EnumerationBudget(max_results=300))
+        indices = st.integers(min_value=0, max_value=len(pool) - 1)
+        return [from_assignment(x_img, codomain, pool[data.draw(indices)]) for _ in range(count)]
+
+    for codomain in (x_img, SPLIT):
+        maps = pick(codomain, data.draw(st.integers(min_value=1, max_value=3)))
+        searched = hcs_of_classes(_classes_of(maps, None, fixed=False))
+        assert hcs(maps) == searched
+        assert mc(maps) == (searched.min_value, True)
+    maps = pick(x_img, data.draw(st.integers(min_value=1, max_value=2)))
+    searched = hfs_of_classes(_classes_of(maps, None, fixed=True))
+    assert hfs(maps) == searched
+    assert mcf(maps) == (searched.min_value, True)
+
+
+def test_contractible_domains_build_no_class(monkeypatch):
+    def refuse(engine, f):
+        raise AssertionError("a class was built")
+
+    targets = []
+    greedy_pull = homotopy._greedy_pull
+
+    def counted(f, target, meter):
+        targets.append(target)
+        return greedy_pull(f, target, meter)
+
+    monkeypatch.setattr(homotopy._Homotopy, "class_of", refuse)
+    monkeypatch.setattr(homotopy, "_greedy_pull", counted)
+    # the greedy pull of id_X toward 0 fails and toward 1 succeeds
+    x_img = _labeled(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
+    f, g = identity(x_img), constant(x_img, x_img, 2)
+    operations = [
+        lambda: hcs([f, g]),
+        lambda: hfs([f, g]),
+        lambda: mc([f, g, g]),
+        lambda: mcf([g]),
+        lambda: m_j_of_map(f, 3),
+        lambda: self_coincidence_sequence(x_img, 4),
+    ]
+    for operation in operations:
+        targets.clear()
+        operation()
+        # one chain search per operation, stopped at its first success
+        assert targets == [0, 1]

@@ -169,6 +169,22 @@ def test_a_tripped_budget_skips_and_never_fails(max_nodes):
         assert {"iso-invariance", "nested-coincidence"} <= checks
 
 
+def test_rigidity_checks_are_budgeted():
+    config = RunConfig(budget=EnumerationBudget(max_nodes=5))
+    by_name = {r.instance: r for r in check_figure_examples(config)}
+    for name in ("F(cube)", "rigid(figure1)"):
+        assert by_name[name].verdict == "skipped", name
+        assert by_name[name].details["reason"] == "budget tripped"
+    reports = [r for r in run_suite("paper-fixtures", config) if r.check_id == "rigid-hcs"]
+    assert {r.instance: r.verdict for r in reports} == {
+        "X=figure1": "skipped",
+        "X=singleton": "pass",
+    }
+    # a rigid identity and a movable one, each within a budget that fits it
+    assert verify._rigid(builders.figure1(), RunConfig()) is True
+    assert verify._rigid(builders.cycle(4), config) is False
+
+
 def test_figure_examples_time_their_own_computation(monkeypatch):
     def slow_spectrum(*args):
         time.sleep(0.01)
