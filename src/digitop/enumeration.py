@@ -12,6 +12,13 @@ read off lowest bit first, so maps come out in ascending order.  The last
 point emits its maps in one loop, and charges their nodes in one addition
 whenever no limit can trip inside that batch.  A search of self-maps can
 instead record only their distinct fixed-point sets, one step per batch.
+
+The search is one iterative depth-first loop in a generator that pauses
+after each last-position batch.  Collecting callers run it to the end; a
+caller that reads the maps as they come (the spectra's equalizer closure)
+resumes it only while it needs more, so a search it stops charges no
+further node.  Either way the maps, their order and the node counts are
+the same.
 """
 
 from __future__ import annotations
@@ -177,11 +184,13 @@ class _Search:
     """One backtracking run; ``allowed[x]`` is the bitmask of candidate values at point x.
 
     A node's candidates are ``allowed[v] & closed[assign[u]] & ...`` over
-    the earlier neighbors u of v, read off in ascending order.  The last
-    position emits its maps in a loop in its own frame, with no call per
-    map.  When that batch ends before ``meter.check_at`` and there is no
-    result cap, its nodes are charged in one addition; otherwise one per
-    value, so the node counts and stops are the same either way.
+    the earlier neighbors u of v, read off in ascending order; ``pending``
+    holds the untried candidates of each position, so the depth-first
+    search needs no recursion.  The last position emits its maps in one
+    loop, with no call per map.  When that batch ends before
+    ``meter.check_at`` and there is no result cap, its nodes are charged
+    in one addition; otherwise one per value, so the node counts and stops
+    are the same either way.
 
     With ``fixed_sets`` (self-maps only, and not with ``collect``) the
     search keeps, in ``fixed_sets``, the distinct fixed-point sets of its
@@ -225,82 +234,98 @@ class _Search:
             self.prefix = self.order[:-1]  # every point but the last
 
     def run(self):
+        """Search to the end (or the first stop); the node count is in ``nodes``."""
         start = self.meter.nodes
-        if self.n:
-            self._extend(0)
-        else:
+        for _ in self.batches():
+            pass
+        self.nodes = self.meter.nodes - start
+        return self
+
+    def batches(self):
+        """The search as a generator that pauses after each last-position batch.
+
+        Between two resumptions the new maps are at the end of ``results``
+        (or the new sets at the end of ``fixed_sets``); a search that is
+        never resumed again charges no further node.  The generator ends
+        when the search is exhausted or stopped (``exhausted`` is False).
+        """
+        n = self.n
+        if not n:
             # the empty assignment is the one map from an empty domain
             self.count = 1
             if self.collect:
                 self.results.append(())
             elif self.fixed_sets is not None:
                 self.fixed_sets[0] = None
-        self.nodes = self.meter.nodes - start
-        return self
-
-    def _extend(self, k: int) -> bool:
-        """Depth-first over positions; returns False to abort the whole search."""
-        v = self.order[k]
-        assign = self.assign
-        closed = self.closed
-        cands = self.allowed[k]
-        for u in self.earlier[k]:
-            cands &= closed[assign[u]]
-            if not cands:
-                return True
-        meter = self.meter
-        if k + 1 < self.n:
-            while cands:
-                low = cands & -cands
-                cands ^= low
-                meter.nodes += 1
-                if meter.nodes >= meter.check_at and meter.over():
-                    self.exhausted = False
-                    return False
-                assign[v] = low.bit_length() - 1
-                if not self._extend(k + 1):
-                    return False
-            return True
-        # the last position: each value completes a map
-        batch = cands.bit_count()
-        if self.max_results is None and meter.nodes + batch < meter.check_at:
-            meter.nodes += batch
-            self.count += batch
-            if self.collect:
-                results = self.results
-                while cands:
+            yield
+            return
+        order, earlier, allowed, closed = self.order, self.earlier, self.allowed, self.closed
+        assign, meter, max_results = self.assign, self.meter, self.max_results
+        results, sets = self.results, self.fixed_sets
+        last = n - 1
+        v = order[last]
+        bit = 1 << v
+        pending = [0] * n  # the untried candidates at each position
+        k = 0
+        cands = allowed[0]  # the first point has no earlier neighbor
+        while True:
+            if k < last:
+                if cands:
                     low = cands & -cands
-                    cands ^= low
-                    assign[v] = low.bit_length() - 1
-                    results.append(tuple(assign))
-            elif self.fixed_sets is not None:
-                sets = self.fixed_sets
-                prefix = self._prefix_fixed()
-                bit = 1 << v
-                if cands & bit:
-                    if cands & (bit - 1):
-                        sets[prefix] = None
-                    sets[prefix | bit] = None
-                if cands & ~bit:
-                    sets[prefix] = None
-            return True
-        for value in mask_values(cands):
-            meter.nodes += 1
-            if meter.nodes >= meter.check_at and meter.over():
-                self.exhausted = False
-                return False
-            if self.count == self.max_results:
-                # a result past the cap exists, so the cap truncated the run
-                self.exhausted = False
-                return False
-            self.count += 1
-            if self.collect:
-                assign[v] = value
-                self.results.append(tuple(assign))
-            elif self.fixed_sets is not None:
-                prefix = self._prefix_fixed()
-                self.fixed_sets[(prefix | 1 << v) if value == v else prefix] = None
-        return True
+                    pending[k] = cands ^ low
+                    meter.nodes += 1
+                    if meter.nodes >= meter.check_at and meter.over():
+                        self.exhausted = False
+                        return
+                    assign[order[k]] = low.bit_length() - 1
+                    k += 1
+                    cands = allowed[k]
+                    for u in earlier[k]:
+                        cands &= closed[assign[u]]
+                    continue
+            elif cands:
+                # the last position: each value completes a map
+                batch = cands.bit_count()
+                if max_results is None and meter.nodes + batch < meter.check_at:
+                    meter.nodes += batch
+                    self.count += batch
+                    if self.collect:
+                        while cands:
+                            low = cands & -cands
+                            cands ^= low
+                            assign[v] = low.bit_length() - 1
+                            results.append(tuple(assign))
+                    elif sets is not None:
+                        prefix = self._prefix_fixed()
+                        if cands & bit:
+                            if cands & (bit - 1):
+                                sets[prefix] = None
+                            sets[prefix | bit] = None
+                        if cands & ~bit:
+                            sets[prefix] = None
+                else:
+                    for value in mask_values(cands):
+                        meter.nodes += 1
+                        if meter.nodes >= meter.check_at and meter.over():
+                            self.exhausted = False
+                            return
+                        if self.count == max_results:
+                            # a result past the cap exists, so the cap truncated the run
+                            self.exhausted = False
+                            return
+                        self.count += 1
+                        if self.collect:
+                            assign[v] = value
+                            results.append(tuple(assign))
+                        elif sets is not None:
+                            prefix = self._prefix_fixed()
+                            sets[(prefix | bit) if value == v else prefix] = None
+                yield
+            # backtrack to the deepest position with a candidate left
+            k -= 1
+            if k < 0:
+                return
+            cands = pending[k]
 
     def _prefix_fixed(self) -> int:
         """The fixed points among every position but the last, as a bitmask."""
@@ -329,25 +354,6 @@ def assignments_in_context(
     return search.results, search.exhausted, search.nodes
 
 
-def fixed_sets_in_context(
-    context: MapSpaceContext,
-    budget: EnumerationBudget | Meter | None = None,
-    allowed: tuple[int, ...] | None = None,
-    max_results: int | None = None,
-) -> tuple[list[int], bool, int]:
-    """The distinct fixed-point sets of the self-maps of an (X, X) context.
-
-    Returns (sets, exhausted, nodes); each set is an ``int`` bitmask over
-    the points, in the order of its first map.  ``budget``, ``allowed``
-    and ``max_results`` (a cap on maps, not on sets) work as in
-    assignments_in_context.
-    """
-    search = _Search(
-        context, allowed, budget, collect=False, max_results=max_results, fixed_sets=True
-    ).run()
-    return list(search.fixed_sets), search.exhausted, search.nodes
-
-
 def enumerate_assignments(
     domain: DigitalImage,
     codomain: DigitalImage,
@@ -370,7 +376,8 @@ def enumerate_assignments(
     """
     context = MapSpaceContext(domain, codomain)
     if fixed_sets:
-        return fixed_sets_in_context(context, budget, allowed)
+        search = _Search(context, allowed, budget, collect=False, fixed_sets=True).run()
+        return list(search.fixed_sets), search.exhausted, search.nodes
     return assignments_in_context(context, budget, allowed)
 
 

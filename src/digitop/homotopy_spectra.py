@@ -22,12 +22,12 @@ always search the classes they are given.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget, fixed_sets_in_context
+from .enumeration import EnumerationBudget, _Search
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage, components
 from .maps import DigitalMap, identity
-from .spectra import Spectrum, _EqualizerSearch, _fixed_restrictions
+from .spectra import Spectrum, _EqualizerSearch, _Pool
 
 
 class HomotopySpectrumResult(Record):
@@ -161,23 +161,25 @@ def _fixed_set_search(
 ) -> tuple[tuple[int, ...], bool, bool]:
     """HFS of self-maps of a contractible X: every class is Hom(X, X), so this is CFS_k(X).
 
-    The distinct fixed-point sets of the self-maps are enumerated on the
-    engine's meter, with its result cap counting maps, and no map is
-    built; a truncated list still holds the arguments' own sets.  The
-    equalizer search over their restrictions, one group of multiplicity k,
-    gets a budget of its own.  Returns as ``_search_classes``.
+    The equalizer search, one group of multiplicity k with a budget of its
+    own, reads the distinct fixed-point sets of the self-maps as it goes
+    from a map search on the engine's meter, with its result cap counting
+    maps, and no map is built; a stop of the equalizer search (full range,
+    ceiling or, for MCF, the first 0) ends the map search too.  A truncated
+    map search still adds the arguments' own sets, last.  Returns as
+    ``_search_classes``, with ``complete`` False iff the map search was cut.
     """
-    sets, complete, _ = fixed_sets_in_context(
-        engine.context, engine.meter, max_results=engine.max_results
-    )
-    if not complete:
-        own = (sum(1 << x for x, v in enumerate(f.assignment) if v == x) for f in maps)
-        sets = list(dict.fromkeys([*sets, *own]))
     n = engine.domain.n_points
-    pool = _fixed_restrictions(sets, n)
-    search = _EqualizerSearch([(pool, len(maps))], n, False, budget, min_mode)
-    min_picks, search_exact = search.run()
-    return tuple(min_picks), complete, search_exact
+    own = [sum(1 << x for x, v in enumerate(f.assignment) if v == x) for f in maps]
+    search = _Search(
+        engine.context, None, engine.meter, collect=False,
+        max_results=engine.max_results, fixed_sets=True,
+    )
+    pool = _Pool(search, n, tail=own)
+    min_picks, search_exact = _EqualizerSearch(
+        [(pool, len(maps))], n, True, budget, min_mode
+    ).run()
+    return tuple(min_picks), pool.exact, search_exact
 
 
 def _sizes(

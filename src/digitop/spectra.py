@@ -11,16 +11,24 @@ The closure stops once nothing larger can be found: at the full range
 0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
 ceiling stop; see ``_EqualizerSearch``).
 
+The closure reads its pool from the Hom-space search as it goes (a
+``_Pool`` on a resumable ``enumeration._Search``), not from a list built
+first: the search runs only as far as the closure has walked, so every
+stop of the closure also ends the enumeration, and a budgeted spectrum
+that stops before its budget trips is exact.
+
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
-the map search and build no self-map: F is their sizes, and the CFS
-closure starts from their restrictions.
+the map search and build no self-map: the CFS closure starts from their
+restrictions, and F is CFS_1, their sizes, read until all of 0..#X is seen.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from ._record import Record
-from .enumeration import EnumerationBudget, Meter, enumerate_assignments
+from .enumeration import EnumerationBudget, MapSpaceContext, Meter, _Search
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
@@ -57,6 +65,71 @@ class _Stop(Exception):
     pass
 
 
+class _Pool:
+    """The members of one group, read from a map search as readers need them.
+
+    The pool holds what its search (an ``enumeration._Search``) has emitted
+    so far: the maps, or with ``fixed_sets`` the restrictions of the
+    distinct fixed-point sets, and it resumes the search whenever a reader
+    walks past its end.  Each reader walks from a position of its own, so
+    the search runs only as far as the furthest reader, and a closure that
+    stops also stops the search.  Once the search has ended, readers walk
+    the list itself.  If it ended cut by its budget or result cap, the
+    restrictions of ``tail`` (fixed-point sets as bitmasks) not yet read
+    join last, and ``exact`` is False.
+    """
+
+    __slots__ = ("members", "done", "_search", "_batches", "_n", "_read", "_tail")
+
+    def __init__(self, search, n_points: int, tail=()):
+        self.done = False
+        self._search = search
+        self._batches = search.batches()
+        self._n = n_points
+        self._read = 0  # fixed-point sets already read
+        self._tail = tail
+        # the maps of a collecting search are its members as they stand
+        self.members = search.results if search.fixed_sets is None else []
+
+    @property
+    def exact(self) -> bool:
+        """False iff the search was cut short."""
+        return self._search.exhausted
+
+    def __iter__(self):
+        return iter(self.members) if self.done else self._walk()
+
+    def _walk(self):
+        members = self.members
+        i = 0
+        while True:
+            while i < len(members):
+                yield members[i]
+                i += 1
+            if self.done:
+                return
+            self._grow()
+
+    def _grow(self) -> None:
+        """Resume the search until it emits something new, or ends, and read it."""
+        search = self._search
+        sets = search.fixed_sets
+        emitted = search.results if sets is None else sets
+        before = len(emitted)
+        for _ in self._batches:
+            if len(emitted) > before:
+                break
+        else:
+            self.done = True
+        if sets is None:
+            return
+        new = list(islice(reversed(sets), len(sets) - self._read))[::-1]
+        if self.done and not search.exhausted:
+            new += [s for s in dict.fromkeys(self._tail) if s not in sets]
+        self._read = len(sets)
+        self.members += _fixed_restrictions(new, self._n)
+
+
 class _EqualizerSearch:
     """Breadth-first closure of equalizer restrictions over groups of maps.
 
@@ -66,7 +139,8 @@ class _EqualizerSearch:
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
     is that of its set.  With ``fixed`` the identity joins every equalizer,
     so a map counts only through its agreement with the identity and each
-    pool first collapses to its distinct fixed-point restrictions.
+    pool first collapses to its distinct fixed-point restrictions (a
+    ``_Pool`` is given collapsed).
 
     A state is a restriction: the agreed value at each point, or None once
     agreement is broken.  States are expanded in layers of total picks, so
@@ -77,7 +151,10 @@ class _EqualizerSearch:
     restriction lying in every pool.  With none, 0..#X - 1 is everything
     reachable.  Pools may overlap (truncated classes, or classes a caller
     passes in), so this is tested, once, when only #X is missing.  Layer one
-    is the first pool itself.  A state reached again in its group with no
+    is the first pool itself; with one group of maps, whose members each
+    agree with themselves everywhere, it records #X and is not walked.  A
+    pool may be a ``_Pool`` read from a map search, walked by every loop
+    from a position of its own.  A state reached again in its group with no
     fewer picks in that group is dropped: its first arrival came with no
     more picks in total and completes every selection the second would.
     Every state built costs one node on the meter.
@@ -91,24 +168,27 @@ class _EqualizerSearch:
         budget: EnumerationBudget | None,
         min_mode: bool = False,
     ):
-        self.pools: list[tuple[Restriction, ...]] = []
+        self.pools: list = []  # tuples of members, or _Pools
         self.mults: list[int] = []
         for pool, mult in groups:
-            pool, mult = tuple(pool), int(mult)
-            if not pool:
-                raise InvalidInputError("every group needs a nonempty pool")
+            if not isinstance(pool, _Pool):
+                pool = tuple(pool)
+                if not pool:
+                    raise InvalidInputError("every group needs a nonempty pool")
+                if fixed:
+                    pool = tuple(
+                        dict.fromkeys(
+                            tuple([x if v == x else None for x, v in enumerate(m)])
+                            for m in pool
+                        )
+                    )
+            mult = int(mult)
             if mult < 1:
                 raise InvalidInputError("every group multiplicity must be >= 1")
-            if fixed:
-                pool = tuple(
-                    dict.fromkeys(
-                        tuple([x if v == x else None for x, v in enumerate(m)])
-                        for m in pool
-                    )
-                )
             self.pools.append(pool)
             self.mults.append(mult)
         self.n = n_points
+        self.fixed = fixed
         self.min_mode = min_mode
         self.meter = Meter(budget)
         self.exact = True
@@ -147,8 +227,12 @@ class _EqualizerSearch:
         seen: list[dict[Restriction, int]] = [{} for _ in pools]
         layer = {(0, 1): pools[0]}
         picks = 1
-        if last == 0:
-            # with one group, layer one is recorded as it stands, a node a member
+        if last == 0 and not self.fixed:
+            # one group of maps: every member agrees with itself everywhere
+            self._record(n, picks)
+        elif last == 0:
+            # one group of restrictions: layer one is recorded as it stands,
+            # a node a member
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():
@@ -206,27 +290,31 @@ def _fewest_picks(
     budget: EnumerationBudget | None,
     fixed: bool = False,
 ) -> tuple[dict[int, int], bool]:
-    """Enumerate the maps X -> Y, then search selections of at most ``arity``.
+    """Search selections of at most ``arity`` maps X -> Y, read as the closure goes.
 
-    Returns ({achievable size: fewest picks realizing it}, exact).  With
-    ``fixed`` (Y is X) the identity joins every equalizer (common fixed
-    points), so only the maps' distinct fixed-point sets matter: the
-    enumeration records those sets and builds no map, and the pool is
-    their restrictions, the fixed points kept and every other point None.
-    The pool enumeration and the search each get the whole budget.
+    Returns ({achievable size: fewest picks realizing it}, exact).  The
+    pool is read from the map search only as far as the closure walks it,
+    so any stop of the closure (full range, ceiling) also ends the
+    enumeration.  With ``fixed`` (Y is X) the identity joins every
+    equalizer (common fixed points), so only the maps' distinct
+    fixed-point sets matter: the search records those sets and builds no
+    map, and the pool is their restrictions, the fixed points kept and
+    every other point None.  The enumeration and the closure each get the
+    whole budget; the result is exact iff neither was cut before the
+    closure ended.  The fewest picks stay exact at a stop: layer one is
+    #X alone for maps and is read in full for fixed-point sets, and the
+    first state of layer two reads the whole pool before the next starts.
     """
-    if fixed:
-        sets, pool_exact, _ = enumerate_assignments(x_img, x_img, budget, fixed_sets=True)
-        pool = _fixed_restrictions(sets, x_img.n_points)
-    else:
-        pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
-    if not pool:
+    context = MapSpaceContext(x_img, x_img if fixed else y_img)
+    search = _Search(context, None, budget, collect=not fixed, fixed_sets=fixed)
+    pool = _Pool(search, x_img.n_points)
+    if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False
-    # with ``fixed`` the pool is already collapsed to fixed-point restrictions
-    search = _EqualizerSearch([(pool, arity)], x_img.n_points, False, budget)
-    min_picks, search_exact = search.run()
-    return min_picks, pool_exact and search_exact
+    min_picks, search_exact = _EqualizerSearch(
+        [(pool, arity)], x_img.n_points, fixed, budget
+    ).run()
+    return min_picks, pool.exact and search_exact
 
 
 def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:
@@ -335,13 +423,13 @@ def fixed_point_spectrum(
 ) -> Spectrum:
     """F(X): achievable fixed-point counts over continuous self-maps.
 
-    The counts are the sizes of the distinct fixed-point sets the
-    enumeration records; no self-map is built.  All of 0..#X is exact
-    even when a budget cut the enumeration short.
+    F is CFS_1: the sizes of the distinct fixed-point sets the map search
+    records, read until all of 0..#X is seen; no self-map is built.  All
+    of 0..#X is exact even when a budget cut the search short.
     """
-    sets, exhausted, _ = enumerate_assignments(x_img, x_img, budget, fixed_sets=True)
-    values = {s.bit_count() for s in sets}
-    return Spectrum(values=values, exact=exhausted or len(values) == x_img.n_points + 1)
+    min_picks, exact = _fewest_picks(x_img, x_img, 1, budget, fixed=True)
+    values = _within(min_picks, 1)
+    return Spectrum(values=values, exact=exact or len(values) == x_img.n_points + 1)
 
 
 def common_fixed_spectrum(

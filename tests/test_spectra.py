@@ -38,8 +38,8 @@ from digitop import (
     square4,
     tee4,
 )
-from digitop.enumeration import enumerate_assignments
-from digitop.spectra import _fewest_picks
+from digitop.enumeration import MapSpaceContext, _Search, enumerate_assignments
+from digitop.spectra import _EqualizerSearch, _fewest_picks, _fixed_restrictions, _Pool
 from oracles import (
     all_maps_oracle,
     cfs_oracle,
@@ -221,14 +221,34 @@ def _fixed_rows():
 def test_fixed_spectra_are_pinned():
     # values, exact flags, fewest picks in the order they were found and
     # stabilization arities, unbudgeted and under four node budgets, pinned
-    # from the search that built every self-map before reading its fixed points
+    # from the search that built every self-map before reading its fixed
+    # points, except that 68 budgeted rows (17 images whose F is all of
+    # 0..#X) are exact: the closure reads the fixed-point sets as it goes,
+    # so its full-range stop ends the enumeration before the budget trips
     digest = hashlib.sha256(json.dumps(list(_fixed_rows())).encode()).hexdigest()[:16]
-    assert digest == "ab73f9ee13af2ead"
+    assert digest == "5d5f98ed11425fc5"
 
 
 def test_budget_marks_inexact():
     s = coincidence_spectrum_by_search(cycle(4), cycle(4), 2, EnumerationBudget(max_nodes=2))
     assert not s.exact
+
+
+def test_a_stop_ends_the_enumeration_within_its_budget():
+    # CS_2(cube, cube) reaches the full range after 2 584 of the 15 488
+    # maps, so the closure's stop ends the enumeration at 4 814 of its
+    # 28 840 nodes, and a budget the whole enumeration overruns still
+    # gives an exact spectrum
+    c = cube()
+    budget = EnumerationBudget(max_nodes=5000)
+    assert not enumerate_assignments(c, c, budget)[1]
+    s = coincidence_spectrum_by_search(c, c, 2, budget)
+    assert s.exact
+    assert s.values == tuple(range(9))
+    search = _Search(MapSpaceContext(c, c), None, None, collect=True)
+    min_picks, exact = _EqualizerSearch([(_Pool(search, 8), 2)], 8, False, None).run()
+    assert exact and sorted(min_picks) == list(range(9))
+    assert (len(search.results), search.meter.nodes) == (2584, 4814)
 
 
 @st.composite
@@ -336,14 +356,63 @@ def test_fixed_spectra_match_oracle_on_every_labelled_graph():
         assert union.stabilized_at == _stabilized(truth), edges
 
 
+def test_cs_search_matches_oracle_on_every_labelled_pair():
+    # every X up to SWEEP_POINTS points against every Y of 1-3 points
+    codomains = list(_labelled_graphs(3))
+    for x_img in _labelled_graphs(SWEEP_POINTS):
+        for y_img in codomains:
+            truth = {i: cs_oracle(x_img, y_img, i) for i in (2, 3)}
+            pair = (sorted(x_img.adjacency.edges), x_img.n_points, sorted(y_img.adjacency.edges))
+            by_arity = coincidence_spectra_by_arity(x_img, y_img, 3)
+            for i, values in truth.items():
+                for s in (by_arity[i], coincidence_spectrum(x_img, y_img, i)):
+                    assert s.exact
+                    assert s.as_set() == values, (pair, i)
+
+
+def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
+    """The reference for the streamed pool: enumerate it whole, then close over it."""
+    pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget, fixed_sets=fixed)
+    if not pool:
+        return {}, False
+    if fixed:
+        pool = _fixed_restrictions(pool, x_img.n_points)
+    min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, budget).run()
+    return min_picks, pool_exact and exact
+
+
+_BUDGETS = st.one_of(
+    st.none(),
+    st.builds(lambda k: EnumerationBudget(max_results=k), st.integers(1, 60)),
+    st.builds(lambda k: EnumerationBudget(max_nodes=k), st.integers(1, 300)),
+)
+
+
 @given(
     tiny_images(5),
-    st.one_of(
-        st.none(),
-        st.builds(lambda k: EnumerationBudget(max_results=k), st.integers(1, 60)),
-        st.builds(lambda k: EnumerationBudget(max_nodes=k), st.integers(1, 300)),
-    ),
+    tiny_images(5),
+    st.integers(1, 3),
+    st.booleans(),
+    st.one_of(_BUDGETS, st.builds(lambda k: EnumerationBudget(max_nodes=k), st.integers(1, 5000))),
 )
+@settings(max_examples=80, deadline=None)
+def test_streamed_pool_keeps_the_eager_answers(x_img, y_img, arity, fixed, budget):
+    if fixed:
+        y_img = x_img
+    got, exact = _fewest_picks(x_img, y_img, arity, budget, fixed)
+    want, want_exact = _eager_fewest_picks(x_img, y_img, arity, budget, fixed)
+    if budget is None:
+        assert exact and want_exact
+        assert got == want
+    # the stream reads the eager pool's maps in its order and stops only where
+    # the closure stops or the same budget trips, and the closure is the same
+    assert want.items() <= got.items()
+    if want_exact:
+        assert exact
+        assert got == want
+
+
+@given(tiny_images(5), _BUDGETS)
 @settings(max_examples=80, deadline=None)
 def test_fixed_sets_are_those_of_the_enumerated_maps(x_img, budget):
     maps, exhausted, nodes = enumerate_assignments(x_img, x_img, budget)
