@@ -162,6 +162,11 @@ class Meter:
             return True
         return self.late()
 
+    def postpone(self, seconds: float) -> None:
+        """Move the deadline, if any, later by ``seconds`` spent on other work."""
+        if self.deadline is not None:
+            self.deadline += seconds
+
     def late(self) -> bool:
         """True iff the deadline has passed."""
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -359,8 +364,7 @@ def enumerate_assignments(
     codomain: DigitalImage,
     budget: EnumerationBudget | None = None,
     allowed: tuple[int, ...] | None = None,
-    fixed_sets: bool = False,
-) -> tuple[list, bool, int]:
+) -> tuple[list[tuple[int, ...]], bool, int]:
     """All continuous assignments as raw tuples: (assignments, exhausted, nodes).
 
     ``allowed``, if given, restricts each point x to the values whose bits
@@ -368,17 +372,8 @@ def enumerate_assignments(
 
     The deterministic order is fixed by the search: domain points in
     per-component BFS order, candidate values ascending.
-
-    With ``fixed_sets``, for self-maps (domain is codomain), the list
-    holds instead the distinct fixed-point sets of those assignments, each
-    an ``int`` bitmask over the points, in the order of their first maps;
-    no map is built, and the stops and node count are the same.
     """
-    context = MapSpaceContext(domain, codomain)
-    if fixed_sets:
-        search = _Search(context, allowed, budget, collect=False, fixed_sets=True).run()
-        return list(search.fixed_sets), search.exhausted, search.nodes
-    return assignments_in_context(context, budget, allowed)
+    return assignments_in_context(MapSpaceContext(domain, codomain), budget, allowed)
 
 
 def enumerate_continuous_maps(

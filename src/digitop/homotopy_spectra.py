@@ -22,7 +22,7 @@ always search the classes they are given.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget, _Search
+from .enumeration import EnumerationBudget, Meter, _Search
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage, components
@@ -165,8 +165,9 @@ def _fixed_set_search(
     own, reads the distinct fixed-point sets of the self-maps as it goes
     from a map search on the engine's meter, with its result cap counting
     maps, and no map is built; a stop of the equalizer search (full range,
-    ceiling or, for MCF, the first 0) ends the map search too.  A truncated
-    map search still adds the arguments' own sets, last.  Returns as
+    ceiling or, for MCF, the first 0) ends the map search too.  Under a time
+    budget each is charged only its own time (see ``spectra._Pool``).  A
+    truncated map search still adds the arguments' own sets, last.  Returns as
     ``_search_classes``, with ``complete`` False iff the map search was cut.
     """
     n = engine.domain.n_points
@@ -175,9 +176,10 @@ def _fixed_set_search(
         engine.context, None, engine.meter, collect=False,
         max_results=engine.max_results, fixed_sets=True,
     )
-    pool = _Pool(search, n, tail=own)
+    meter = Meter(budget)
+    pool = _Pool(search, n, meter, tail=own)
     min_picks, search_exact = _EqualizerSearch(
-        [(pool, len(maps))], n, True, budget, min_mode
+        [(pool, len(maps))], n, True, meter, min_mode
     ).run()
     return tuple(min_picks), pool.exact, search_exact
 

@@ -25,6 +25,7 @@ restrictions, and F is CFS_1, their sizes, read until all of 0..#X is seen.
 
 from __future__ import annotations
 
+import time
 from itertools import islice
 
 from ._record import Record
@@ -77,17 +78,29 @@ class _Pool:
     the list itself.  If it ended cut by its budget or result cap, the
     restrictions of ``tail`` (fixed-point sets as bitmasks) not yet read
     join last, and ``exact`` is False.
+
+    ``reader`` is the meter of the closure that walks the pool.  The search
+    and the closure each get the whole of a time budget, as if one ran
+    after the other: each resumption moves the reader's deadline later by
+    the time the search took, and the search's deadline later by the time
+    spent outside it since the last resumption.
     """
 
-    __slots__ = ("members", "done", "_search", "_batches", "_n", "_read", "_tail")
+    __slots__ = (
+        "members", "done", "_search", "_batches", "_n", "_read", "_tail", "_reader", "_since"
+    )
 
-    def __init__(self, search, n_points: int, tail=()):
+    def __init__(self, search, n_points: int, reader: Meter, tail=()):
         self.done = False
         self._search = search
         self._batches = search.batches()
         self._n = n_points
         self._read = 0  # fixed-point sets already read
         self._tail = tail
+        self._reader = reader
+        # when the search last paused; None when neither meter has a deadline
+        timed = search.meter.deadline is not None or reader.deadline is not None
+        self._since = time.monotonic() if timed else None
         # the maps of a collecting search are its members as they stand
         self.members = search.results if search.fixed_sets is None else []
 
@@ -95,6 +108,11 @@ class _Pool:
     def exact(self) -> bool:
         """False iff the search was cut short."""
         return self._search.exhausted
+
+    @property
+    def restrictions(self) -> bool:
+        """True iff the members are fixed-point restrictions rather than maps."""
+        return self._search.fixed_sets is not None
 
     def __iter__(self):
         return iter(self.members) if self.done else self._walk()
@@ -116,11 +134,17 @@ class _Pool:
         sets = search.fixed_sets
         emitted = search.results if sets is None else sets
         before = len(emitted)
+        if self._since is not None:
+            start = time.monotonic()
+            search.meter.postpone(start - self._since)
         for _ in self._batches:
             if len(emitted) > before:
                 break
         else:
             self.done = True
+        if self._since is not None:
+            self._since = time.monotonic()
+            self._reader.postpone(self._since - start)
         if sets is None:
             return
         new = list(islice(reversed(sets), len(sets) - self._read))[::-1]
@@ -140,7 +164,9 @@ class _EqualizerSearch:
     is that of its set.  With ``fixed`` the identity joins every equalizer,
     so a map counts only through its agreement with the identity and each
     pool first collapses to its distinct fixed-point restrictions (a
-    ``_Pool`` is given collapsed).
+    ``_Pool`` is given collapsed, and must be of fixed-point sets exactly
+    when ``fixed`` is set).  Without ``fixed`` a sequence may also hold
+    restrictions (members with None); they are read as they stand.
 
     A state is a restriction: the agreed value at each point, or None once
     agreement is broken.  States are expanded in layers of total picks, so
@@ -151,13 +177,14 @@ class _EqualizerSearch:
     restriction lying in every pool.  With none, 0..#X - 1 is everything
     reachable.  Pools may overlap (truncated classes, or classes a caller
     passes in), so this is tested, once, when only #X is missing.  Layer one
-    is the first pool itself; with one group of maps, whose members each
-    agree with themselves everywhere, it records #X and is not walked.  A
-    pool may be a ``_Pool`` read from a map search, walked by every loop
-    from a position of its own.  A state reached again in its group with no
-    fewer picks in that group is dropped: its first arrival came with no
-    more picks in total and completes every selection the second would.
-    Every state built costs one node on the meter.
+    is the first pool itself; with one group of maps (no member holds
+    None), whose members each agree with themselves everywhere, it records
+    #X and is not walked.  A pool may be a ``_Pool`` read from a map search,
+    walked by every loop from a position of its own.  A state reached again
+    in its group with no fewer picks in that group is dropped: its first
+    arrival came with no more picks in total and completes every selection
+    the second would.  Every state built costs one node on the meter, which
+    ``budget`` may give as it stands (the meter of a ``_Pool``'s reader).
     """
 
     def __init__(
@@ -165,13 +192,18 @@ class _EqualizerSearch:
         groups,
         n_points: int,
         fixed: bool,
-        budget: EnumerationBudget | None,
+        budget: EnumerationBudget | Meter | None,
         min_mode: bool = False,
     ):
         self.pools: list = []  # tuples of members, or _Pools
         self.mults: list[int] = []
         for pool, mult in groups:
-            if not isinstance(pool, _Pool):
+            if isinstance(pool, _Pool):
+                if pool.restrictions != fixed:
+                    raise InvalidInputError(
+                        "a pool of fixed-point sets needs fixed, and a pool of maps needs it off"
+                    )
+            else:
                 pool = tuple(pool)
                 if not pool:
                     raise InvalidInputError("every group needs a nonempty pool")
@@ -190,7 +222,7 @@ class _EqualizerSearch:
         self.n = n_points
         self.fixed = fixed
         self.min_mode = min_mode
-        self.meter = Meter(budget)
+        self.meter = budget if isinstance(budget, Meter) else Meter(budget)
         self.exact = True
         self.min_picks: dict[int, int] = {}
 
@@ -218,6 +250,12 @@ class _EqualizerSearch:
             None not in r and all(r in pool for pool in rest) for r in self.pools[0]
         )
 
+    def _of_maps(self, pool) -> bool:
+        """Whether the members are maps, not restrictions that may hold None."""
+        if self.fixed:
+            return False
+        return isinstance(pool, _Pool) or all(None not in m for m in pool)
+
     def _close(self):
         pools, mults, meter, min_picks, n = (
             self.pools, self.mults, self.meter, self.min_picks, self.n
@@ -227,7 +265,7 @@ class _EqualizerSearch:
         seen: list[dict[Restriction, int]] = [{} for _ in pools]
         layer = {(0, 1): pools[0]}
         picks = 1
-        if last == 0 and not self.fixed:
+        if last == 0 and self._of_maps(pools[0]):
             # one group of maps: every member agrees with itself everywhere
             self._record(n, picks)
         elif last == 0:
@@ -300,19 +338,21 @@ def _fewest_picks(
     fixed-point sets matter: the search records those sets and builds no
     map, and the pool is their restrictions, the fixed points kept and
     every other point None.  The enumeration and the closure each get the
-    whole budget; the result is exact iff neither was cut before the
-    closure ended.  The fewest picks stay exact at a stop: layer one is
-    #X alone for maps and is read in full for fixed-point sets, and the
-    first state of layer two reads the whole pool before the next starts.
+    whole budget, a time budget too (see ``_Pool``); the result is exact
+    iff neither was cut before the closure ended.  The fewest picks stay
+    exact at a stop: layer one is #X alone for maps and is read in full
+    for fixed-point sets, and the first state of layer two reads the whole
+    pool before the next starts.
     """
     context = MapSpaceContext(x_img, x_img if fixed else y_img)
     search = _Search(context, None, budget, collect=not fixed, fixed_sets=fixed)
-    pool = _Pool(search, x_img.n_points)
+    meter = Meter(budget)
+    pool = _Pool(search, x_img.n_points, meter)
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False
     min_picks, search_exact = _EqualizerSearch(
-        [(pool, arity)], x_img.n_points, fixed, budget
+        [(pool, arity)], x_img.n_points, fixed, meter
     ).run()
     return min_picks, pool.exact and search_exact
 

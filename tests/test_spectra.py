@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +39,8 @@ from digitop import (
     square4,
     tee4,
 )
-from digitop.enumeration import MapSpaceContext, _Search, enumerate_assignments
+from digitop import enumeration, spectra
+from digitop.enumeration import MapSpaceContext, Meter, _Search, enumerate_assignments
 from digitop.spectra import _EqualizerSearch, _fewest_picks, _fixed_restrictions, _Pool
 from oracles import (
     all_maps_oracle,
@@ -246,9 +248,27 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert s.exact
     assert s.values == tuple(range(9))
     search = _Search(MapSpaceContext(c, c), None, None, collect=True)
-    min_picks, exact = _EqualizerSearch([(_Pool(search, 8), 2)], 8, False, None).run()
+    meter = Meter()
+    min_picks, exact = _EqualizerSearch([(_Pool(search, 8, meter), 2)], 8, False, meter).run()
     assert exact and sorted(min_picks) == list(range(9))
     assert (len(search.results), search.meter.nodes) == (2584, 4814)
+
+
+def test_a_group_of_restrictions_is_read_as_it_stands():
+    # restrictions passed without ``fixed`` give what their maps give with
+    # it; a pool read from a map search must be in the mode of the closure
+    x = interval(0, 2)
+    maps = [m for m in enumerate_assignments(x, x)[0] if m != (0, 1, 2)]
+    restrictions = [tuple([v if v == p else None for p, v in enumerate(m)]) for m in maps]
+    for arity in (1, 2, 3):
+        want = _EqualizerSearch([(maps, arity)], 3, True, None).run()
+        assert 3 not in want[0]
+        assert _EqualizerSearch([(restrictions, arity)], 3, False, None).run() == want
+    meter = Meter()
+    for fixed in (False, True):
+        search = _Search(MapSpaceContext(x, x), None, None, collect=not fixed, fixed_sets=fixed)
+        with pytest.raises(InvalidInputError):
+            _EqualizerSearch([(_Pool(search, 3, meter), 1)], 3, not fixed, meter)
 
 
 @st.composite
@@ -370,13 +390,22 @@ def test_cs_search_matches_oracle_on_every_labelled_pair():
                     assert s.as_set() == values, (pair, i)
 
 
+def _fixed_sets(x_img, budget):
+    """The fixed-set search of the self-maps of x_img, run to its end."""
+    context = MapSpaceContext(x_img, x_img)
+    return _Search(context, None, budget, collect=False, fixed_sets=True).run()
+
+
 def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     """The reference for the streamed pool: enumerate it whole, then close over it."""
-    pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget, fixed_sets=fixed)
+    if fixed:
+        search = _fixed_sets(x_img, budget)
+        pool = _fixed_restrictions(search.fixed_sets, x_img.n_points)
+        pool_exact = search.exhausted
+    else:
+        pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
     if not pool:
         return {}, False
-    if fixed:
-        pool = _fixed_restrictions(pool, x_img.n_points)
     min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, budget).run()
     return min_picks, pool_exact and exact
 
@@ -416,12 +445,52 @@ def test_streamed_pool_keeps_the_eager_answers(x_img, y_img, arity, fixed, budge
 @settings(max_examples=80, deadline=None)
 def test_fixed_sets_are_those_of_the_enumerated_maps(x_img, budget):
     maps, exhausted, nodes = enumerate_assignments(x_img, x_img, budget)
-    sets, sets_exhausted, sets_nodes = enumerate_assignments(
-        x_img, x_img, budget, fixed_sets=True
-    )
+    search = _fixed_sets(x_img, budget)
     fixed = (sum(1 << x for x, v in enumerate(a) if v == x) for a in maps)
-    assert sets == list(dict.fromkeys(fixed))
-    assert (sets_exhausted, sets_nodes) == (exhausted, nodes)
+    assert list(search.fixed_sets) == list(dict.fromkeys(fixed))
+    assert (search.exhausted, search.nodes) == (exhausted, nodes)
+
+
+def test_the_stream_and_the_closure_each_get_the_whole_time_budget(monkeypatch):
+    # On a fake clock each batch of the map search takes a second, and each
+    # time check of the closure's meter (every 256 nodes) a hundred.  A
+    # time budget that fits each phase alone, but not both together, still
+    # gives exact spectra, as when the closure ran after a whole enumeration.
+    now = [0.0]
+    clock = types.SimpleNamespace(monotonic=lambda: now[0])
+    monkeypatch.setattr(enumeration, "time", clock)
+    monkeypatch.setattr(spectra, "time", clock)
+    spent = {"search": 0, "closure": 0}
+    batches = _Search.batches
+
+    def slow_batches(self):
+        for _ in batches(self):
+            now[0] += 1
+            spent["search"] += 1
+            yield
+
+    class SlowMeter(Meter):
+        def over(self):
+            now[0] += 100
+            spent["closure"] += 100
+            return super().over()
+
+    monkeypatch.setattr(_Search, "batches", slow_batches)
+    monkeypatch.setattr(spectra, "Meter", SlowMeter)
+    c = cube()
+    for fixed in (False, True):
+
+        def spectrum(seconds):
+            now[0] = 0.0
+            spent.update(search=0, closure=0)
+            got = _fewest_picks(c, c, 2, EnumerationBudget(time_budget=seconds), fixed)
+            return got, dict(spent)
+
+        want, spent_alone = spectrum(1e9)
+        assert want[1]
+        fits_each = max(spent_alone.values()) + 0.5
+        assert fits_each < sum(spent_alone.values())
+        assert spectrum(fits_each) == (want, spent_alone), fixed
 
 
 @given(tiny_pairs(), st.data())
