@@ -120,12 +120,15 @@ class MapSpaceContext:
 
 
 class Meter:
-    """The node count and limits of one budget, shared by every search it pays for.
+    """The node count and limits of one operation's budget, shared by every search it runs.
 
-    A search charges each node with ``meter.nodes += 1`` and asks
-    ``meter.nodes >= meter.check_at and meter.over()``: ``check_at`` is the
-    next node at which a limit can trip, the node past ``max_nodes`` or the
-    next time check (every 256 nodes), so the common node costs one compare.
+    An operation builds one meter and hands it to each search it runs (map
+    enumerations, class closures, the equalizer closure), so a node or time
+    budget bounds the operation as a whole.  A search charges each node
+    with ``meter.nodes += 1`` and asks ``meter.nodes >= meter.check_at and
+    meter.over()``: ``check_at`` is the next node at which a limit can
+    trip, the node past ``max_nodes`` or the next time check (every 256
+    nodes), so the common node costs one compare.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "check_at")
@@ -162,11 +165,6 @@ class Meter:
             return True
         return self.late()
 
-    def postpone(self, seconds: float) -> None:
-        """Move the deadline, if any, later by ``seconds`` spent on other work."""
-        if self.deadline is not None:
-            self.deadline += seconds
-
     def late(self) -> bool:
         """True iff the deadline has passed."""
         return self.deadline is not None and time.monotonic() > self.deadline
@@ -187,6 +185,9 @@ class Meter:
 
 class _Search:
     """One backtracking run; ``allowed[x]`` is the bitmask of candidate values at point x.
+
+    Its nodes are charged to ``meter``, the meter of the operation it runs
+    for, and ``max_results``, if set, caps the maps it emits.
 
     A node's candidates are ``allowed[v] & closed[assign[u]] & ...`` over
     the earlier neighbors u of v, read off in ascending order; ``pending``
@@ -210,7 +211,7 @@ class _Search:
         self,
         context: MapSpaceContext,
         allowed: tuple[int, ...] | None,
-        budget: EnumerationBudget | Meter | None,
+        meter: Meter,
         collect: bool,
         max_results: int | None = None,
         fixed_sets: bool = False,
@@ -222,11 +223,7 @@ class _Search:
         self.allowed = [allowed[v] for v in self.order]  # by position
         self.closed = context.closed
         self.n = context.domain.n_points
-        if isinstance(budget, Meter):
-            self.meter = budget
-        else:
-            self.meter = Meter(budget)
-            max_results = budget.max_results if budget else None
+        self.meter = meter
         self.max_results = max_results
         self.collect = collect
         self.assign = [0] * self.n
@@ -344,18 +341,16 @@ class _Search:
 
 def assignments_in_context(
     context: MapSpaceContext,
-    budget: EnumerationBudget | Meter | None = None,
+    meter: Meter,
     allowed: tuple[int, ...] | None = None,
     max_results: int | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
-    """As enumerate_assignments, reusing a precomputed context.
+    """As enumerate_assignments, reusing a precomputed context, charged to ``meter``.
 
-    A Meter as ``budget`` charges this search to a budget shared with
-    other searches; the node count returned is this search's own.  A
-    metered search takes its result cap from ``max_results``; an
-    EnumerationBudget brings its own.
+    The meter may be shared with other searches of the same operation; the
+    node count returned is this search's own.
     """
-    search = _Search(context, allowed, budget, collect=True, max_results=max_results).run()
+    search = _Search(context, allowed, meter, collect=True, max_results=max_results).run()
     return search.results, search.exhausted, search.nodes
 
 
@@ -373,7 +368,9 @@ def enumerate_assignments(
     The deterministic order is fixed by the search: domain points in
     per-component BFS order, candidate values ascending.
     """
-    return assignments_in_context(MapSpaceContext(domain, codomain), budget, allowed)
+    budget = budget or UNLIMITED
+    context = MapSpaceContext(domain, codomain)
+    return assignments_in_context(context, Meter(budget), allowed, budget.max_results)
 
 
 def enumerate_continuous_maps(
@@ -393,7 +390,10 @@ def count_continuous_maps(
     budget: EnumerationBudget | None = None,
 ) -> tuple[int, bool]:
     """Number of continuous maps, without materializing them."""
-    search = _Search(MapSpaceContext(domain, codomain), None, budget, collect=False).run()
+    budget = budget or UNLIMITED
+    context = MapSpaceContext(domain, codomain)
+    meter = Meter(budget)
+    search = _Search(context, None, meter, collect=False, max_results=budget.max_results).run()
     return search.count, search.exhausted
 
 
@@ -405,8 +405,11 @@ def one_step_neighbors(
     Includes f itself; the relation is symmetric because closed
     neighborhoods are.
     """
+    budget = budget or UNLIMITED
     context = MapSpaceContext(f.domain, f.codomain)
     allowed = tuple(context.closed[v] for v in f.assignment)
-    assignments, exhausted, nodes = assignments_in_context(context, budget, allowed)
+    assignments, exhausted, nodes = assignments_in_context(
+        context, Meter(budget), allowed, budget.max_results
+    )
     maps = tuple(_enumerated(f.domain, f.codomain, a) for a in assignments)
     return EnumerationOutcome(maps=maps, exhausted=exhausted, nodes_used=nodes)

@@ -156,7 +156,9 @@ class _Homotopy:
 
     One meter pays for the chain search for id_X (run at most once), every
     closure and enumeration, and the index of Hom(X, Y), which the first
-    closure whose try succeeds builds and every later closure starts on.
+    closure whose try succeeds builds and every later closure starts on;
+    the operations of ``homotopy_spectra`` charge their equalizer searches
+    to it too.
     The context is built on first use, never for a chain-search answer.
     """
 

@@ -15,8 +15,10 @@ image, and no class is built: HCS and MC follow from the components alone
 (``_contractible_sizes``), and HFS and MCF are CFS_k(X), searched over the
 distinct fixed-point sets of the self-maps (``_fixed_set_search``).
 Otherwise the same engine builds the classes, so the chain search runs
-once per operation either way.  ``hcs_of_classes`` and ``hfs_of_classes``
-always search the classes they are given.
+once per operation either way.  The engine's meter pays for everything the
+operation does, the equalizer search included, so a node or time budget
+bounds the whole operation.  ``hcs_of_classes`` and ``hfs_of_classes``
+always search the classes they are given, on a meter of their own.
 """
 
 from __future__ import annotations
@@ -90,11 +92,11 @@ def _require_self_maps(f: DigitalMap) -> None:
 
 def _search_classes(
     classes: tuple[HomotopyClass, ...],
-    budget: EnumerationBudget | None,
+    meter: Meter,
     fixed: bool,
     min_mode: bool,
 ) -> tuple[tuple[int, ...], bool, bool]:
-    """Equalizer search over one map drawn from each class.
+    """Equalizer search over one map drawn from each class, charged to ``meter``.
 
     Returns (sizes found, classes complete, search exact).  With ``fixed``
     the identity joins every equalizer (common fixed points); ``min_mode``
@@ -105,7 +107,7 @@ def _search_classes(
     if fixed:
         _require_self_maps(classes[0].representative)
     groups, complete, n = _merge_classes(classes)
-    search = _EqualizerSearch(groups, n, fixed, budget, min_mode)
+    search = _EqualizerSearch(groups, n, fixed, meter, min_mode)
     min_picks, search_exact = search.run()
     return tuple(min_picks), complete, search_exact
 
@@ -154,21 +156,18 @@ def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
 
 
 def _fixed_set_search(
-    engine: _Homotopy,
-    maps: tuple[DigitalMap, ...],
-    budget: EnumerationBudget | None,
-    min_mode: bool,
+    engine: _Homotopy, maps: tuple[DigitalMap, ...], min_mode: bool
 ) -> tuple[tuple[int, ...], bool, bool]:
     """HFS of self-maps of a contractible X: every class is Hom(X, X), so this is CFS_k(X).
 
-    The equalizer search, one group of multiplicity k with a budget of its
-    own, reads the distinct fixed-point sets of the self-maps as it goes
-    from a map search on the engine's meter, with its result cap counting
-    maps, and no map is built; a stop of the equalizer search (full range,
-    ceiling or, for MCF, the first 0) ends the map search too.  Under a time
-    budget each is charged only its own time (see ``spectra._Pool``).  A
-    truncated map search still adds the arguments' own sets, last.  Returns as
-    ``_search_classes``, with ``complete`` False iff the map search was cut.
+    The equalizer search, one group of multiplicity k, reads the distinct
+    fixed-point sets of the self-maps as it goes from a map search, with
+    its result cap counting maps, and no map is built; a stop of the
+    equalizer search (full range, ceiling or, for MCF, the first 0) ends
+    the map search too.  Both are charged to the engine's meter, after its
+    chain search.  A truncated map search still adds the arguments' own
+    sets, last.  Returns as ``_search_classes``, with ``complete`` False
+    iff the map search was cut.
     """
     n = engine.domain.n_points
     own = [sum(1 << x for x, v in enumerate(f.assignment) if v == x) for f in maps]
@@ -176,28 +175,23 @@ def _fixed_set_search(
         engine.context, None, engine.meter, collect=False,
         max_results=engine.max_results, fixed_sets=True,
     )
-    meter = Meter(budget)
-    pool = _Pool(search, n, meter, tail=own)
+    pool = _Pool(search, n, tail=own)
     min_picks, search_exact = _EqualizerSearch(
-        [(pool, len(maps))], n, True, meter, min_mode
+        [(pool, len(maps))], n, True, engine.meter, min_mode
     ).run()
     return tuple(min_picks), pool.exact, search_exact
 
 
 def _sizes(
-    engine: _Homotopy,
-    maps: tuple[DigitalMap, ...],
-    budget: EnumerationBudget | None,
-    fixed: bool,
-    min_mode: bool,
+    engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool, min_mode: bool
 ) -> tuple[tuple[int, ...], bool, bool]:
     """As ``_search_classes`` for the classes of maps, by closed form where X contracts."""
     if engine.contractible:
         if fixed:
-            return _fixed_set_search(engine, maps, budget, min_mode)
+            return _fixed_set_search(engine, maps, min_mode)
         return _contractible_sizes(maps), True, True
     classes = tuple(engine.class_of(f) for f in maps)
-    return _search_classes(classes, budget, fixed, min_mode)
+    return _search_classes(classes, engine.meter, fixed, min_mode)
 
 
 def _result(
@@ -215,22 +209,20 @@ def _spectrum_of_classes(
     classes, budget: EnumerationBudget | None, fixed: bool
 ) -> HomotopySpectrumResult:
     classes = tuple(classes)
-    return _result(*_search_classes(classes, budget, fixed, min_mode=False), len(classes))
+    sizes = _search_classes(classes, Meter(budget), fixed, min_mode=False)
+    return _result(*sizes, len(classes))
 
 
 def _spectrum(maps, budget: EnumerationBudget | None, fixed: bool) -> HomotopySpectrumResult:
     maps, engine = _engine_of(maps, budget, fixed)
-    return _result(*_sizes(engine, maps, budget, fixed, min_mode=False), len(maps))
+    return _result(*_sizes(engine, maps, fixed, min_mode=False), len(maps))
 
 
 def _minimum(
-    engine: _Homotopy,
-    maps: tuple[DigitalMap, ...],
-    budget: EnumerationBudget | None,
-    fixed: bool,
+    engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool
 ) -> tuple[int | None, bool]:
     """(least equalizer size, exact) for mc, mcf and m_j; stops at the first 0."""
-    sizes, complete, search_exact = _sizes(engine, maps, budget, fixed, min_mode=True)
+    sizes, complete, search_exact = _sizes(engine, maps, fixed, min_mode=True)
     value = min(sizes) if sizes else None
     return value, (complete and search_exact) or value == 0
 
@@ -261,13 +253,13 @@ def mc(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]
     Returns (value, exact); an inexact value is an upper bound.
     """
     maps, engine = _engine_of(maps, budget, fixed=False)
-    return _minimum(engine, maps, budget, fixed=False)
+    return _minimum(engine, maps, fixed=False)
 
 
 def mcf(maps, budget: EnumerationBudget | None = None) -> tuple[int | None, bool]:
     """Minimum common-fixed-point count; the identity itself is never deformed."""
     maps, engine = _engine_of(maps, budget, fixed=True)
-    return _minimum(engine, maps, budget, fixed=True)
+    return _minimum(engine, maps, fixed=True)
 
 
 def m_j_of_map(
@@ -287,9 +279,10 @@ def self_coincidence_sequence(
     """m_j(X) = MC of j copies of the identity, for j = 1..j_max.
 
     One engine answers every j, so the chain search runs at most once and
-    the identity's class, when X does not contract, is built once.  On a
-    greedy-contractible X with #X >= 2, m_2 is 0 by the closed form of mc
-    (the identity's class holds two distinct constants).  Once an exact 0
+    the identity's class, when X does not contract, is built once; its
+    meter pays for every entry, so the budget bounds the whole sequence.
+    On a greedy-contractible X with #X >= 2, m_2 is 0 by the closed form of
+    mc (the identity's class holds two distinct constants).  Once an exact 0
     appears the remaining entries are 0 (the witnessing selection still
     fits any larger j), so the search is not repeated.
     """
@@ -303,6 +296,6 @@ def self_coincidence_sequence(
         if prev_j >= 2 and prev_exact and prev_value == 0:
             entries.append((j, 0, True))
             continue
-        value, exact = _minimum(engine, (ident,) * j, budget, fixed=False)
+        value, exact = _minimum(engine, (ident,) * j, fixed=False)
         entries.append((j, value, exact))
     return SelfCoincidenceSequence(entries=tuple(entries))

@@ -15,7 +15,9 @@ The closure reads its pool from the Hom-space search as it goes (a
 ``_Pool`` on a resumable ``enumeration._Search``), not from a list built
 first: the search runs only as far as the closure has walked, so every
 stop of the closure also ends the enumeration, and a budgeted spectrum
-that stops before its budget trips is exact.
+that stops before its budget trips is exact.  The search and the closure
+are charged to one meter, the operation's, so a node or time budget
+bounds the whole spectrum.
 
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
@@ -25,11 +27,10 @@ restrictions, and F is CFS_1, their sizes, read until all of 0..#X is seen.
 
 from __future__ import annotations
 
-import time
 from itertools import islice
 
 from ._record import Record
-from .enumeration import EnumerationBudget, MapSpaceContext, Meter, _Search
+from .enumeration import UNLIMITED, EnumerationBudget, MapSpaceContext, Meter, _Search
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
@@ -77,30 +78,20 @@ class _Pool:
     stops also stops the search.  Once the search has ended, readers walk
     the list itself.  If it ended cut by its budget or result cap, the
     restrictions of ``tail`` (fixed-point sets as bitmasks) not yet read
-    join last, and ``exact`` is False.
-
-    ``reader`` is the meter of the closure that walks the pool.  The search
-    and the closure each get the whole of a time budget, as if one ran
-    after the other: each resumption moves the reader's deadline later by
-    the time the search took, and the search's deadline later by the time
-    spent outside it since the last resumption.
+    join last, and ``exact`` is False.  The pool holds no meter and reads
+    no clock: the search charges the operation's meter, as the closure
+    that walks the pool does.
     """
 
-    __slots__ = (
-        "members", "done", "_search", "_batches", "_n", "_read", "_tail", "_reader", "_since"
-    )
+    __slots__ = ("members", "done", "_search", "_batches", "_n", "_read", "_tail")
 
-    def __init__(self, search, n_points: int, reader: Meter, tail=()):
+    def __init__(self, search, n_points: int, tail=()):
         self.done = False
         self._search = search
         self._batches = search.batches()
         self._n = n_points
         self._read = 0  # fixed-point sets already read
         self._tail = tail
-        self._reader = reader
-        # when the search last paused; None when neither meter has a deadline
-        timed = search.meter.deadline is not None or reader.deadline is not None
-        self._since = time.monotonic() if timed else None
         # the maps of a collecting search are its members as they stand
         self.members = search.results if search.fixed_sets is None else []
 
@@ -134,17 +125,11 @@ class _Pool:
         sets = search.fixed_sets
         emitted = search.results if sets is None else sets
         before = len(emitted)
-        if self._since is not None:
-            start = time.monotonic()
-            search.meter.postpone(start - self._since)
         for _ in self._batches:
             if len(emitted) > before:
                 break
         else:
             self.done = True
-        if self._since is not None:
-            self._since = time.monotonic()
-            self._reader.postpone(self._since - start)
         if sets is None:
             return
         new = list(islice(reversed(sets), len(sets) - self._read))[::-1]
@@ -183,8 +168,8 @@ class _EqualizerSearch:
     walked by every loop from a position of its own.  A state reached again
     in its group with no fewer picks in that group is dropped: its first
     arrival came with no more picks in total and completes every selection
-    the second would.  Every state built costs one node on the meter, which
-    ``budget`` may give as it stands (the meter of a ``_Pool``'s reader).
+    the second would.  Every state built costs one node on ``meter``, the
+    meter of the operation, which a ``_Pool``'s search charges too.
     """
 
     def __init__(
@@ -192,7 +177,7 @@ class _EqualizerSearch:
         groups,
         n_points: int,
         fixed: bool,
-        budget: EnumerationBudget | Meter | None,
+        meter: Meter,
         min_mode: bool = False,
     ):
         self.pools: list = []  # tuples of members, or _Pools
@@ -222,7 +207,7 @@ class _EqualizerSearch:
         self.n = n_points
         self.fixed = fixed
         self.min_mode = min_mode
-        self.meter = budget if isinstance(budget, Meter) else Meter(budget)
+        self.meter = meter
         self.exact = True
         self.min_picks: dict[int, int] = {}
 
@@ -337,17 +322,21 @@ def _fewest_picks(
     equalizer (common fixed points), so only the maps' distinct
     fixed-point sets matter: the search records those sets and builds no
     map, and the pool is their restrictions, the fixed points kept and
-    every other point None.  The enumeration and the closure each get the
-    whole budget, a time budget too (see ``_Pool``); the result is exact
-    iff neither was cut before the closure ended.  The fewest picks stay
-    exact at a stop: layer one is #X alone for maps and is read in full
-    for fixed-point sets, and the first state of layer two reads the whole
+    every other point None.  The enumeration and the closure share one
+    meter, so the budget bounds their sum; the result is exact iff neither
+    was cut before the closure ended.  The fewest picks stay exact at a
+    stop: layer one is #X alone for maps and is read in full for
+    fixed-point sets, and the first state of layer two reads the whole
     pool before the next starts.
     """
-    context = MapSpaceContext(x_img, x_img if fixed else y_img)
-    search = _Search(context, None, budget, collect=not fixed, fixed_sets=fixed)
+    budget = budget or UNLIMITED
     meter = Meter(budget)
-    pool = _Pool(search, x_img.n_points, meter)
+    context = MapSpaceContext(x_img, x_img if fixed else y_img)
+    search = _Search(
+        context, None, meter, collect=not fixed,
+        max_results=budget.max_results, fixed_sets=fixed,
+    )
+    pool = _Pool(search, x_img.n_points)
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False

@@ -1,14 +1,18 @@
 """Budget honesty: a node budget may cut a search short but never falsify it.
 
 Every budgeted entry point is swept over ``max_nodes`` in 1..60 on 2- to
-4-point images, chosen so that each sweep sees both tripped and completed
+5-point images, chosen so that each sweep sees both tripped and completed
 searches; a case that cannot finish within 60 nodes names a wider range in
 ``WIDE_BUDGETS``.  At each step an exact result equals the unbudgeted one, an
 inexact spectrum or map set is a subset of it, and an inexact minimum is an
-upper bound.
+upper bound.  The class spectra are swept both on greedy-contractible domains,
+where no class is searched, and on C5, where the classes are built and
+searched on one meter.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -46,6 +50,10 @@ EDGE = interval(0, 1)
 PATH = interval(0, 2)
 TRIANGLE = cycle(3)
 FLIP = from_assignment(PATH, PATH, (2, 1, 0))
+C5 = cycle(5)
+# C5 has no contracting chain, so its classes are built by the closure; the
+# constants at 0 and 1 into the edge of disjoint_paths((2, 1)) share a class
+C5_CONSTANTS = [constant(C5, disjoint_paths((2, 1)), v) for v in (0, 1)]
 
 
 def _enumerate(budget):
@@ -121,16 +129,25 @@ def _hfs(budget):
     return set(result.values.values), result.values.exact
 
 
+def _hcs_searched(budget):
+    result = hcs(C5_CONSTANTS, budget)
+    return set(result.values.values), result.values.exact
+
+
 def _mc(budget):
     return mc([identity(PATH), FLIP], budget)
+
+
+def _mc_searched(budget):
+    return mc(C5_CONSTANTS, budget)
 
 
 def _mcf(budget):
     return mcf([identity(PATH), constant(PATH, PATH, 0)], budget)
 
 
-def _mj(budget):
-    entries = self_coincidence_sequence(square4(), 3, budget).entries
+def _mj(image, budget):
+    entries = self_coincidence_sequence(image, 3, budget).entries
     return [(j, value) for j, value, _ in entries], [exact for _, _, exact in entries]
 
 
@@ -168,14 +185,20 @@ CASES = {
     "common_fixed_spectrum": (_cfs, _subset),
     "common_fixed_spectrum_union": (_cfs_union, _cfs_below),
     "hcs": (_hcs, _subset),
+    "hcs/searched": (_hcs_searched, _subset),
     "hfs": (_hfs, _subset),
     "mc": (_mc, _upper_bound),
+    "mc/searched": (_mc_searched, _upper_bound),
     "mcf": (_mcf, _upper_bound),
 }
 
 
 # name -> node budgets, for cases that need more than NODE_BUDGETS to finish
-WIDE_BUDGETS = {"homotopy_class/cycle": range(1, 201)}
+WIDE_BUDGETS = {
+    "homotopy_class/cycle": range(1, 201),
+    "hcs/searched": range(1, 301),
+    "mc/searched": range(1, 301),
+}
 
 
 def sweep(run, budgets=NODE_BUDGETS):
@@ -198,16 +221,19 @@ def test_budgeted_answers_are_honest(name):
 
 
 def test_budgeted_self_coincidence_sequence_is_honest():
-    truth, exact = _mj(None)
-    assert all(exact)
-    outcomes = sweep(_mj)
-    for k, entries, flags in outcomes:
-        for (j, value), (_, true_value), entry_exact in zip(entries, truth, flags):
-            if entry_exact:
-                assert value == true_value, (k, j)
-            else:
-                assert value is None or value >= true_value, (k, j)
-    assert {all(flags) for _, _, flags in outcomes} == {False, True}
+    # square4 contracts by a greedy chain; C5's identity class is searched
+    for image, budgets in ((square4(), NODE_BUDGETS), (C5, range(1, 601))):
+        run = partial(_mj, image)
+        truth, exact = run(None)
+        assert all(exact)
+        outcomes = sweep(run, budgets)
+        for k, entries, flags in outcomes:
+            for (j, value), (_, true_value), entry_exact in zip(entries, truth, flags):
+                if entry_exact:
+                    assert value == true_value, (image, k, j)
+                else:
+                    assert value is None or value >= true_value, (image, k, j)
+        assert {all(flags) for _, _, flags in outcomes} == {False, True}, image
 
 
 def test_class_sweeps_reach_the_index(monkeypatch):
@@ -242,6 +268,20 @@ def test_classes_of_one_operation_share_one_budget():
     assert first.complete and len(first.members) == 41
     assert not second.complete and maps[1] in second
     assert len(second.members) < 41
+
+
+def test_the_classes_and_the_equalizer_search_share_one_budget():
+    # on C5 the chain search and the identity's class (its five rotations,
+    # which hold the second map) take 410 nodes and the equalizer search 25
+    # more, so a budget that fits the classes but not the search is inexact
+    maps = [identity(C5), from_assignment(C5, C5, (1, 2, 3, 4, 0))]
+    result = hcs(maps, EnumerationBudget(max_nodes=420))
+    assert result.classes_complete
+    assert not result.values.exact
+    for nodes in (435, 440, 1000):
+        result = hcs(maps, EnumerationBudget(max_nodes=nodes))
+        assert result.values.exact
+        assert result.values.values == (0, 5)
 
 
 def test_classes_complete_reports_the_classes_not_the_search():

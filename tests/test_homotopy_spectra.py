@@ -30,7 +30,7 @@ from digitop import (
     tee4,
 )
 import digitop.homotopy as homotopy
-from digitop.enumeration import enumerate_assignments
+from digitop.enumeration import Meter, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of
 from digitop.spectra import _EqualizerSearch
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
@@ -118,7 +118,7 @@ def test_classes_of_one_pair_share_one_index(monkeypatch):
     ],
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
-    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, fixed, None)
+    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, fixed, Meter())
     min_picks, exact = search.run()
     assert exact and set(min_picks) == expected
     assert search.meter.nodes == nodes

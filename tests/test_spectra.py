@@ -6,7 +6,7 @@ import json
 import math
 import os
 import random
-import types
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -39,7 +39,7 @@ from digitop import (
     square4,
     tee4,
 )
-from digitop import enumeration, spectra
+from digitop import spectra
 from digitop.enumeration import MapSpaceContext, Meter, _Search, enumerate_assignments
 from digitop.spectra import _EqualizerSearch, _fewest_picks, _fixed_restrictions, _Pool
 from oracles import (
@@ -222,13 +222,13 @@ def _fixed_rows():
 
 def test_fixed_spectra_are_pinned():
     # values, exact flags, fewest picks in the order they were found and
-    # stabilization arities, unbudgeted and under four node budgets, pinned
-    # from the search that built every self-map before reading its fixed
-    # points, except that 68 budgeted rows (17 images whose F is all of
-    # 0..#X) are exact: the closure reads the fixed-point sets as it goes,
-    # so its full-range stop ends the enumeration before the budget trips
+    # stabilization arities, unbudgeted and under four node budgets; the
+    # unbudgeted rows are those of the search that built every self-map
+    # before reading its fixed points.  On the budgeted rows the map search
+    # and the closure pay from one meter; each exact one equals its
+    # unbudgeted row and each inexact one is a subset of it
     digest = hashlib.sha256(json.dumps(list(_fixed_rows())).encode()).hexdigest()[:16]
-    assert digest == "5d5f98ed11425fc5"
+    assert digest == "f362362a744ea354"
 
 
 def test_budget_marks_inexact():
@@ -239,19 +239,20 @@ def test_budget_marks_inexact():
 def test_a_stop_ends_the_enumeration_within_its_budget():
     # CS_2(cube, cube) reaches the full range after 2 584 of the 15 488
     # maps, so the closure's stop ends the enumeration at 4 814 of its
-    # 28 840 nodes, and a budget the whole enumeration overruns still
-    # gives an exact spectrum
+    # 28 840 nodes; with the closure's 2 582 nodes that is 7 396 in all,
+    # and a budget the whole enumeration overruns still gives an exact
+    # spectrum
     c = cube()
-    budget = EnumerationBudget(max_nodes=5000)
+    budget = EnumerationBudget(max_nodes=10_000)
     assert not enumerate_assignments(c, c, budget)[1]
     s = coincidence_spectrum_by_search(c, c, 2, budget)
     assert s.exact
     assert s.values == tuple(range(9))
-    search = _Search(MapSpaceContext(c, c), None, None, collect=True)
-    meter = Meter()
-    min_picks, exact = _EqualizerSearch([(_Pool(search, 8, meter), 2)], 8, False, meter).run()
+    search = _Search(MapSpaceContext(c, c), None, Meter(), collect=True)
+    closure = _EqualizerSearch([(_Pool(search, 8), 2)], 8, False, Meter())
+    min_picks, exact = closure.run()
     assert exact and sorted(min_picks) == list(range(9))
-    assert (len(search.results), search.meter.nodes) == (2584, 4814)
+    assert (len(search.results), search.meter.nodes, closure.meter.nodes) == (2584, 4814, 2582)
 
 
 def test_a_group_of_restrictions_is_read_as_it_stands():
@@ -261,14 +262,14 @@ def test_a_group_of_restrictions_is_read_as_it_stands():
     maps = [m for m in enumerate_assignments(x, x)[0] if m != (0, 1, 2)]
     restrictions = [tuple([v if v == p else None for p, v in enumerate(m)]) for m in maps]
     for arity in (1, 2, 3):
-        want = _EqualizerSearch([(maps, arity)], 3, True, None).run()
+        want = _EqualizerSearch([(maps, arity)], 3, True, Meter()).run()
         assert 3 not in want[0]
-        assert _EqualizerSearch([(restrictions, arity)], 3, False, None).run() == want
-    meter = Meter()
+        assert _EqualizerSearch([(restrictions, arity)], 3, False, Meter()).run() == want
     for fixed in (False, True):
-        search = _Search(MapSpaceContext(x, x), None, None, collect=not fixed, fixed_sets=fixed)
+        meter = Meter()
+        search = _Search(MapSpaceContext(x, x), None, meter, collect=not fixed, fixed_sets=fixed)
         with pytest.raises(InvalidInputError):
-            _EqualizerSearch([(_Pool(search, 3, meter), 1)], 3, not fixed, meter)
+            _EqualizerSearch([(_Pool(search, 3), 1)], 3, not fixed, meter)
 
 
 @st.composite
@@ -390,24 +391,35 @@ def test_cs_search_matches_oracle_on_every_labelled_pair():
                     assert s.as_set() == values, (pair, i)
 
 
+def _search(x_img, y_img, meter, budget, fixed):
+    """The map search of X -> Y, or of X's fixed-point sets, charged to meter."""
+    context = MapSpaceContext(x_img, y_img)
+    max_results = budget.max_results if budget else None
+    return _Search(
+        context, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
+    )
+
+
 def _fixed_sets(x_img, budget):
     """The fixed-set search of the self-maps of x_img, run to its end."""
-    context = MapSpaceContext(x_img, x_img)
-    return _Search(context, None, budget, collect=False, fixed_sets=True).run()
+    return _search(x_img, x_img, Meter(budget), budget, fixed=True).run()
 
 
 def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
-    """The reference for the streamed pool: enumerate it whole, then close over it."""
+    """The reference for the streamed pool: enumerate it whole, then close over it.
+
+    The enumeration and the closure are charged to one meter, in turn.
+    """
+    meter = Meter(budget)
+    search = _search(x_img, y_img, meter, budget, fixed).run()
     if fixed:
-        search = _fixed_sets(x_img, budget)
         pool = _fixed_restrictions(search.fixed_sets, x_img.n_points)
-        pool_exact = search.exhausted
     else:
-        pool, pool_exact, _ = enumerate_assignments(x_img, y_img, budget)
+        pool = search.results
     if not pool:
         return {}, False
-    min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, budget).run()
-    return min_picks, pool_exact and exact
+    min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, meter).run()
+    return min_picks, search.exhausted and exact
 
 
 _BUDGETS = st.one_of(
@@ -451,28 +463,40 @@ def test_fixed_sets_are_those_of_the_enumerated_maps(x_img, budget):
     assert (search.exhausted, search.nodes) == (exhausted, nodes)
 
 
-def test_the_stream_and_the_closure_each_get_the_whole_time_budget(monkeypatch):
+def test_a_time_budget_bounds_the_stream_and_the_closure_together(monkeypatch):
     # On a fake clock each batch of the map search takes a second, and each
-    # time check of the closure's meter (every 256 nodes) a hundred.  A
-    # time budget that fits each phase alone, but not both together, still
-    # gives exact spectra, as when the closure ran after a whole enumeration.
+    # time check of the meter (every 256 nodes) a hundred, charged to the
+    # phase that makes it.  The search and the closure share one meter, so
+    # a time budget that fits each phase alone, but not both together,
+    # gives an inexact lower approximation, and one that fits their sum
+    # gives the exact spectrum.
     now = [0.0]
-    clock = types.SimpleNamespace(monotonic=lambda: now[0])
-    monkeypatch.setattr(enumeration, "time", clock)
-    monkeypatch.setattr(spectra, "time", clock)
+    phase = ["closure"]
     spent = {"search": 0, "closure": 0}
+
+    def tick(seconds):
+        now[0] += seconds
+        spent[phase[0]] += seconds
+
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
     batches = _Search.batches
 
     def slow_batches(self):
-        for _ in batches(self):
-            now[0] += 1
-            spent["search"] += 1
+        inner = batches(self)
+        while True:
+            phase[0] = "search"
+            try:
+                next(inner)
+                tick(1)
+            except StopIteration:
+                return
+            finally:
+                phase[0] = "closure"
             yield
 
     class SlowMeter(Meter):
         def over(self):
-            now[0] += 100
-            spent["closure"] += 100
+            tick(100)
             return super().over()
 
     monkeypatch.setattr(_Search, "batches", slow_batches)
@@ -489,8 +513,12 @@ def test_the_stream_and_the_closure_each_get_the_whole_time_budget(monkeypatch):
         want, spent_alone = spectrum(1e9)
         assert want[1]
         fits_each = max(spent_alone.values()) + 0.5
-        assert fits_each < sum(spent_alone.values())
-        assert spectrum(fits_each) == (want, spent_alone), fixed
+        fits_both = sum(spent_alone.values()) + 0.5
+        assert fits_each < fits_both - 1
+        (min_picks, exact), _ = spectrum(fits_each)
+        assert not exact, fixed
+        assert min_picks.keys() <= want[0].keys(), fixed
+        assert spectrum(fits_both) == (want, spent_alone), fixed
 
 
 @given(tiny_pairs(), st.data())
