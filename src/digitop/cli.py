@@ -221,13 +221,13 @@ def cmd_homotopy_class(args) -> int:
     f = load_map(args.map)
     budget = _budget_for(args, [f.domain, f.codomain])
     cls = homotopy_class(f, budget)
-    for m in cls.members:
+    for a in cls.assignments:
         if args.format == "json":
-            print(json.dumps({"assignment": list(m.assignment)}, sort_keys=True))
+            print(json.dumps({"assignment": list(a)}, sort_keys=True))
         else:
-            print(" ".join(str(v) for v in m.assignment))
+            print(" ".join(str(v) for v in a))
     status = "complete" if cls.complete else "truncated"
-    print(f"{len(cls.members)} maps in class ({status})", file=sys.stderr)
+    print(f"{len(cls.assignments)} maps in class ({status})", file=sys.stderr)
     return 0
 
 

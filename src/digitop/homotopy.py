@@ -78,28 +78,62 @@ class HomotopyWitness(Record):
 
 
 class HomotopyClass(Record):
-    """All maps reachable from the representative; complete=False iff truncated."""
+    """All maps reachable from the representative; complete=False iff truncated.
 
-    _fields = ("representative", "members", "complete")
+    A class stores ``assignments``, its members' assignments in ascending
+    order, the one form every search over classes reads.  ``members`` wraps
+    them as maps on first read, and ``in`` reads a set of them built on
+    first use; equality and the hash compare the assignments, so neither
+    builds a map.  The constructor takes the members as maps, which must
+    share the representative's domain and codomain; the homotopy engine
+    builds its classes from the assignments it found (``_of_assignments``).
+    Either way every stored assignment is continuous.
+    """
+
+    _fields = ("representative", "assignments", "complete")
     representative: DigitalMap
-    members: tuple[DigitalMap, ...]
+    assignments: tuple[tuple[int, ...], ...]
     complete: bool
 
     def __init__(
         self, representative: DigitalMap, members: tuple[DigitalMap, ...], complete: bool
     ):
+        members = tuple(members)
+        if any(
+            m.domain != representative.domain or m.codomain != representative.codomain
+            for m in members
+        ):
+            raise InvalidInputError("members must share the representative's domain and codomain")
+        self._fill(representative, tuple(sorted(m.assignment for m in members)), complete)
+
+    @classmethod
+    def _of_assignments(
+        cls, representative: DigitalMap, assignments: tuple[tuple[int, ...], ...], complete: bool
+    ) -> HomotopyClass:
+        """A class of continuous assignments, given in ascending order."""
+        self = object.__new__(cls)
+        self._fill(representative, assignments, complete)
+        return self
+
+    def _fill(self, representative, assignments, complete) -> None:
         object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "complete", complete)
 
     @cached_property
-    def _assignments(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(m.assignment for m in self.members)
+    def members(self) -> tuple[DigitalMap, ...]:
+        """The members as maps, in ascending assignment order."""
+        rep = self.representative
+        return tuple(_enumerated(rep.domain, rep.codomain, a) for a in self.assignments)
+
+    @cached_property
+    def _assignment_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.assignments)
 
     def __contains__(self, f: DigitalMap) -> bool:
         rep = self.representative
         same_pair = f.domain == rep.domain and f.codomain == rep.codomain
-        return same_pair and f.assignment in self._assignments
+        return same_pair and f.assignment in self._assignment_set
 
 
 class _HomIndex:
@@ -187,8 +221,7 @@ class _Homotopy:
             found, complete = self._component_maps(f)
         else:
             found, complete, _ = self.closure(f)
-        members = tuple(_enumerated(f.domain, f.codomain, a) for a in sorted(found))
-        self.classes.append(HomotopyClass(f, members, complete))
+        self.classes.append(HomotopyClass._of_assignments(f, tuple(sorted(found)), complete))
         return self.classes[-1]
 
     def _try_index(self, nodes: int) -> _HomIndex | None:
@@ -208,8 +241,8 @@ class _Homotopy:
         Returns (parents keyed by assignment, complete, found_stop).  parents[a]
         is the predecessor assignment on a shortest chain from f, None for f.
         ``stop_at`` is a set of assignments; the closure stops at the first one
-        it reaches.  Works on raw assignments; members are only wrapped by the
-        callers.
+        it reaches.  Works on raw assignments, and a class keeps them as they
+        are (``HomotopyClass``); only a witness chain wraps its maps.
 
         A member's neighbors come from one of two sources, raced on the shared
         meter.  The per-member search enumerates the maps inside the closed

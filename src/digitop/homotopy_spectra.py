@@ -66,7 +66,8 @@ class SelfCoincidenceSequence(Record):
 def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:
     """Group equal classes with multiplicities; returns (groups, complete, #X).
 
-    A class object repeated in the list has its assignment pool built once.
+    A group's pool is its class's ``assignments``, so no map is built, and
+    a class object repeated in the list is hashed once.
     """
     first = classes[0].representative
     for cls in classes[1:]:
@@ -79,8 +80,7 @@ def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:
         entry[1] += 1
     groups: dict[tuple, int] = {}
     for cls, count in repeats.values():
-        pool = tuple(m.assignment for m in cls.members)
-        groups[pool] = groups.get(pool, 0) + count
+        groups[cls.assignments] = groups.get(cls.assignments, 0) + count
     complete = all(cls.complete for cls, _ in repeats.values())
     return list(groups.items()), complete, first.domain.n_points
 

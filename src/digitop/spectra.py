@@ -148,10 +148,9 @@ class _EqualizerSearch:
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
     is that of its set.  With ``fixed`` the identity joins every equalizer,
     so a map counts only through its agreement with the identity and each
-    pool first collapses to its distinct fixed-point restrictions (a
-    ``_Pool`` is given collapsed, and must be of fixed-point sets exactly
-    when ``fixed`` is set).  Without ``fixed`` a sequence may also hold
-    restrictions (members with None); they are read as they stand.
+    pool first collapses to its distinct fixed-point restrictions.  A
+    pool's members are maps, except that a ``_Pool`` is given collapsed: it
+    must hold fixed-point restrictions exactly when ``fixed`` is set.
 
     A state is a restriction: the agreed value at each point, or None once
     agreement is broken.  States are expanded in layers of total picks, so
@@ -162,9 +161,9 @@ class _EqualizerSearch:
     restriction lying in every pool.  With none, 0..#X - 1 is everything
     reachable.  Pools may overlap (truncated classes, or classes a caller
     passes in), so this is tested, once, when only #X is missing.  Layer one
-    is the first pool itself; with one group of maps (no member holds
-    None), whose members each agree with themselves everywhere, it records
-    #X and is not walked.  A pool may be a ``_Pool`` read from a map search,
+    is the first pool itself; with one group and ``fixed`` off, its members
+    are maps, each agreeing with itself everywhere, so it records #X and is
+    not walked.  A pool may be a ``_Pool`` read from a map search,
     walked by every loop from a position of its own.  A state reached again
     in its group with no fewer picks in that group is dropped: its first
     arrival came with no more picks in total and completes every selection
@@ -235,12 +234,6 @@ class _EqualizerSearch:
             None not in r and all(r in pool for pool in rest) for r in self.pools[0]
         )
 
-    def _of_maps(self, pool) -> bool:
-        """Whether the members are maps, not restrictions that may hold None."""
-        if self.fixed:
-            return False
-        return isinstance(pool, _Pool) or all(None not in m for m in pool)
-
     def _close(self):
         pools, mults, meter, min_picks, n = (
             self.pools, self.mults, self.meter, self.min_picks, self.n
@@ -250,12 +243,12 @@ class _EqualizerSearch:
         seen: list[dict[Restriction, int]] = [{} for _ in pools]
         layer = {(0, 1): pools[0]}
         picks = 1
-        if last == 0 and self._of_maps(pools[0]):
+        if last == 0 and not self.fixed:
             # one group of maps: every member agrees with itself everywhere
             self._record(n, picks)
         elif last == 0:
-            # one group of restrictions: layer one is recorded as it stands,
-            # a node a member
+            # one group of fixed-point restrictions: layer one is recorded
+            # as it stands, a node a member
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():

@@ -23,7 +23,7 @@ from functools import partial
 
 from . import builders
 from ._record import Record
-from .enumeration import EnumerationBudget, Meter, enumerate_continuous_maps
+from .enumeration import EnumerationBudget, Meter, enumerate_assignments
 from .errors import InvalidInputError
 from .homotopy import _rigid_within, homotopy_class, is_contractible
 from .homotopy_spectra import (
@@ -34,6 +34,8 @@ from .homotopy_spectra import (
 )
 from .images import CT, DigitalImage, Explicit, Isomorphism, components
 from .maps import (
+    DigitalMap,
+    _enumerated,
     coincidence_set,
     conjugate,
     constant,
@@ -139,12 +141,20 @@ def _exact(result):
     return result
 
 
-def _all_maps(x_img, y_img, config):
-    """Every continuous map X -> Y within the run's budget; skip the check if it trips."""
-    outcome = enumerate_continuous_maps(x_img, y_img, config.budget)
-    if not outcome.exhausted:
+def _all_assignments(x_img, y_img, config):
+    """Every continuous assignment X -> Y within the run's budget; skip the check if it trips.
+
+    A check wraps only the maps it picks from them.
+    """
+    assignments, exhausted, _ = enumerate_assignments(x_img, y_img, config.budget)
+    if not exhausted:
         raise _Skip({"reason": "budget tripped"})
-    return outcome.maps
+    return assignments
+
+
+def _draw(x_img, y_img, pool, rng) -> DigitalMap:
+    """One map X -> Y drawn with rng from pool, a list of continuous assignments."""
+    return _enumerated(x_img, y_img, pool[rng.randrange(len(pool))])
 
 
 def _rigid(img: DigitalImage, config) -> bool:
@@ -390,8 +400,9 @@ def _nested_verdict(x_img, y_img, tuples):
 
 def _nested(x_img, y_img, config, rng):
     """Tuples of four from the first, last and constant maps X -> Y."""
-    pool = list(_all_maps(x_img, y_img, config))
-    picked = pool[:6] + pool[-2:] + [constant(x_img, y_img, y) for y in range(y_img.n_points)]
+    pool = _all_assignments(x_img, y_img, config)
+    picked = [_enumerated(x_img, y_img, a) for a in pool[:6] + pool[-2:]]
+    picked += [constant(x_img, y_img, y) for y in range(y_img.n_points)]
     maps = list({m.assignment: m for m in picked}.values())
     tuples = itertools.islice(itertools.product(maps, repeat=4), 0, 256)
     return _nested_verdict(x_img, y_img, tuples)
@@ -399,8 +410,8 @@ def _nested(x_img, y_img, config, rng):
 
 def _nested_random(x_img, y_img, config, rng):
     """Eight tuples of four maps X -> Y drawn with rng."""
-    pool = _all_maps(x_img, y_img, config)
-    tuples = ([pool[rng.randrange(len(pool))] for _ in range(4)] for _ in range(8))
+    pool = _all_assignments(x_img, y_img, config)
+    tuples = ([_draw(x_img, y_img, pool, rng) for _ in range(4)] for _ in range(8))
     return _nested_verdict(x_img, y_img, tuples)
 
 
@@ -419,8 +430,8 @@ def _iso_invariance(x_img, y_img, config, rng):
     perm = list(range(x_img.n_points))
     rng.shuffle(perm)
     relabeled, phi = _relabel(x_img, perm)
-    pool = _all_maps(x_img, x_img, config)
-    picked = [pool[rng.randrange(len(pool))] for _ in range(3)]
+    pool = _all_assignments(x_img, x_img, config)
+    picked = [_draw(x_img, x_img, pool, rng) for _ in range(3)]
     moved = [conjugate(f, phi) for f in picked]
     sizes = [len(coincidence_set(picked)), len(coincidence_set(moved))]
     fix_ok = all(
@@ -456,9 +467,9 @@ def _hcs_monotone(x_img, y_img, config, rng):
 
 def _hcs_random(x_img, y_img, config, rng):
     """As _hcs_monotone for two self-maps drawn with rng."""
-    pool = _all_maps(x_img, x_img, config)
-    f = pool[rng.randrange(len(pool))]
-    g = pool[rng.randrange(len(pool))]
+    pool = _all_assignments(x_img, x_img, config)
+    f = _draw(x_img, x_img, pool, rng)
+    g = _draw(x_img, x_img, pool, rng)
     return _hcs_inclusion(f, g, config.budget)
 
 

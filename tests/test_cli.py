@@ -284,3 +284,22 @@ def test_image_info_accepts_file(capsys, tmp_path):
     assert code == 0
     assert "points: 3" in out
     assert "edges: 0" in out
+
+
+@pytest.mark.parametrize(
+    "limit, rows, count",
+    [
+        ([], ["0 1 2 3 4", "1 2 3 4 0", "2 3 4 0 1", "3 4 0 1 2", "4 0 1 2 3"],
+         "5 maps in class (complete)"),
+        (["--limit", "3"], ["0 1 2 3 4", "1 2 3 4 0", "4 0 1 2 3"], "3 maps in class (truncated)"),
+    ],
+    ids=["complete", "limit-3"],
+)
+def test_homotopy_class_output(capsys, tmp_path, limit, rows, count):
+    path = tmp_path / "id.json"
+    dump_map(identity(builders.cycle(5)), str(path))
+    code, out, err = _run(capsys, "homotopy", "class", str(path), *limit)
+    assert (code, out, err) == (0, "".join(row + "\n" for row in rows), count + "\n")
+    code, out, err = _run(capsys, "homotopy", "class", str(path), *limit, "--format", "json")
+    json_rows = [json.dumps({"assignment": [int(v) for v in row.split()]}) for row in rows]
+    assert (code, out, err) == (0, "".join(row + "\n" for row in json_rows), count + "\n")

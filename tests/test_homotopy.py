@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from digitop import (
     EnumerationBudget,
+    HomotopyClass,
     InvalidInputError,
     are_homotopic,
     constant,
@@ -336,3 +337,30 @@ def test_self_coincidence_sequence_of_certified_images_matches_oracle(seed, n):
     assume(_contracts(x_img))
     entries = self_coincidence_sequence(x_img, 4).entries
     assert entries == tuple((j, mj_oracle(x_img, j), True) for j in range(1, 5))
+
+
+@pytest.mark.parametrize(
+    "f, probes_in",
+    [(identity(cycle(5)), [False, True]), (constant(interval(0, 3), cube(), 0), [True, False])],
+    ids=["closure", "contractible"],
+)
+def test_a_class_built_from_its_members_equals_the_engine_class(f, probes_in):
+    # the public constructor, given the members in any order, and the
+    # engine's own route give the same class
+    cls = homotopy_class(f)
+    assert cls.assignments == tuple(sorted(cls.assignments))
+    probes = [constant(f.domain, f.codomain, 0), identity(f.domain)]
+    for members in (cls.members, cls.members[::-1]):
+        rebuilt = HomotopyClass(f, members, cls.complete)
+        assert rebuilt == cls and hash(rebuilt) == hash(cls)
+        assert rebuilt.assignments == cls.assignments
+        assert rebuilt.members == cls.members
+        for g in list(cls.members) + probes:
+            assert (g in rebuilt) == (g in cls)
+    assert [g in cls for g in probes] == probes_in
+
+
+def test_a_class_rejects_members_of_another_pair():
+    f = identity(cycle(5))
+    with pytest.raises(InvalidInputError):
+        HomotopyClass(f, (f, constant(cycle(5), cycle(4), 0)), True)

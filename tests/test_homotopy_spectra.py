@@ -332,3 +332,28 @@ def test_contractible_domains_build_no_class(monkeypatch):
         operation()
         # one chain search per operation, stopped at its first success
         assert targets == [0, 1]
+
+
+def test_class_spectra_build_no_maps(monkeypatch):
+    # a class is a pool of assignments for the equalizer search; its members
+    # are wrapped as maps only when read, once each
+    wrapped = []
+    enumerated = homotopy._enumerated
+
+    def counted(domain, codomain, assignment):
+        wrapped.append(assignment)
+        return enumerated(domain, codomain, assignment)
+
+    monkeypatch.setattr(homotopy, "_enumerated", counted)
+    c5 = cycle(5)
+    f, rotation = identity(c5), from_assignment(c5, c5, (1, 2, 3, 4, 0))
+    assert hcs([f, rotation]).values.values == (0, 5)
+    assert mc([f, rotation]) == (0, True)
+    assert self_coincidence_sequence(c5, 3).entries == ((1, 5, True), (2, 0, True), (3, 0, True))
+    assert hcs_of_classes(_classes_of([f, rotation], None, fixed=False)).values.values == (0, 5)
+    cls = homotopy_class(f)
+    assert wrapped == []
+    members = cls.members
+    assert [m.assignment for m in members] == wrapped == list(cls.assignments)
+    assert len(wrapped) == 5
+    assert cls.members is members and len(wrapped) == 5

@@ -255,16 +255,8 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert (len(search.results), search.meter.nodes, closure.meter.nodes) == (2584, 4814, 2582)
 
 
-def test_a_group_of_restrictions_is_read_as_it_stands():
-    # restrictions passed without ``fixed`` give what their maps give with
-    # it; a pool read from a map search must be in the mode of the closure
+def test_a_pool_read_from_a_map_search_must_be_in_the_mode_of_the_closure():
     x = interval(0, 2)
-    maps = [m for m in enumerate_assignments(x, x)[0] if m != (0, 1, 2)]
-    restrictions = [tuple([v if v == p else None for p, v in enumerate(m)]) for m in maps]
-    for arity in (1, 2, 3):
-        want = _EqualizerSearch([(maps, arity)], 3, True, Meter()).run()
-        assert 3 not in want[0]
-        assert _EqualizerSearch([(restrictions, arity)], 3, False, Meter()).run() == want
     for fixed in (False, True):
         meter = Meter()
         search = _Search(MapSpaceContext(x, x), None, meter, collect=not fixed, fixed_sets=fixed)
