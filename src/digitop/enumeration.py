@@ -347,8 +347,9 @@ def assignments_in_context(
 ) -> tuple[list[tuple[int, ...]], bool, int]:
     """As enumerate_assignments, reusing a precomputed context, charged to ``meter``.
 
-    The meter may be shared with other searches of the same operation; the
-    node count returned is this search's own.
+    ``allowed``, if given, restricts each point x to the values whose bits
+    are set in ``allowed[x]``.  The meter may be shared with other searches
+    of the same operation; the node count returned is this search's own.
     """
     search = _Search(context, allowed, meter, collect=True, max_results=max_results).run()
     return search.results, search.exhausted, search.nodes
@@ -358,19 +359,15 @@ def enumerate_assignments(
     domain: DigitalImage,
     codomain: DigitalImage,
     budget: EnumerationBudget | None = None,
-    allowed: tuple[int, ...] | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
     """All continuous assignments as raw tuples: (assignments, exhausted, nodes).
-
-    ``allowed``, if given, restricts each point x to the values whose bits
-    are set in ``allowed[x]``.
 
     The deterministic order is fixed by the search: domain points in
     per-component BFS order, candidate values ascending.
     """
     budget = budget or UNLIMITED
     context = MapSpaceContext(domain, codomain)
-    return assignments_in_context(context, Meter(budget), allowed, budget.max_results)
+    return assignments_in_context(context, Meter(budget), None, budget.max_results)
 
 
 def enumerate_continuous_maps(

@@ -9,18 +9,20 @@ One engine (``_Homotopy``) builds every class an operation asks for on a
 pair (X, Y), so those classes share one chain search, one index of Hom(X, Y)
 and one budget.
 
-A class question first looks for a certificate that the domain X is
-contractible: a greedy chain of one-step moves from id_X to a constant
-(``_pulls_to_a_constant``).  With one, every f: X -> Y is homotopic to a
-constant, so the class of f is every map into the component of Y that
-holds f's image, and one restricted enumeration lists it.
+A class is every map into one component of Y in two cases, and one
+restricted enumeration lists it then (``_Homotopy._component_maps``).  If
+every two points of Y are adjacent, every function is continuous and any
+two are one step apart.  If a greedy chain of one-step moves carries id_X
+to a constant (``_pulls_to_a_constant``), X is contractible, so every
+f: X -> Y is homotopic to a constant, and its class is every map into the
+component of Y that holds f's image.
 
-Without one, a breadth-first closure (``_Homotopy.closure``) answers, and it
-also answers every homotopy and nullhomotopy question, which need shortest
-chains and early stops.  It finds a member's one-step neighbors either by
-a backtracking search restricted to the closed neighborhoods of the
-member's values, or, once Hom(X, Y) has been enumerated within a node cap
-that doubles as the closure grows, by intersecting bitsets over that
+Otherwise a breadth-first closure (``_Homotopy.closure``) lists the class,
+and it answers every homotopy and nullhomotopy question, which need
+shortest chains and early stops.  It finds a member's one-step neighbors
+either by a backtracking search restricted to the closed neighborhoods of
+the member's values, or, once Hom(X, Y) has been enumerated within a node
+cap that doubles as the closure grows, by intersecting bitsets over that
 indexed Hom space.  The first suits a small class in a huge Hom space (a
 rigid map needs one search), the second a class that fills much of its Hom
 space.  Both give the same members, parents and chains.
@@ -43,7 +45,14 @@ from .enumeration import (
 )
 from .errors import InvalidInputError
 from .images import DigitalImage
-from .maps import DigitalMap, _enumerated, constant, continuity_violation, identity
+from .maps import (
+    DigitalMap,
+    _enumerated,
+    _fixed_mask,
+    constant,
+    continuity_violation,
+    identity,
+)
 
 Ternary = Literal["yes", "no", "unknown"]
 
@@ -84,10 +93,13 @@ class HomotopyClass(Record):
     order, the one form every search over classes reads.  ``members`` wraps
     them as maps on first read, and ``in`` reads a set of them built on
     first use; equality and the hash compare the assignments, so neither
-    builds a map.  The constructor takes the members as maps, which must
-    share the representative's domain and codomain; the homotopy engine
-    builds its classes from the assignments it found (``_of_assignments``).
-    Either way every stored assignment is continuous.
+    builds a map.  A class of self-maps keeps its members' distinct
+    fixed-point sets once a common-fixed-point search has read them, so
+    repeated searches collapse the class once.  The constructor takes the
+    members as maps, which must share the representative's domain and
+    codomain; the homotopy engine builds its classes from the assignments
+    it found (``_of_assignments``).  Either way every stored assignment is
+    continuous.
     """
 
     _fields = ("representative", "assignments", "complete")
@@ -129,6 +141,11 @@ class HomotopyClass(Record):
     @cached_property
     def _assignment_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.assignments)
+
+    @cached_property
+    def _fixed_masks(self) -> tuple[int, ...]:
+        """The distinct fixed-point sets of the members (self-maps), in member order."""
+        return tuple(dict.fromkeys(map(_fixed_mask, self.assignments)))
 
     def __contains__(self, f: DigitalMap) -> bool:
         rep = self.representative
@@ -192,7 +209,8 @@ class _Homotopy:
     closure and enumeration, and the index of Hom(X, Y), which the first
     closure whose try succeeds builds and every later closure starts on;
     the operations of ``homotopy_spectra`` charge their equalizer searches
-    to it too.
+    to it too.  A class is listed one of two ways: by one enumeration of a
+    codomain component (``_component_maps``) or by the closure.
     The context is built on first use, never for a chain-search answer.
     """
 
@@ -213,11 +231,14 @@ class _Homotopy:
         return _pulls_to_a_constant(identity(self.domain), self.meter)
 
     def class_of(self, f: DigitalMap) -> HomotopyClass:
-        """f's class: one already built that holds f, else a new one (see homotopy_class)."""
+        """f's class: one already built that holds f, else a new one (see homotopy_class).
+
+        A complete codomain is tested first, so that case runs no chain search.
+        """
         for cls in self.classes:
             if f in cls:
                 return cls
-        if self.contractible:
+        if self.context.codomain_is_complete() or self.contractible:
             found, complete = self._component_maps(f)
         else:
             found, complete, _ = self.closure(f)
@@ -242,7 +263,9 @@ class _Homotopy:
         is the predecessor assignment on a shortest chain from f, None for f.
         ``stop_at`` is a set of assignments; the closure stops at the first one
         it reaches.  Works on raw assignments, and a class keeps them as they
-        are (``HomotopyClass``); only a witness chain wraps its maps.
+        are (``HomotopyClass``); only a witness chain wraps its maps.  Into a
+        complete codomain a stop is one step from f, and that is the answer;
+        ``class_of`` never asks the closure for such a class.
 
         A member's neighbors come from one of two sources, raced on the shared
         meter.  The per-member search enumerates the maps inside the closed
@@ -268,19 +291,10 @@ class _Homotopy:
         if f.assignment in stop_at:
             return parents, True, True
         context = self.context
-        if context.codomain_is_complete():
-            # every function is continuous and any two are pointwise equal or
-            # adjacent, so the class is the whole function space in one step
-            if stop_at:
-                parents[min(stop_at)] = f.assignment
-                return parents, True, True
-            assignments, exhausted, _ = assignments_in_context(context, meter)
-            for a in assignments:
-                if a not in parents:
-                    if len(parents) == max_results:
-                        return parents, False, False
-                    parents[a] = f.assignment
-            return parents, exhausted, False
+        if stop_at and context.codomain_is_complete():
+            # any two functions into a complete codomain are one step apart
+            parents[min(stop_at)] = f.assignment
+            return parents, True, True
         queue = deque([f.assignment])
         index: _HomIndex | None = None
         tried = 0  # nodes spent on this closure's tries to build the index
@@ -322,7 +336,9 @@ class _Homotopy:
         This is f's class when X is contractible.  A chain from id_X to the
         constant at x0 composes with f to a chain from f to the constant at
         f(x0); constants into the connected K are homotopic, and a one-step move
-        never leaves K.  A truncated list still holds f.
+        never leaves K.  It is also f's class when Y is complete: then K is Y,
+        and any two functions X -> Y are continuous and one step apart.  A
+        truncated list still holds f.
         """
         dist, _ = _pull_toward(f.codomain, f.assignment[0])
         component = sum(1 << v for v, d in enumerate(dist) if d is not None)
@@ -340,11 +356,12 @@ class _Homotopy:
 def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> HomotopyClass:
     """Every map homotopic to f (up to budget), in canonical assignment order.
 
-    If a greedy chain contracts the domain, the class is every map into the
-    component of the codomain that holds f's image, listed by one
-    restricted enumeration; otherwise it is the breadth-first closure.  The
-    chain's steps are charged to the same budget, and a budget too small to
-    finish it leaves the closure to answer.
+    If every two codomain points are adjacent, or a greedy chain contracts
+    the domain, the class is every map into the component of the codomain
+    that holds f's image, listed by one restricted enumeration; otherwise
+    it is the breadth-first closure.  The chain's steps are charged to the
+    same budget, and a budget too small to finish it leaves the closure to
+    answer.
     """
     return _Homotopy(f.domain, f.codomain, budget).class_of(f)
 

@@ -12,8 +12,8 @@ An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
 first whether a greedy chain contracts the domain X.  If one does, every
 class is all of Hom(X, K) for the component K of Y that holds the map's
 image, and no class is built: HCS and MC follow from the components alone
-(``_contractible_sizes``), and HFS and MCF are CFS_k(X), searched over the
-distinct fixed-point sets of the self-maps (``_fixed_set_search``).
+(``_contractible_sizes``), and HFS and MCF are CFS_k(X), answered by the
+same streamed search as CFS (``spectra._streamed_picks``).
 Otherwise the same engine builds the classes, so the chain search runs
 once per operation either way.  The engine's meter pays for everything the
 operation does, the equalizer search included, so a node or time budget
@@ -24,12 +24,12 @@ always search the classes they are given, on a meter of their own.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget, Meter, _Search
+from .enumeration import EnumerationBudget, Meter
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage, components
-from .maps import DigitalMap, identity
-from .spectra import Spectrum, _EqualizerSearch, _Pool
+from .maps import DigitalMap, _fixed_mask, _require_common_images, identity
+from .spectra import Spectrum, _EqualizerSearch, _fixed_restrictions, _streamed_picks
 
 
 class HomotopySpectrumResult(Record):
@@ -63,11 +63,15 @@ class SelfCoincidenceSequence(Record):
         object.__setattr__(self, "entries", entries)
 
 
-def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:
+def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool, int]:
     """Group equal classes with multiplicities; returns (groups, complete, #X).
 
-    A group's pool is its class's ``assignments``, so no map is built, and
-    a class object repeated in the list is hashed once.
+    This builds every class pool the equalizer search reads.  A group's
+    pool is its class's ``assignments``, so no map is built, and a class
+    object repeated in the list is hashed once.  With ``fixed`` the pool is
+    instead the restrictions of the class's distinct fixed-point sets,
+    which the class keeps, so a class is collapsed once however many
+    searches read it.
     """
     first = classes[0].representative
     for cls in classes[1:]:
@@ -78,11 +82,16 @@ def _merge_classes(classes) -> tuple[list[tuple[tuple, int]], bool, int]:
     for cls in classes:
         entry = repeats.setdefault(id(cls), [cls, 0])
         entry[1] += 1
-    groups: dict[tuple, int] = {}
+    groups: dict[tuple, list] = {}
     for cls, count in repeats.values():
-        groups[cls.assignments] = groups.get(cls.assignments, 0) + count
+        groups.setdefault(cls.assignments, [cls, 0])[1] += count
+    n = first.domain.n_points
+    pools = [
+        (_fixed_restrictions(cls._fixed_masks, n) if fixed else cls.assignments, count)
+        for cls, count in groups.values()
+    ]
     complete = all(cls.complete for cls, _ in repeats.values())
-    return list(groups.items()), complete, first.domain.n_points
+    return pools, complete, n
 
 
 def _require_self_maps(f: DigitalMap) -> None:
@@ -106,7 +115,7 @@ def _search_classes(
         raise InvalidInputError("need at least one homotopy class")
     if fixed:
         _require_self_maps(classes[0].representative)
-    groups, complete, n = _merge_classes(classes)
+    groups, complete, n = _merge_classes(classes, fixed)
     search = _EqualizerSearch(groups, n, fixed, meter, min_mode)
     min_picks, search_exact = search.run()
     return tuple(min_picks), complete, search_exact
@@ -116,13 +125,9 @@ def _engine_of(
     maps, budget: EnumerationBudget | None, fixed: bool
 ) -> tuple[tuple[DigitalMap, ...], _Homotopy]:
     """The maps, checked to share one pair, and the one engine of their operation."""
-    maps = tuple(maps)
-    if not maps:
-        raise InvalidInputError("need at least one map")
+    maps = _require_common_images(maps)
     if fixed:
         _require_self_maps(maps[0])
-    if any(f.domain != maps[0].domain or f.codomain != maps[0].codomain for f in maps):
-        raise InvalidInputError("all classes must share domain and codomain")
     return maps, _Homotopy(maps[0].domain, maps[0].codomain, budget)
 
 
@@ -155,40 +160,22 @@ def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
     return tuple(range(n + 1))
 
 
-def _fixed_set_search(
-    engine: _Homotopy, maps: tuple[DigitalMap, ...], min_mode: bool
-) -> tuple[tuple[int, ...], bool, bool]:
-    """HFS of self-maps of a contractible X: every class is Hom(X, X), so this is CFS_k(X).
-
-    The equalizer search, one group of multiplicity k, reads the distinct
-    fixed-point sets of the self-maps as it goes from a map search, with
-    its result cap counting maps, and no map is built; a stop of the
-    equalizer search (full range, ceiling or, for MCF, the first 0) ends
-    the map search too.  Both are charged to the engine's meter, after its
-    chain search.  A truncated map search still adds the arguments' own
-    sets, last.  Returns as ``_search_classes``, with ``complete`` False
-    iff the map search was cut.
-    """
-    n = engine.domain.n_points
-    own = [sum(1 << x for x, v in enumerate(f.assignment) if v == x) for f in maps]
-    search = _Search(
-        engine.context, None, engine.meter, collect=False,
-        max_results=engine.max_results, fixed_sets=True,
-    )
-    pool = _Pool(search, n, tail=own)
-    min_picks, search_exact = _EqualizerSearch(
-        [(pool, len(maps))], n, True, engine.meter, min_mode
-    ).run()
-    return tuple(min_picks), pool.exact, search_exact
-
-
 def _sizes(
     engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool, min_mode: bool
 ) -> tuple[tuple[int, ...], bool, bool]:
-    """As ``_search_classes`` for the classes of maps, by closed form where X contracts."""
+    """As ``_search_classes`` for the classes of maps, with no class where X contracts.
+
+    There every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
+    streamed CFS search, on the engine's meter and result cap, with the
+    arguments' own fixed-point sets added last if the map search is cut.
+    """
     if engine.contractible:
         if fixed:
-            return _fixed_set_search(engine, maps, min_mode)
+            own = [_fixed_mask(f.assignment) for f in maps]
+            min_picks, complete, search_exact = _streamed_picks(
+                engine.context, engine.meter, engine.max_results, len(maps), True, min_mode, own
+            )
+            return tuple(min_picks), complete, search_exact
         return _contractible_sizes(maps), True, True
     classes = tuple(engine.class_of(f) for f in maps)
     return _search_classes(classes, engine.meter, fixed, min_mode)

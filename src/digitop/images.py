@@ -186,20 +186,6 @@ class DigitalImage(Record):
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
         return self._neighbors
 
-    def index_of(self, point: Point) -> int:
-        """Canonical index of a point, or raise if absent."""
-        p = tuple(point)
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid] < p:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.points) and self.points[lo] == p:
-            return lo
-        raise InvalidInputError(f"point {p} is not in the image")
-
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(s) for s in self._neighbors))
 

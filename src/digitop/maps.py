@@ -163,6 +163,11 @@ def fixed_point_set(f: DigitalMap) -> PointSet:
     return tuple(x for x in range(f.domain.n_points) if f.assignment[x] == x)
 
 
+def _fixed_mask(assignment: tuple[int, ...]) -> int:
+    """The fixed points of a self-map's assignment, as a bitmask over the points."""
+    return sum(1 << x for x, v in enumerate(assignment) if v == x)
+
+
 def common_fixed_set(maps) -> PointSet:
     """Points fixed by every map; equals coincidence_set(maps + [identity])."""
     maps = _require_common_images(maps)

@@ -17,7 +17,8 @@ first: the search runs only as far as the closure has walked, so every
 stop of the closure also ends the enumeration, and a budgeted spectrum
 that stops before its budget trips is exact.  The search and the closure
 are charged to one meter, the operation's, so a node or time budget
-bounds the whole spectrum.
+bounds the whole spectrum.  One driver (``_streamed_picks``) runs this for
+CS and CFS, and for HFS and MCF where a greedy chain contracts X.
 
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
@@ -147,10 +148,11 @@ class _EqualizerSearch:
     is the size of the equalizer of everything picked (points where all
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
     is that of its set.  With ``fixed`` the identity joins every equalizer,
-    so a map counts only through its agreement with the identity and each
-    pool first collapses to its distinct fixed-point restrictions.  A
-    pool's members are maps, except that a ``_Pool`` is given collapsed: it
-    must hold fixed-point restrictions exactly when ``fixed`` is set.
+    so a map counts only through its agreement with the identity, and every
+    pool must hold fixed-point restrictions (each fixed point kept, the
+    rest None) rather than maps; the search reads its pools as given and
+    never rewrites them.  A ``_Pool`` is checked to hold restrictions
+    exactly when ``fixed`` is set.
 
     A state is a restriction: the agreed value at each point, or None once
     agreement is broken.  States are expanded in layers of total picks, so
@@ -191,13 +193,6 @@ class _EqualizerSearch:
                 pool = tuple(pool)
                 if not pool:
                     raise InvalidInputError("every group needs a nonempty pool")
-                if fixed:
-                    pool = tuple(
-                        dict.fromkeys(
-                            tuple([x if v == x else None for x, v in enumerate(m)])
-                            for m in pool
-                        )
-                    )
             mult = int(mult)
             if mult < 1:
                 raise InvalidInputError("every group multiplicity must be >= 1")
@@ -299,6 +294,48 @@ def _fixed_restrictions(sets, n_points: int) -> list[Restriction]:
     return [tuple([x if s >> x & 1 else None for x in points]) for s in sets]
 
 
+def _streamed_picks(
+    context: MapSpaceContext,
+    meter: Meter,
+    max_results: int | None,
+    arity: int,
+    fixed: bool,
+    min_mode: bool = False,
+    tail=(),
+) -> tuple[dict[int, int], bool, bool]:
+    """Search selections of at most ``arity`` maps in Hom(X, Y), read as the closure goes.
+
+    Returns ({achievable size: fewest picks realizing it}, pool complete,
+    closure exact).  The pool is read from the map search only as far as
+    the closure walks it, so any stop of the closure (full range, ceiling,
+    or with ``min_mode`` the first 0) also ends the enumeration, and
+    ``max_results`` caps the maps it reads.  With ``fixed`` (Y is X) the
+    identity joins every equalizer (common fixed points), so only the
+    maps' distinct fixed-point sets matter: the search records those sets
+    and builds no map, and the pool is their restrictions.  A cut search
+    then adds the sets of ``tail`` (bitmasks) last.  The enumeration and
+    the closure share the operation's meter, so its budget bounds their
+    sum.  The fewest picks stay exact at a stop: layer one is #X alone for
+    maps and is read in full for fixed-point sets, and the first state of
+    layer two reads the whole pool before the next starts.
+
+    This is CS and CFS, and HFS and MCF where a greedy chain contracts X
+    (every class is then Hom(X, X)).
+    """
+    search = _Search(
+        context, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
+    )
+    n = context.domain.n_points
+    pool = _Pool(search, n, tail)
+    if next(iter(pool), None) is None:
+        # constants always exist, so an empty pool means the budget tripped
+        return {}, False, True
+    min_picks, search_exact = _EqualizerSearch(
+        [(pool, arity)], n, fixed, meter, min_mode
+    ).run()
+    return min_picks, pool.exact, search_exact
+
+
 def _fewest_picks(
     x_img: DigitalImage,
     y_img: DigitalImage,
@@ -306,37 +343,17 @@ def _fewest_picks(
     budget: EnumerationBudget | None,
     fixed: bool = False,
 ) -> tuple[dict[int, int], bool]:
-    """Search selections of at most ``arity`` maps X -> Y, read as the closure goes.
+    """``_streamed_picks`` on Hom(X, Y), or with ``fixed`` on Hom(X, X), under one budget.
 
-    Returns ({achievable size: fewest picks realizing it}, exact).  The
-    pool is read from the map search only as far as the closure walks it,
-    so any stop of the closure (full range, ceiling) also ends the
-    enumeration.  With ``fixed`` (Y is X) the identity joins every
-    equalizer (common fixed points), so only the maps' distinct
-    fixed-point sets matter: the search records those sets and builds no
-    map, and the pool is their restrictions, the fixed points kept and
-    every other point None.  The enumeration and the closure share one
-    meter, so the budget bounds their sum; the result is exact iff neither
-    was cut before the closure ended.  The fewest picks stay exact at a
-    stop: layer one is #X alone for maps and is read in full for
-    fixed-point sets, and the first state of layer two reads the whole
-    pool before the next starts.
+    Returns ({achievable size: fewest picks realizing it}, exact); exact
+    iff neither the enumeration nor the closure was cut.
     """
     budget = budget or UNLIMITED
-    meter = Meter(budget)
     context = MapSpaceContext(x_img, x_img if fixed else y_img)
-    search = _Search(
-        context, None, meter, collect=not fixed,
-        max_results=budget.max_results, fixed_sets=fixed,
+    min_picks, complete, search_exact = _streamed_picks(
+        context, Meter(budget), budget.max_results, arity, fixed
     )
-    pool = _Pool(search, x_img.n_points)
-    if next(iter(pool), None) is None:
-        # constants always exist, so an empty pool means the budget tripped
-        return {}, False
-    min_picks, search_exact = _EqualizerSearch(
-        [(pool, arity)], x_img.n_points, fixed, meter
-    ).run()
-    return min_picks, pool.exact and search_exact
+    return min_picks, complete and search_exact
 
 
 def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:
@@ -373,13 +390,8 @@ def coincidence_spectrum(
     arbitrary k-subset to a realizes every size; the spectrum is all of
     {0, ..., #X} for every i >= 2 and no search is needed.
     """
-    n = x_img.n_points
-    if i < 1:
-        raise InvalidInputError(f"arity must be >= 1, got {i}")
-    if i == 1:
-        return Spectrum(values=(n,), exact=True, i=1)
-    if not is_totally_disconnected(y_img):
-        return Spectrum(values=tuple(range(n + 1)), exact=True, i=i)
+    if i >= 2 and not is_totally_disconnected(y_img):
+        return Spectrum(values=tuple(range(x_img.n_points + 1)), exact=True, i=i)
     return coincidence_spectrum_by_search(x_img, y_img, i, budget)
 
 

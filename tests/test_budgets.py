@@ -85,6 +85,13 @@ def _class_complete_codomain(budget):
     return {m.assignment for m in cls.members}, cls.complete
 
 
+def _class_complete_codomain_cycle(budget):
+    # C5 has no contracting chain, but K3 is complete, so one enumeration
+    # lists the class: all 243 maps C5 -> K3
+    cls = homotopy_class(constant(C5, TRIANGLE, 0), budget)
+    return {m.assignment for m in cls.members}, cls.complete
+
+
 def _homotopic(budget):
     f, g = constant(PATH, PATH, 0), constant(PATH, PATH, 1)
     verdict = are_homotopic(f, g, budget).verdict
@@ -176,6 +183,7 @@ CASES = {
     "enumerate_continuous_maps": (_enumerate, _subset),
     "homotopy_class": (_class, _subset),
     "homotopy_class/complete-codomain": (_class_complete_codomain, _subset),
+    "homotopy_class/complete-codomain-cycle": (_class_complete_codomain_cycle, _subset),
     "homotopy_class/cycle": (_class_cycle, _subset),
     "homotopy_class/index": (_class_index, _subset),
     "are_homotopic": (_homotopic, _unknown),
@@ -195,6 +203,7 @@ CASES = {
 
 # name -> node budgets, for cases that need more than NODE_BUDGETS to finish
 WIDE_BUDGETS = {
+    "homotopy_class/complete-codomain-cycle": range(1, 401),
     "homotopy_class/cycle": range(1, 201),
     "hcs/searched": range(1, 301),
     "mc/searched": range(1, 301),

@@ -28,7 +28,12 @@ from digitop import (
     square4,
     tee4,
 )
-from digitop.enumeration import enumerate_assignments
+from digitop.enumeration import (
+    MapSpaceContext,
+    Meter,
+    assignments_in_context,
+    enumerate_assignments,
+)
 from digitop.verify import random_image
 from oracles import all_maps_oracle, one_step_oracle
 
@@ -200,13 +205,14 @@ def test_allowed_masks_restrict_the_search():
     f = from_assignment(c6, c6, (0, 1, 2, 2, 1, 0))
     closed = [sum(1 << w for w in c6.neighbor_sets()[u]) | 1 << u for u in range(6)]
     allowed = tuple(closed[v] for v in f.assignment)
-    got, exhausted, _ = enumerate_assignments(c6, c6, allowed=allowed)
+    context = MapSpaceContext(c6, c6)
+    got, exhausted, _ = assignments_in_context(context, Meter(), allowed)
     assert exhausted
     everything, _, _ = enumerate_assignments(c6, c6)
     assert got == [a for a in everything if one_step_oracle(c6, f.assignment, a)]
     assert got == [m.assignment for m in one_step_neighbors(f).maps]
     # a point allowed no value leaves no map
-    assert enumerate_assignments(c6, c6, allowed=(0,) + allowed[1:]) == ([], True, 0)
+    assert assignments_in_context(context, Meter(), (0,) + allowed[1:]) == ([], True, 0)
 
 
 class _NoPoints:

@@ -208,6 +208,29 @@ def test_complete_codomain_collapses_to_one_class():
     ).verdict == "yes"
 
 
+@pytest.mark.parametrize("k", [1, 2, 50, 242, 243, 244])
+def test_complete_codomain_class_under_max_results(k):
+    # C5 does not contract, but every function into K3 is continuous and any
+    # two are one step apart, so the class is all 3**5 = 243 maps
+    c5, k3 = cycle(5), cycle(3)
+    f = constant(c5, k3, 2)  # the last map in enumeration order
+    cls = homotopy_class(f, EnumerationBudget(max_results=k))
+    assert len(cls.members) == min(k, 243)
+    assert f in cls
+    assert cls.complete == (k >= 243)
+
+
+def test_verdicts_into_a_complete_codomain():
+    c5, k3 = cycle(5), cycle(3)
+    f = constant(c5, k3, 0)
+    g = from_assignment(c5, k3, (0, 1, 2, 0, 1))
+    answer = are_homotopic(f, g)
+    assert answer.verdict == "yes"
+    assert answer.witness.chain == (f, g)
+    assert is_nullhomotopic(g) == "yes"
+    assert is_nullhomotopic(identity(k3)) == "yes"
+
+
 _POOLS = {
     name: enumerate_continuous_maps(img, img).maps
     for name, img in (("interval", interval(0, 2)), ("cycle", cycle(4)), ("tee", tee4()))

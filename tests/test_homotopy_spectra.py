@@ -113,8 +113,9 @@ def test_classes_of_one_pair_share_one_index(monkeypatch):
     [
         # the groups share (1, 1), so #X = 2 is reachable even though 0 and 1 come first
         ((((0, 0), (1, 1)), ((0, 1), (1, 1))), False, {0, 1, 2}, 4),
-        # the pools share the map (0, 0), but only the second holds the identity
-        ((((0, 0), (1, 1)), ((0, 0), (0, 1))), True, {0, 1}, 3),
+        # fixed-point restrictions of the maps (0, 0), (1, 1) and (0, 0), (0, 1):
+        # the pools share (0, None), but only the second holds the identity's
+        ((((0, None), (None, 1)), ((0, None), (0, 1))), True, {0, 1}, 3),
     ],
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
@@ -122,6 +123,25 @@ def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
     min_picks, exact = search.run()
     assert exact and set(min_picks) == expected
     assert search.meter.nodes == nodes
+
+
+def test_a_class_is_collapsed_to_fixed_point_sets_once(monkeypatch):
+    # C5 does not contract, so both classes are built and searched
+    c5 = cycle(5)
+    cls_f, cls_g = _classes_of([identity(c5), constant(c5, c5, 0)], None, fixed=True)
+    calls = []
+    mask = homotopy._fixed_mask
+
+    def counted(assignment):
+        calls.append(assignment)
+        return mask(assignment)
+
+    monkeypatch.setattr(homotopy, "_fixed_mask", counted)
+    shorter = hfs_of_classes([cls_f, cls_g])
+    longer = hfs_of_classes([cls_f, cls_g, cls_g])
+    assert shorter.values.exact and longer.values.exact
+    assert set(shorter.values.values) <= set(longer.values.values)
+    assert len(calls) == len(cls_f.assignments) + len(cls_g.assignments)
 
 
 def test_hfs_matches_oracle_on_tiny_spaces():
