@@ -15,10 +15,10 @@ instead record only their distinct fixed-point sets, one step per batch.
 
 The search is one iterative depth-first loop in a generator that pauses
 after each last-position batch.  Collecting callers run it to the end; a
-caller that reads the maps as they come (the spectra's equalizer closure)
-resumes it only while it needs more, so a search it stops charges no
-further node.  Either way the maps, their order and the node counts are
-the same.
+caller that reads the maps as they come (the spectra's equalizer closure,
+the homotopy engine's race to index Hom(X, Y)) resumes it only while it
+needs more, so a search it stops charges no further node.  Either way the
+maps, their order and the node counts are the same.
 """
 
 from __future__ import annotations
@@ -128,7 +128,10 @@ class Meter:
     with ``meter.nodes += 1`` and asks ``meter.nodes >= meter.check_at and
     meter.over()``: ``check_at`` is the next node at which a limit can
     trip, the node past ``max_nodes`` or the next time check (every 256
-    nodes), so the common node costs one compare.
+    nodes), so the common node costs one compare.  No search asks first
+    whether a node still fits: its first node trips a spent meter.  Only
+    work that charges no node (an expansion over the homotopy engine's
+    index) asks ``late()``.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "check_at")
@@ -159,28 +162,9 @@ class Meter:
         self.check_at = self._next_check()
         return False
 
-    def spent(self) -> bool:
-        """True iff no further node fits: the node limit is reached or time is up."""
-        if self.max_nodes is not None and self.nodes >= self.max_nodes:
-            return True
-        return self.late()
-
     def late(self) -> bool:
         """True iff the deadline has passed."""
         return self.deadline is not None and time.monotonic() > self.deadline
-
-    def capped(self, nodes: int) -> Meter:
-        """A meter for a sub-search of at most ``nodes`` nodes within this budget.
-
-        The caller adds the sub-meter's ``nodes`` back when the sub-search ends.
-        """
-        sub = Meter()
-        sub.max_nodes = nodes
-        if self.max_nodes is not None:
-            sub.max_nodes = min(nodes, self.max_nodes - self.nodes)
-        sub.deadline = self.deadline
-        sub.check_at = sub._next_check()
-        return sub
 
 
 class _Search:
@@ -252,15 +236,6 @@ class _Search:
         when the search is exhausted or stopped (``exhausted`` is False).
         """
         n = self.n
-        if not n:
-            # the empty assignment is the one map from an empty domain
-            self.count = 1
-            if self.collect:
-                self.results.append(())
-            elif self.fixed_sets is not None:
-                self.fixed_sets[0] = None
-            yield
-            return
         order, earlier, allowed, closed = self.order, self.earlier, self.allowed, self.closed
         assign, meter, max_results = self.assign, self.meter, self.max_results
         results, sets = self.results, self.fixed_sets

@@ -21,11 +21,13 @@ Otherwise a breadth-first closure (``_Homotopy.closure``) lists the class,
 and it answers every homotopy and nullhomotopy question, which need
 shortest chains and early stops.  It finds a member's one-step neighbors
 either by a backtracking search restricted to the closed neighborhoods of
-the member's values, or, once Hom(X, Y) has been enumerated within a node
-cap that doubles as the closure grows, by intersecting bitsets over that
-indexed Hom space.  The first suits a small class in a huge Hom space (a
-rigid map needs one search), the second a class that fills much of its Hom
-space.  Both give the same members, parents and chains.
+the member's values, or, once Hom(X, Y) has been enumerated, by
+intersecting bitsets over that indexed Hom space.  One resumable
+enumeration of Hom(X, Y) per engine races the per-member searches: after
+each expansion it runs until its nodes match all the others on the meter.
+The first source suits a small class in a huge Hom space (a rigid map
+needs one search), the second a class that fills much of its Hom space.
+Both give the same members, parents and chains.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .enumeration import (
     EnumerationBudget,
     MapSpaceContext,
     Meter,
+    _Search,
     assignments_in_context,
     mask_values,
 )
@@ -206,11 +209,12 @@ class _Homotopy:
     """The homotopy engine of one operation on one pair (X, Y).
 
     One meter pays for the chain search for id_X (run at most once), every
-    closure and enumeration, and the index of Hom(X, Y), which the first
-    closure whose try succeeds builds and every later closure starts on;
-    the operations of ``homotopy_spectra`` charge their equalizer searches
-    to it too.  A class is listed one of two ways: by one enumeration of a
-    codomain component (``_component_maps``) or by the closure.
+    closure and enumeration, and the one enumeration of Hom(X, Y) that the
+    closures resume in turn (``_race_index``); once it is exhausted, its
+    maps are the ``index`` every later closure starts on.  The operations
+    of ``homotopy_spectra`` charge their equalizer searches to it too.  A
+    class is listed one of two ways: by one enumeration of a codomain
+    component (``_component_maps``) or by the closure.
     The context is built on first use, never for a chain-search answer.
     """
 
@@ -220,6 +224,10 @@ class _Homotopy:
         self.max_results = budget.max_results if budget else None
         self.index: _HomIndex | None = None
         self.classes: list[HomotopyClass] = []
+        # the one enumeration of Hom(X, Y), its paused generator and the nodes it charged
+        self._hom: _Search | None = None
+        self._batches = None
+        self._hom_nodes = 0
 
     @cached_property
     def context(self) -> MapSpaceContext:
@@ -245,14 +253,26 @@ class _Homotopy:
         self.classes.append(HomotopyClass._of_assignments(f, tuple(sorted(found)), complete))
         return self.classes[-1]
 
-    def _try_index(self, nodes: int) -> _HomIndex | None:
-        """Index Hom(X, Y) if that takes at most ``nodes`` nodes; charged either way."""
-        sub = self.meter.capped(nodes)
-        pool, exhausted, _ = assignments_in_context(self.context, sub)
-        self.meter.nodes += sub.nodes
-        if exhausted:
-            self.index = _HomIndex(self.context, pool)
-        return self.index
+    def _race_index(self) -> bool:
+        """Resume Hom(X, Y)'s enumeration until its nodes reach all others on the meter.
+
+        Builds ``index`` when the enumeration is exhausted; False iff the
+        meter tripped it.
+        """
+        meter = self.meter
+        if self._hom is None:
+            self._hom = _Search(self.context, None, meter, collect=True)
+            self._batches = self._hom.batches()
+        while self._hom_nodes < meter.nodes - self._hom_nodes:
+            start = meter.nodes
+            ended = next(self._batches, True)  # a batch yields None
+            self._hom_nodes += meter.nodes - start
+            if ended:
+                if not self._hom.exhausted:
+                    return False
+                self.index = _HomIndex(self.context, self._hom.results)
+                return True
+        return True
 
     def closure(
         self, f: DigitalMap, stop_at: Collection[tuple[int, ...]] = frozenset()
@@ -270,21 +290,22 @@ class _Homotopy:
         A member's neighbors come from one of two sources, raced on the shared
         meter.  The per-member search enumerates the maps inside the closed
         neighborhoods of its values, a fresh backtracking run per member.  The
-        index (``_HomIndex``) enumerates Hom(X, Y) once and reads neighbors off
-        as bitset intersections.  A closure starts on the index if an earlier
-        closure built it, and otherwise with the per-member search.  After an
-        expansion that brings the meter's nodes not spent on this closure's
-        tries to the next threshold, it tries to enumerate Hom(X, Y) within
-        that many nodes; the first try follows the first expansion and each
-        later threshold is twice that count at the last try.  If a try
-        completes, the closure finishes over the index from the same parents
-        and queue.  So a rigid map finishes before any try, a small class in a
-        huge Hom space pays at most about three times the per-member nodes,
-        and a class that fills its Hom space costs one enumeration.  Both
-        sources yield new members in enumeration order, so the parents, the
-        shortest chains and a ``max_results`` cut are the same whichever
-        answers.  The cap reports truncation only once a member past it
-        exists.
+        index (``_HomIndex``) reads them off Hom(X, Y) as bitset
+        intersections.  A closure starts on the index if an earlier closure
+        built it, and otherwise with the per-member search.  After each
+        per-member expansion that leaves the queue non-empty, it resumes the
+        engine's one enumeration of Hom(X, Y), batch by batch, until that
+        enumeration's nodes reach all the other nodes on the meter
+        (``_race_index``); once it is exhausted, the closure finishes over the
+        index from the same parents and queue.  So a rigid map finishes before
+        any resumption, a small class in a huge Hom space pays at most about
+        twice the per-member nodes, and a class that fills its Hom space costs
+        one enumeration and as many per-member nodes.  Both sources yield new
+        members in enumeration order, so the parents, the shortest chains and
+        a ``max_results`` cut are the same whichever answers.  The cap reports
+        truncation only once a member past it exists.  A search trips a spent
+        meter at its first node; an index expansion charges none, so only it
+        checks the deadline first.
         """
         meter, max_results = self.meter, self.max_results
         parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
@@ -297,16 +318,14 @@ class _Homotopy:
             return parents, True, True
         queue = deque([f.assignment])
         index: _HomIndex | None = None
-        tried = 0  # nodes spent on this closure's tries to build the index
-        next_try = 0  # nodes not spent on tries at which the next try starts
         while queue:
             if index is None and self.index is not None:
                 index = self.index
                 index.mark(parents)
-            if meter.late() or (index is None and meter.spent()):
-                return parents, False, False
             current = queue.popleft()
             if index is not None:
+                if meter.late():
+                    return parents, False, False
                 found = index.new_neighbors(current)
             else:
                 allowed = tuple(context.closed[v] for v in current)
@@ -322,12 +341,8 @@ class _Homotopy:
                 if a in stop_at:
                     return parents, False, True
                 queue.append(a)
-            if index is None and queue and not meter.spent():
-                own = meter.nodes - tried
-                if own >= next_try:
-                    self._try_index(own)
-                    tried = meter.nodes - own
-                    next_try = 2 * own
+            if index is None and queue and not self._race_index():
+                return parents, False, False
         return parents, True, False
 
     def _component_maps(self, f: DigitalMap) -> tuple[list[tuple[int, ...]], bool]:

@@ -59,12 +59,6 @@ class Explicit(Record):
             norm.add((j, i) if j < i else (i, j))
         object.__setattr__(self, "edges", frozenset(norm))
 
-    def __eq__(self, other):
-        return isinstance(other, Explicit) and self.edges == other.edges
-
-    def __hash__(self):
-        return hash(self.edges)
-
 
 AdjacencySpec = CT | Explicit
 

@@ -193,9 +193,6 @@ class _EqualizerSearch:
                 pool = tuple(pool)
                 if not pool:
                     raise InvalidInputError("every group needs a nonempty pool")
-            mult = int(mult)
-            if mult < 1:
-                raise InvalidInputError("every group multiplicity must be >= 1")
             self.pools.append(pool)
             self.mults.append(mult)
         self.n = n_points

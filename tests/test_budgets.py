@@ -248,14 +248,13 @@ def test_budgeted_self_coincidence_sequence_is_honest():
 def test_class_sweeps_reach_the_index(monkeypatch):
     """Some exact run in each class sweep finishes over the indexed Hom space."""
     built = []
-    try_index = homotopy._Homotopy._try_index
+    init = homotopy._HomIndex.__init__
 
-    def recording(engine, nodes):
-        index = try_index(engine, nodes)
-        built.append(index is not None)
-        return index
+    def recording(index, context, pool):
+        init(index, context, pool)
+        built.append(True)
 
-    monkeypatch.setattr(homotopy._Homotopy, "_try_index", recording)
+    monkeypatch.setattr(homotopy._HomIndex, "__init__", recording)
     for name in ("homotopy_class/cycle", "homotopy_class/index"):
         run, _ = CASES[name]
         indexed_exact = []
@@ -281,13 +280,13 @@ def test_classes_of_one_operation_share_one_budget():
 
 def test_the_classes_and_the_equalizer_search_share_one_budget():
     # on C5 the chain search and the identity's class (its five rotations,
-    # which hold the second map) take 410 nodes and the equalizer search 25
+    # which hold the second map) take 383 nodes and the equalizer search 25
     # more, so a budget that fits the classes but not the search is inexact
     maps = [identity(C5), from_assignment(C5, C5, (1, 2, 3, 4, 0))]
-    result = hcs(maps, EnumerationBudget(max_nodes=420))
+    result = hcs(maps, EnumerationBudget(max_nodes=395))
     assert result.classes_complete
     assert not result.values.exact
-    for nodes in (435, 440, 1000):
+    for nodes in (408, 415, 1000):
         result = hcs(maps, EnumerationBudget(max_nodes=nodes))
         assert result.values.exact
         assert result.values.values == (0, 5)

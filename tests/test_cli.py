@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from digitop import builders, constant, dump_map, identity
+from digitop import builders, constant, dump_map, from_assignment, identity
 from digitop.cli import cli_dispatch
 from digitop.fileio import dump_image
 
@@ -303,3 +303,82 @@ def test_homotopy_class_output(capsys, tmp_path, limit, rows, count):
     code, out, err = _run(capsys, "homotopy", "class", str(path), *limit, "--format", "json")
     json_rows = [json.dumps({"assignment": [int(v) for v in row.split()]}) for row in rows]
     assert (code, out, err) == (0, "".join(row + "\n" for row in json_rows), count + "\n")
+
+
+def _text(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def test_map_apply_output(capsys, tmp_path):
+    img = builders.interval(0, 3)
+    path = tmp_path / "f.json"
+    dump_map(from_assignment(img, img, (1, 1, 2, 3)), str(path))
+    assert _run(capsys, "map", "apply", str(path)) == (0, _text("1 1 2 3"), "")
+    assert _run(capsys, "map", "apply", str(path), "--format", "json") == (
+        0, _text('{"assignment": [1, 1, 2, 3]}'), ""
+    )
+    assert _run(capsys, "map", "apply", str(path), "--point", "2") == (
+        0, _text("(2,) -> (2,) (index 2)"), ""
+    )
+    assert _run(capsys, "map", "apply", str(path), "--point", "2", "--format", "json") == (
+        0, _text('{"point": 2, "point_coords": [2], "value": 2, "value_coords": [2]}'), ""
+    )
+    assert _run(capsys, "map", "apply", str(path), "--point", "4") == (
+        2, "", _text("error: point index 4 out of range 0..3")
+    )
+
+
+def test_cfs_union_output(capsys):
+    code, out, _ = _run(capsys, "spectrum", "cfs", "builtin:cycle:5", "--union", "--i-max", "3")
+    text = "CFS(X) up to arity 3 = {0, 1, 2, 3, 5}  (stabilizes at arity 1)"
+    assert (code, out) == (0, _text(text))
+    code, out, _ = _run(
+        capsys, "spectrum", "cfs", "builtin:interval:0:3", "--union", "--format", "json"
+    )
+    row = {"exact": True, "kind": "CFS(X) up to arity 4", "stabilized_at": 1,
+           "values": [0, 1, 2, 3, 4]}
+    assert (code, json.loads(out)) == (0, row)
+
+
+C5 = builders.cycle(5)
+
+
+@pytest.mark.parametrize(
+    "maps, value",
+    [
+        # the identity and a rotation of C5 agree nowhere and share no fixed point
+        ((identity(C5), from_assignment(C5, C5, (1, 2, 3, 4, 0))), 0),
+        # figure1 is rigid, so its identity's class is itself, fixing all 18 points
+        ((identity(builders.figure1()),) * 2, 18),
+    ],
+    ids=["C5-rotations", "figure1"],
+)
+@pytest.mark.parametrize("command", ["mc", "mcf"])
+def test_class_minimum_output(capsys, tmp_path, command, maps, value):
+    paths = []
+    for k, f in enumerate(maps):
+        paths.append(str(tmp_path / f"{k}.json"))
+        dump_map(f, paths[-1])
+    kind = f"{command.upper()} of 2 maps"
+    code, out, _ = _run(capsys, "hspectrum", command, *paths)
+    assert (code, out) == (0, _text(f"{kind} = {value}"))
+    code, out, _ = _run(capsys, "hspectrum", command, *paths, "--format", "json")
+    assert (code, json.loads(out)) == (0, {"exact": True, "kind": kind, "value": value})
+
+
+def test_rigid_on_a_map_file(capsys, tmp_path):
+    for image, verdict in ((builders.figure1(), "True"), (builders.cycle(5), "False")):
+        path = tmp_path / "id.json"
+        dump_map(identity(image), str(path))
+        code, out, _ = _run(capsys, "homotopy", "rigid", str(path))
+        assert (code, out) == (0, _text(f"map rigid: {verdict}"))
+        code, out, _ = _run(capsys, "homotopy", "rigid", str(path), "--format", "json")
+        assert (code, json.loads(out)) == (0, {"rigid": verdict == "True", "subject": "map"})
+
+
+def test_hspectrum_mj_json(capsys):
+    code, out, _ = _run(
+        capsys, "hspectrum", "mj", "builtin:cycle:5", "--j-max", "3", "--format", "json"
+    )
+    rows = [{"exact": True, "j": j, "value": value} for j, value in ((1, 5), (2, 0), (3, 0))]
+    assert (code, [json.loads(line) for line in out.splitlines()]) == (0, rows)

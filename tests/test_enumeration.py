@@ -213,15 +213,3 @@ def test_allowed_masks_restrict_the_search():
     assert got == [m.assignment for m in one_step_neighbors(f).maps]
     # a point allowed no value leaves no map
     assert assignments_in_context(context, Meter(), (0,) + allowed[1:]) == ([], True, 0)
-
-
-class _NoPoints:
-    n_points = 0
-
-    def neighbor_sets(self):
-        return ()
-
-
-def test_a_domain_with_no_points_has_one_empty_map():
-    assert enumerate_assignments(_NoPoints(), cycle(3)) == ([()], True, 0)
-    assert count_continuous_maps(_NoPoints(), cycle(3)) == (1, True)

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from digitop import (
+    DigitalImage,
     EnumerationBudget,
+    Explicit,
     HomotopyClass,
     InvalidInputError,
     are_homotopic,
@@ -190,6 +192,25 @@ def test_contractibility_verdicts():
         assert is_contractible(cycle(n)) == "no"
     assert is_contractible(figure1()) == "no"
     assert is_contractible(discrete(2)) == "no"
+
+
+def test_the_closure_finds_a_contraction_the_greedy_chain_misses():
+    x_img = DigitalImage(
+        points=tuple((i,) for i in range(7)),
+        adjacency=Explicit(
+            [(0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (2, 4), (2, 5), (3, 5), (3, 6), (4, 5)]
+        ),
+    )
+    ident = identity(x_img)
+    assert not _pulls_to_a_constant(ident, Meter())
+    assert is_contractible(x_img) == "yes"
+    answer = are_homotopic(ident, constant(x_img, x_img, 3))
+    assert answer.verdict == "yes"
+    assert len(answer.witness) == 3
+    cls = homotopy_class(ident)
+    assert cls.complete and len(cls.members) == 7980  # all of Hom(X, X)
+    entries = self_coincidence_sequence(x_img, 3).entries
+    assert entries == ((1, 7, True), (2, 0, True), (3, 0, True))
 
 
 def test_nullhomotopic_constants():

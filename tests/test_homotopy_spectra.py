@@ -8,7 +8,13 @@ from digitop import (
     DigitalImage,
     EnumerationBudget,
     Explicit,
+    HomotopyClass,
+    HomotopyWitness,
     InvalidInputError,
+    are_homotopic,
+    coincidence_spectra_by_arity,
+    common_fixed_spectrum,
+    common_fixed_spectrum_union,
     constant,
     cycle,
     discrete,
@@ -29,6 +35,7 @@ from digitop import (
     square4,
     tee4,
 )
+import digitop.enumeration as enumeration
 import digitop.homotopy as homotopy
 from digitop.enumeration import Meter, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of
@@ -108,6 +115,24 @@ def test_classes_of_one_pair_share_one_index(monkeypatch):
     assert len(built) == 1
 
 
+def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
+    # the identity's class (its 5 rotations) leaves the enumeration of
+    # Hom(C5, C5) paused, and the constant's class (255 maps) resumes it
+    unrestricted = []
+    init = enumeration._Search.__init__
+
+    def recording(search, context, allowed, *args, **kwargs):
+        unrestricted.append(allowed is None)
+        init(search, context, allowed, *args, **kwargs)
+
+    monkeypatch.setattr(enumeration._Search, "__init__", recording)
+    c5 = cycle(5)
+    classes = _classes_of([identity(c5), constant(c5, c5, 0)], None, fixed=False)
+    assert [len(cls.assignments) for cls in classes] == [5, 255]
+    assert all(cls.complete for cls in classes)
+    assert sum(unrestricted) == 1
+
+
 @pytest.mark.parametrize(
     "pools, fixed, expected, nodes",
     [
@@ -150,6 +175,39 @@ def test_hfs_matches_oracle_on_tiny_spaces():
         result = hfs([constant(x_img, x_img, 0)])
         assert result.values.exact
         assert result.values.as_set() == hfs_oracle(x_img, [a])
+
+
+C4, I4 = cycle(4), interval(0, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hcs_of_classes([]),
+        lambda: hcs_of_classes([homotopy_class(identity(C4)), homotopy_class(identity(I4))]),
+        lambda: hcs_of_classes([HomotopyClass(identity(C4), (), True)]),
+        lambda: self_coincidence_sequence(C4, 0),
+        lambda: coincidence_spectra_by_arity(C4, C4, 1),
+        lambda: common_fixed_spectrum(C4, 0),
+        lambda: common_fixed_spectrum_union(C4, 0),
+        lambda: are_homotopic(identity(C4), identity(I4)),
+        lambda: HomotopyWitness((identity(I4), constant(I4, I4, 3))),
+    ],
+    ids=[
+        "no-classes",
+        "classes-of-two-pairs",
+        "class-with-no-members",
+        "sequence-to-0",
+        "by-arity-to-1",
+        "cfs-arity-0",
+        "cfs-union-to-0",
+        "homotopic-across-pairs",
+        "witness-not-one-step",
+    ],
+)
+def test_public_inputs_are_checked(call):
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_hfs_requires_self_maps():
