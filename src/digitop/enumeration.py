@@ -3,7 +3,10 @@
 The core is a backtracking search over domain points in per-component BFS
 order: each point after the first in its component is adjacent to some
 earlier point, so every partial assignment is constrained immediately and
-dead branches die at the first violated edge.
+dead branches die at the first violated edge.  A search reads the domain's
+order and earlier neighbors and the codomain's closed neighborhoods, which
+each image builds once, on first use, and keeps (``DigitalImage._bfs``,
+``_earlier`` and ``_closed``).
 
 Candidate sets are Python ``int`` bitmasks over the codomain's points: a
 point's candidates are its ``allowed`` mask ANDed with the closed
@@ -27,7 +30,7 @@ import time
 
 from ._record import Record
 from .errors import InvalidInputError
-from .images import DigitalImage, _traversal_order
+from .images import DigitalImage
 from .maps import DigitalMap, _enumerated
 
 
@@ -90,35 +93,6 @@ def mask_values(mask: int) -> list[int]:
     return values
 
 
-class MapSpaceContext:
-    """Structures shared by every search on one (domain, codomain) pair.
-
-    Worth hoisting when many searches run against the same pair, as in the
-    breadth-first closure over a homotopy class.  ``closed[u]`` is the
-    closed neighborhood N[u] in the codomain as a bitmask (bit w set iff w
-    is u or adjacent to u), and ``full`` is the mask of every value.
-    """
-
-    def __init__(self, domain: DigitalImage, codomain: DigitalImage):
-        self.domain = domain
-        self.codomain = codomain
-        self.order = _traversal_order(domain)
-        pos = {v: k for k, v in enumerate(self.order)}
-        nbrs = domain.neighbor_sets()
-        self.earlier = [
-            [u for u in nbrs[v] if pos[u] < k] for k, v in enumerate(self.order)
-        ]
-        self.closed = tuple(
-            sum(1 << w for w in nbrs_u) | 1 << u
-            for u, nbrs_u in enumerate(codomain.neighbor_sets())
-        )
-        self.full = (1 << codomain.n_points) - 1
-
-    def codomain_is_complete(self) -> bool:
-        """True iff every closed neighborhood is the whole codomain."""
-        return all(c == self.full for c in self.closed)
-
-
 class Meter:
     """The node count and limits of one operation's budget, shared by every search it runs.
 
@@ -168,13 +142,17 @@ class Meter:
 
 
 class _Search:
-    """One backtracking run; ``allowed[x]`` is the bitmask of candidate values at point x.
+    """One backtracking run over maps domain -> codomain.
 
-    Its nodes are charged to ``meter``, the meter of the operation it runs
-    for, and ``max_results``, if set, caps the maps it emits.
+    ``allowed[x]``, if given, is the bitmask of candidate values at point
+    x; otherwise every codomain point is a candidate.  Its nodes are charged
+    to ``meter``, the meter of the operation it runs for, and
+    ``max_results``, if set, caps the maps it emits.
 
     A node's candidates are ``allowed[v] & closed[assign[u]] & ...`` over
-    the earlier neighbors u of v, read off in ascending order; ``pending``
+    the earlier neighbors u of v (the domain's ``_earlier``), with
+    ``closed`` the codomain's closed-neighborhood masks, read off in
+    ascending order; ``pending``
     holds the untried candidates of each position, so the depth-first
     search needs no recursion.  The last position emits its maps in one
     loop, with no call per map.  When that batch ends before
@@ -193,20 +171,20 @@ class _Search:
 
     def __init__(
         self,
-        context: MapSpaceContext,
+        domain: DigitalImage,
+        codomain: DigitalImage,
         allowed: tuple[int, ...] | None,
         meter: Meter,
         collect: bool,
         max_results: int | None = None,
         fixed_sets: bool = False,
     ):
-        self.order = context.order
-        self.earlier = context.earlier
-        if allowed is None:
-            allowed = (context.full,) * len(self.order)
-        self.allowed = [allowed[v] for v in self.order]  # by position
-        self.closed = context.closed
-        self.n = context.domain.n_points
+        self.order = order = domain._bfs[0]
+        self.earlier = domain._earlier
+        full = (1 << codomain.n_points) - 1
+        self.allowed = [full if allowed is None else allowed[v] for v in order]  # by position
+        self.closed = codomain._closed
+        self.n = domain.n_points
         self.meter = meter
         self.max_results = max_results
         self.collect = collect
@@ -315,18 +293,19 @@ class _Search:
 
 
 def assignments_in_context(
-    context: MapSpaceContext,
+    domain: DigitalImage,
+    codomain: DigitalImage,
     meter: Meter,
     allowed: tuple[int, ...] | None = None,
     max_results: int | None = None,
 ) -> tuple[list[tuple[int, ...]], bool, int]:
-    """As enumerate_assignments, reusing a precomputed context, charged to ``meter``.
+    """As enumerate_assignments, for a search inside an operation: charged to its ``meter``.
 
     ``allowed``, if given, restricts each point x to the values whose bits
     are set in ``allowed[x]``.  The meter may be shared with other searches
     of the same operation; the node count returned is this search's own.
     """
-    search = _Search(context, allowed, meter, collect=True, max_results=max_results).run()
+    search = _Search(domain, codomain, allowed, meter, collect=True, max_results=max_results).run()
     return search.results, search.exhausted, search.nodes
 
 
@@ -341,8 +320,7 @@ def enumerate_assignments(
     per-component BFS order, candidate values ascending.
     """
     budget = budget or UNLIMITED
-    context = MapSpaceContext(domain, codomain)
-    return assignments_in_context(context, Meter(budget), None, budget.max_results)
+    return assignments_in_context(domain, codomain, Meter(budget), None, budget.max_results)
 
 
 def enumerate_continuous_maps(
@@ -363,9 +341,9 @@ def count_continuous_maps(
 ) -> tuple[int, bool]:
     """Number of continuous maps, without materializing them."""
     budget = budget or UNLIMITED
-    context = MapSpaceContext(domain, codomain)
-    meter = Meter(budget)
-    search = _Search(context, None, meter, collect=False, max_results=budget.max_results).run()
+    search = _Search(
+        domain, codomain, None, Meter(budget), collect=False, max_results=budget.max_results
+    ).run()
     return search.count, search.exhausted
 
 
@@ -378,10 +356,10 @@ def one_step_neighbors(
     neighborhoods are.
     """
     budget = budget or UNLIMITED
-    context = MapSpaceContext(f.domain, f.codomain)
-    allowed = tuple(context.closed[v] for v in f.assignment)
+    closed = f.codomain._closed
+    allowed = tuple(closed[v] for v in f.assignment)
     assignments, exhausted, nodes = assignments_in_context(
-        context, Meter(budget), allowed, budget.max_results
+        f.domain, f.codomain, Meter(budget), allowed, budget.max_results
     )
     maps = tuple(_enumerated(f.domain, f.codomain, a) for a in assignments)
     return EnumerationOutcome(maps=maps, exhausted=exhausted, nodes_used=nodes)

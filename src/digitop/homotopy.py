@@ -40,7 +40,6 @@ from typing import Literal
 from ._record import Record
 from .enumeration import (
     EnumerationBudget,
-    MapSpaceContext,
     Meter,
     _Search,
     assignments_in_context,
@@ -166,11 +165,11 @@ class _HomIndex:
     serves every closure on its pair, and each ``mark``s its own first.
     """
 
-    def __init__(self, context: MapSpaceContext, pool):
+    def __init__(self, domain: DigitalImage, codomain: DigitalImage, pool):
         self.pool = pool
         size = (len(pool) + 7) // 8
-        m = context.codomain.n_points
-        rows = [[bytearray(size) for _ in range(m)] for _ in range(context.domain.n_points)]
+        m = codomain.n_points
+        rows = [[bytearray(size) for _ in range(m)] for _ in range(domain.n_points)]
         for i, a in enumerate(pool):
             byte, bit = i >> 3, 1 << (i & 7)
             for row, v in zip(rows, a):
@@ -178,7 +177,7 @@ class _HomIndex:
         # disjoint in v, so sums are unions
         self.at = [[int.from_bytes(b, "little") for b in row] for row in rows]
         self.cover = [
-            [sum(at_p[v] for v in mask_values(c)) for c in context.closed] for at_p in self.at
+            [sum(at_p[v] for v in mask_values(c)) for c in codomain._closed] for at_p in self.at
         ]
         self.seen = 0
 
@@ -214,12 +213,15 @@ class _Homotopy:
     maps are the ``index`` every later closure starts on.  The operations
     of ``homotopy_spectra`` charge their equalizer searches to it too.  A
     class is listed one of two ways: by one enumeration of a codomain
-    component (``_component_maps``) or by the closure.
-    The context is built on first use, never for a chain-search answer.
+    component (``_component_maps``) when Y is ``complete`` or X
+    ``contractible``, or by the closure.  Every search reads the
+    structures X and Y keep for it, so the engine builds none of its own.
     """
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage, budget):
         self.domain, self.codomain = domain, codomain
+        # every two points of Y are adjacent
+        self.complete = 2 * len(codomain.edges) == codomain.n_points * (codomain.n_points - 1)
         self.meter = Meter(budget)
         self.max_results = budget.max_results if budget else None
         self.index: _HomIndex | None = None
@@ -228,10 +230,6 @@ class _Homotopy:
         self._hom: _Search | None = None
         self._batches = None
         self._hom_nodes = 0
-
-    @cached_property
-    def context(self) -> MapSpaceContext:
-        return MapSpaceContext(self.domain, self.codomain)
 
     @cached_property
     def contractible(self) -> bool:
@@ -246,7 +244,7 @@ class _Homotopy:
         for cls in self.classes:
             if f in cls:
                 return cls
-        if self.context.codomain_is_complete() or self.contractible:
+        if self.complete or self.contractible:
             found, complete = self._component_maps(f)
         else:
             found, complete, _ = self.closure(f)
@@ -261,7 +259,7 @@ class _Homotopy:
         """
         meter = self.meter
         if self._hom is None:
-            self._hom = _Search(self.context, None, meter, collect=True)
+            self._hom = _Search(self.domain, self.codomain, None, meter, collect=True)
             self._batches = self._hom.batches()
         while self._hom_nodes < meter.nodes - self._hom_nodes:
             start = meter.nodes
@@ -270,7 +268,7 @@ class _Homotopy:
             if ended:
                 if not self._hom.exhausted:
                     return False
-                self.index = _HomIndex(self.context, self._hom.results)
+                self.index = _HomIndex(self.domain, self.codomain, self._hom.results)
                 return True
         return True
 
@@ -311,11 +309,12 @@ class _Homotopy:
         parents: dict[tuple[int, ...], tuple[int, ...] | None] = {f.assignment: None}
         if f.assignment in stop_at:
             return parents, True, True
-        context = self.context
-        if stop_at and context.codomain_is_complete():
+        if stop_at and self.complete:
             # any two functions into a complete codomain are one step apart
             parents[min(stop_at)] = f.assignment
             return parents, True, True
+        domain, codomain = self.domain, self.codomain
+        closed = codomain._closed
         queue = deque([f.assignment])
         index: _HomIndex | None = None
         while queue:
@@ -328,8 +327,8 @@ class _Homotopy:
                     return parents, False, False
                 found = index.new_neighbors(current)
             else:
-                allowed = tuple(context.closed[v] for v in current)
-                found, exhausted, _ = assignments_in_context(context, meter, allowed)
+                allowed = tuple(closed[v] for v in current)
+                found, exhausted, _ = assignments_in_context(domain, codomain, meter, allowed)
                 if not exhausted:
                     return parents, False, False
             for a in found:
@@ -355,11 +354,11 @@ class _Homotopy:
         and any two functions X -> Y are continuous and one step apart.  A
         truncated list still holds f.
         """
-        dist, _ = _pull_toward(f.codomain, f.assignment[0])
-        component = sum(1 << v for v, d in enumerate(dist) if d is not None)
-        allowed = (component,) * f.domain.n_points
+        labels = self.codomain._bfs[1]
+        component = sum(1 << v for v, c in enumerate(labels) if c == labels[f.assignment[0]])
+        allowed = (component,) * self.domain.n_points
         found, complete, _ = assignments_in_context(
-            self.context, self.meter, allowed, self.max_results
+            self.domain, self.codomain, self.meter, allowed, self.max_results
         )
         if not complete and f.assignment not in found:
             if len(found) == self.max_results:
@@ -424,9 +423,9 @@ def _rigid_within(f: DigitalMap, meter: Meter) -> bool | None:
     tripped meter both leave the search unexhausted, but only a trip leaves
     the meter over its limit: the cap is tested after the node's own check.
     """
-    context = MapSpaceContext(f.domain, f.codomain)
-    allowed = tuple(context.closed[v] for v in f.assignment)
-    _, exhausted, _ = assignments_in_context(context, meter, allowed, max_results=1)
+    closed = f.codomain._closed
+    allowed = tuple(closed[v] for v in f.assignment)
+    _, exhausted, _ = assignments_in_context(f.domain, f.codomain, meter, allowed, max_results=1)
     if exhausted:
         return True
     return None if meter.over() else False

@@ -9,13 +9,14 @@ multiplicities, and the spectra module's breadth-first closure over
 equalizer restrictions runs over those groups.
 
 An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
-first whether a greedy chain contracts the domain X.  If one does, every
+first whether every two points of the codomain Y are adjacent, and if not,
+whether a greedy chain contracts the domain X.  If either holds, every
 class is all of Hom(X, K) for the component K of Y that holds the map's
-image, and no class is built: HCS and MC follow from the components alone
-(``_contractible_sizes``), and HFS and MCF are CFS_k(X), answered by the
-same streamed search as CFS (``spectra._streamed_picks``).
-Otherwise the same engine builds the classes, so the chain search runs
-once per operation either way.  The engine's meter pays for everything the
+image, and no class is built: HCS and MC follow from Y's component labels
+alone (``_contractible_sizes``), and HFS and MCF are CFS_k(X), answered by
+the same streamed search as CFS (``spectra._streamed_picks``).
+Otherwise the same engine builds the classes, so the chain search runs at
+most once per operation.  The engine's meter pays for everything the
 operation does, the equalizer search included, so a node or time budget
 bounds the whole operation.  ``hcs_of_classes`` and ``hfs_of_classes``
 always search the classes they are given, on a meter of their own.
@@ -27,7 +28,7 @@ from ._record import Record
 from .enumeration import EnumerationBudget, Meter
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
-from .images import DigitalImage, components
+from .images import DigitalImage
 from .maps import DigitalMap, _fixed_mask, _require_common_images, identity
 from .spectra import Spectrum, _EqualizerSearch, _fixed_restrictions, _streamed_picks
 
@@ -139,23 +140,25 @@ def _classes_of(
 
 
 def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
-    """HCS of maps out of a contractible X, with no class and no search.
+    """HCS of maps out of a contractible X or into a complete Y, with no class and no search.
 
-    X is connected, so each image lies in one component of Y, and each
-    class is every map into that component.  Maps into two components agree
-    nowhere; one map, or maps into one one-point component, agree
-    everywhere.  Otherwise the component has an edge {a, b}: every map into
-    it lies in the one class, so the constant at a with the map sending a
-    chosen set of points to a and the rest to b realizes every size.
+    Each class is every map into the component of Y that holds the map's
+    image: X is connected, so that image lies in one component, or Y is
+    complete, so it has one component and every function is continuous.
+    Maps into two components agree nowhere; one map, or maps into one
+    one-point component, agree everywhere.  Otherwise the component has an
+    edge {a, b}: every map into it lies in the one class, so the constant at
+    a with the map sending a chosen set of points to a and the rest to b
+    realizes every size.  The component is read from Y's labels.
     """
     n = maps[0].domain.n_points
     if len(maps) == 1:
         return (n,)
-    block_of = {v: block for block in components(maps[0].codomain) for v in block}
-    held = {block_of[f.assignment[0]] for f in maps}
+    labels = maps[0].codomain._bfs[1]
+    held = {labels[f.assignment[0]] for f in maps}
     if len(held) > 1:
         return (0,)
-    if len(next(iter(held))) == 1:
+    if labels.count(held.pop()) == 1:
         return (n,)
     return tuple(range(n + 1))
 
@@ -163,17 +166,21 @@ def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
 def _sizes(
     engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool, min_mode: bool
 ) -> tuple[tuple[int, ...], bool, bool]:
-    """As ``_search_classes`` for the classes of maps, with no class where X contracts.
+    """As ``_search_classes`` for the classes of maps; no class if Y is complete or X contracts.
 
-    There every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
+    There every class is every map into one component of Y, so HCS and MC
+    take the closed form (``_contractible_sizes``), which charges no node,
+    and every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
     streamed CFS search, on the engine's meter and result cap, with the
     arguments' own fixed-point sets added last if the map search is cut.
+    A complete Y is tested first, so that case runs no chain search.
     """
-    if engine.contractible:
+    if engine.complete or engine.contractible:
         if fixed:
             own = [_fixed_mask(f.assignment) for f in maps]
             min_picks, complete, search_exact = _streamed_picks(
-                engine.context, engine.meter, engine.max_results, len(maps), True, min_mode, own
+                engine.domain, engine.codomain, engine.meter, engine.max_results, len(maps),
+                True, min_mode, own,
             )
             return tuple(min_picks), complete, search_exact
         return _contractible_sizes(maps), True, True

@@ -3,17 +3,26 @@
 An image is a pair (point set, adjacency rule) and doubles as a finite simple
 graph whose vertices carry grid coordinates.  Points are stored in canonical
 lexicographic order; everything downstream refers to points by their index in
-that order.
+that order.  An image also holds what map searches read of it: one
+breadth-first search gives the search order and the components, and the
+closed neighborhoods are bitmasks, each built once, on first use.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import cached_property
 
 from ._record import Record
 from .errors import InvalidInputError
 
 Point = tuple[int, ...]
+
+
+def _require_int(value, what: str):
+    """value itself if it is an int (a bool is not); a number is never coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def ct_adjacent(p: Point, q: Point, t: int) -> bool:
@@ -53,7 +62,11 @@ class Explicit(Record):
     def __init__(self, edges):
         norm = set()
         for e in edges:
+            if len(e) != 2:
+                raise InvalidInputError(f"edge {e!r} is not a pair of point indices")
             i, j = e
+            if type(i) is not int or type(j) is not int:
+                i, j = (_require_int(v, "an edge endpoint") for v in e)
             if i == j:
                 raise InvalidInputError(f"edge ({i}, {j}) is reflexive")
             norm.add((j, i) if j < i else (i, j))
@@ -75,6 +88,10 @@ class DigitalImage(Record):
     the same dimension, the same canonical point sequence, and the same
     derived edge set, regardless of how the adjacency was specified.  The
     optional name is a label and never participates in equality.
+
+    The structures every map search reads (``_bfs``, ``_earlier`` and
+    ``_closed``) are built on first use and kept with the image, so an
+    image that no search reads never builds them.
     """
 
     points: tuple[Point, ...]
@@ -94,10 +111,12 @@ class DigitalImage(Record):
         name: str | None = None,
         dimension: int | None = None,
     ):
-        pts = [tuple(int(c) for c in p) for p in points]
+        pts = [tuple(p) for p in points]
+        if not all(type(c) is int for p in pts for c in p):
+            pts = [tuple(_require_int(c, "a coordinate") for c in p) for p in pts]
         if not pts:
             raise InvalidInputError("an image must contain at least one point")
-        dim = dimension if dimension is not None else len(pts[0])
+        dim = _require_int(dimension, "dimension") if dimension is not None else len(pts[0])
         if dim < 1:
             raise InvalidInputError(f"dimension must be positive, got {dim}")
         for p in pts:
@@ -115,7 +134,7 @@ class DigitalImage(Record):
         adj = adjacency
         n = len(canonical)
         if isinstance(adj, CT):
-            if not 1 <= adj.t <= dim:
+            if not 1 <= _require_int(adj.t, "t") <= dim:
                 raise InvalidInputError(f"CT(t={adj.t}) invalid for dimension {dim}")
             edges = frozenset(
                 (i, j)
@@ -183,6 +202,48 @@ class DigitalImage(Record):
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(len(s) for s in self._neighbors))
 
+    @cached_property
+    def _bfs(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(order, labels) from one breadth-first search per component.
+
+        ``order`` visits the components from their lowest points, each
+        breadth-first with neighbors in ascending order, so every point after
+        the first of its component is adjacent to an earlier point, which is
+        what backtracking searches rely on.  ``labels[v]`` numbers v's
+        component, in the order of their smallest members.
+        """
+        nbrs = self._neighbors
+        order: list[int] = []
+        labels = [-1] * len(nbrs)
+        label = -1
+        k = 0  # order[k:] is the queue
+        for start in range(len(nbrs)):
+            if labels[start] < 0:
+                label += 1
+                labels[start] = label
+                order.append(start)
+            while k < len(order):
+                for w in sorted(nbrs[order[k]]):
+                    if labels[w] < 0:
+                        labels[w] = label
+                        order.append(w)
+                k += 1
+        return tuple(order), tuple(labels)
+
+    @cached_property
+    def _earlier(self) -> tuple[tuple[int, ...], ...]:
+        """By position in the search order, the point's neighbors that come earlier."""
+        order = self._bfs[0]
+        pos = {v: k for k, v in enumerate(order)}
+        nbrs = self._neighbors
+        return tuple(tuple(u for u in nbrs[v] if pos[u] < k) for k, v in enumerate(order))
+
+    @cached_property
+    def _closed(self) -> tuple[int, ...]:
+        """Each point's closed neighborhood N[u] as a bitmask: bit w set iff w is u or adjacent."""
+        nbrs = self._neighbors
+        return tuple(sum(1 << w for w in nbrs_u) | 1 << u for u, nbrs_u in enumerate(nbrs))
+
     def to_json_dict(self) -> dict:
         """Serializable form; see the image file format in the README."""
         if isinstance(self.adjacency, CT):
@@ -206,14 +267,14 @@ def image_from_json_dict(data: dict) -> DigitalImage:
         points = [tuple(p) for p in data["points"]]
         adj_data = data["adjacency"]
         kind = adj_data["type"]
+        if kind == "ct":
+            adjacency: AdjacencySpec = CT(adj_data["t"])
+        elif kind == "explicit":
+            adjacency = Explicit(adj_data["edges"])
+        else:
+            raise InvalidInputError(f"unknown adjacency type {kind!r}")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed image object: {exc}") from exc
-    if kind == "ct":
-        adjacency: AdjacencySpec = CT(adj_data["t"])
-    elif kind == "explicit":
-        adjacency = Explicit(tuple((e[0], e[1]) for e in adj_data["edges"]))
-    else:
-        raise InvalidInputError(f"unknown adjacency type {kind!r}")
     return DigitalImage(
         points=tuple(points),
         adjacency=adjacency,
@@ -232,27 +293,15 @@ def neighbors(image: DigitalImage, x: int, closed: bool = False) -> frozenset[in
 
 def components(image: DigitalImage) -> tuple[tuple[int, ...], ...]:
     """Connectivity components as sorted index blocks, ordered by smallest member."""
-    seen: set[int] = set()
-    blocks = []
-    for start in range(image.n_points):
-        if start in seen:
-            continue
-        block = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in image._neighbors[v]:
-                if w not in seen:
-                    seen.add(w)
-                    block.append(w)
-                    queue.append(w)
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
+    labels = image._bfs[1]
+    blocks: list[list[int]] = [[] for _ in range(max(labels) + 1)]
+    for v, label in enumerate(labels):
+        blocks[label].append(v)
+    return tuple(map(tuple, blocks))
 
 
 def is_connected(image: DigitalImage) -> bool:
-    return len(components(image)) == 1
+    return max(image._bfs[1]) == 0
 
 
 def is_totally_disconnected(image: DigitalImage) -> bool:
@@ -306,7 +355,7 @@ def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | 
     y_nbrs = y_img.neighbor_sets()
     x_deg = [len(s) for s in x_nbrs]
     y_deg = [len(s) for s in y_nbrs]
-    order = _traversal_order(x_img)
+    order = x_img._bfs[0]
 
     assign: dict[int, int] = {}
     used = [False] * n
@@ -338,27 +387,3 @@ def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | 
         return Isomorphism(x_img, y_img, forward)
     return None
 
-
-def _traversal_order(image: DigitalImage) -> list[int]:
-    """Per-component BFS order from the lowest index; neighbors visited ascending.
-
-    Every point after the first of its component is adjacent to an earlier
-    point in the order, which is what backtracking searches rely on.
-    """
-    n = image.n_points
-    nbrs = image.neighbor_sets()
-    order: list[int] = []
-    seen: set[int] = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for w in sorted(nbrs[v]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-    return order

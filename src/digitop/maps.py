@@ -11,20 +11,24 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import ContinuityError, InvalidInputError
-from .images import DigitalImage, Isomorphism
+from .images import DigitalImage, Isomorphism, _require_int
 
 PointSet = tuple[int, ...]
 
 
 def _check_assignment(domain: DigitalImage, codomain: DigitalImage, assignment) -> tuple[int, ...]:
-    values = tuple(int(v) for v in assignment)
+    """The assignment as a tuple of codomain indices; a number is never coerced."""
+    try:
+        values = tuple(assignment)
+    except TypeError as exc:
+        raise InvalidInputError(f"an assignment is a list of indices, got {assignment!r}") from exc
     if len(values) != domain.n_points:
         raise InvalidInputError(
             f"assignment has length {len(values)}, domain has {domain.n_points} points"
         )
     m = codomain.n_points
     for v in values:
-        if not 0 <= v < m:
+        if not 0 <= _require_int(v, "an assignment value") < m:
             raise InvalidInputError(f"assignment value {v} is not a codomain index")
     return values
 

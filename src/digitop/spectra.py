@@ -31,7 +31,7 @@ from __future__ import annotations
 from itertools import islice
 
 from ._record import Record
-from .enumeration import UNLIMITED, EnumerationBudget, MapSpaceContext, Meter, _Search
+from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
@@ -292,7 +292,8 @@ def _fixed_restrictions(sets, n_points: int) -> list[Restriction]:
 
 
 def _streamed_picks(
-    context: MapSpaceContext,
+    domain: DigitalImage,
+    codomain: DigitalImage,
     meter: Meter,
     max_results: int | None,
     arity: int,
@@ -320,9 +321,10 @@ def _streamed_picks(
     (every class is then Hom(X, X)).
     """
     search = _Search(
-        context, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
+        domain, codomain, None, meter, collect=not fixed, max_results=max_results,
+        fixed_sets=fixed,
     )
-    n = context.domain.n_points
+    n = domain.n_points
     pool = _Pool(search, n, tail)
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
@@ -346,9 +348,8 @@ def _fewest_picks(
     iff neither the enumeration nor the closure was cut.
     """
     budget = budget or UNLIMITED
-    context = MapSpaceContext(x_img, x_img if fixed else y_img)
     min_picks, complete, search_exact = _streamed_picks(
-        context, Meter(budget), budget.max_results, arity, fixed
+        x_img, x_img if fixed else y_img, Meter(budget), budget.max_results, arity, fixed
     )
     return min_picks, complete and search_exact
 

@@ -125,7 +125,9 @@ def _cfs_union(budget):
 
 
 def _hcs(budget):
-    maps = [identity(TRIANGLE), constant(TRIANGLE, TRIANGLE, 0)]
+    # PATH contracts by a greedy chain, which the budget pays for; into the
+    # complete TRIANGLE the closed form would charge no node at all
+    maps = [identity(PATH), constant(PATH, PATH, 0)]
     result = hcs(maps, budget)
     return set(result.values.values), result.values.exact
 
@@ -250,8 +252,8 @@ def test_class_sweeps_reach_the_index(monkeypatch):
     built = []
     init = homotopy._HomIndex.__init__
 
-    def recording(index, context, pool):
-        init(index, context, pool)
+    def recording(index, domain, codomain, pool):
+        init(index, domain, codomain, pool)
         built.append(True)
 
     monkeypatch.setattr(homotopy._HomIndex, "__init__", recording)

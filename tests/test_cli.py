@@ -277,6 +277,52 @@ def test_discontinuous_map_elsewhere_is_input_error(capsys, tmp_path):
     assert "not continuous" in err
 
 
+def _image_json(points=([0], [1], [2]), dimension=1, adjacency=None):
+    adjacency = adjacency or {"type": "ct", "t": 1}
+    return {"dimension": dimension, "points": list(points), "adjacency": adjacency}
+
+
+def _map_json(assignment):
+    path = "builtin:interval:0:2"
+    return {"domain": path, "codomain": path, "assignment": assignment}
+
+
+_IMAGE_INFO = ("image", "info")
+# (command, file contents); each is malformed input, never a failed check
+MALFORMED_FILES = {
+    "string-coordinate": (_IMAGE_INFO, _image_json(points=[["a"]])),
+    "float-coordinate": (_IMAGE_INFO, _image_json(points=[[1.5], [3]])),
+    "string-dimension": (_IMAGE_INFO, _image_json(dimension="1")),
+    "string-t": (_IMAGE_INFO, _image_json(adjacency={"type": "ct", "t": "1"})),
+    "ct-without-t": (_IMAGE_INFO, _image_json(adjacency={"type": "ct"})),
+    "one-endpoint-edge": (_IMAGE_INFO, _image_json(adjacency={"type": "explicit", "edges": [[0]]})),
+    "float-endpoint": (
+        _IMAGE_INFO, _image_json(adjacency={"type": "explicit", "edges": [[0, 1.5]]})
+    ),
+    "number-edges": (_IMAGE_INFO, _image_json(adjacency={"type": "explicit", "edges": 5})),
+    **{
+        f"{' '.join(command)}/{label}": (command, _map_json(assignment))
+        for command in (("map", "check"), ("homotopy", "rigid"))
+        for label, assignment in (
+            ("string-value", ["a", 0, 0]),
+            ("float-value", [0.9, 0, 0]),
+            ("bool-value", [True, 0, 0]),
+            ("number-assignment", 5),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_files_exit_2_with_an_error_line(capsys, tmp_path, name):
+    command, contents = MALFORMED_FILES[name]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(contents))
+    code, _, err = _run(capsys, *command, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_image_info_accepts_file(capsys, tmp_path):
     target = tmp_path / "img.json"
     dump_image(builders.discrete(3), str(target))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -170,6 +171,20 @@ def test_rigid_map_closes_before_any_index():
     cls = homotopy_class(identity(figure1()), EnumerationBudget(max_nodes=1000))
     assert cls.complete
     assert len(cls.members) == 1
+
+
+def test_a_closure_over_the_index_stops_at_the_deadline(monkeypatch):
+    # an expansion over the index charges no node, so only the clock stops it
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    c5 = cycle(5)
+    engine = _Homotopy(c5, c5, EnumerationBudget(time_budget=10))
+    assert len(engine.class_of(constant(c5, c5, 0)).assignments) == 255
+    assert engine.index is not None
+    now[0] = 11.0
+    cls = engine.class_of(identity(c5))
+    assert not cls.complete
+    assert identity(c5) in cls
 
 
 def test_rigidity():

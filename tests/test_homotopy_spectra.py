@@ -18,6 +18,7 @@ from digitop import (
     constant,
     cycle,
     discrete,
+    disjoint_paths,
     figure1,
     from_assignment,
     hcs,
@@ -32,6 +33,7 @@ from digitop import (
     mc,
     mcf,
     self_coincidence_sequence,
+    singleton,
     square4,
     tee4,
 )
@@ -80,6 +82,27 @@ def test_hcs_matches_oracle_on_tiny_spaces():
         assert result.values.as_set() == hcs_oracle(x_img, y_img, assignments)
 
 
+def test_complete_codomains_take_the_closed_form():
+    # into K1, K2 and K3 every function is continuous and any two are one
+    # step apart, so HCS and MC charge no node, whatever the domain
+    domains = (cycle(4), cycle(5), discrete(2), discrete(3), disjoint_paths((2, 1)), singleton())
+    budget = EnumerationBudget(max_nodes=1)
+    for x_img in domains:
+        points = range(x_img.n_points)
+        for y_img in (singleton(), interval(0, 1), cycle(3)):
+            m = y_img.n_points
+            assignments = [(0,) * len(points), tuple(x % m for x in points)]
+            assignments.append(tuple((x + 1) % m for x in points))
+            for count in (1, 2, 3):
+                picked = assignments[:count]
+                maps = [from_assignment(x_img, y_img, a) for a in picked]
+                truth = hcs_oracle(x_img, y_img, picked)
+                result = hcs(maps, budget)
+                assert result.values.exact, (x_img, y_img, count)
+                assert result.values.as_set() == truth, (x_img, y_img, count)
+                assert mc(maps, budget) == (min(truth), True)
+
+
 def _distinct_classes():
     """Two self-maps of a 6-point image whose classes (3 175 and 635 members) share no map."""
     x_img = _labeled(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 5), (2, 3), (3, 5)])
@@ -103,9 +126,9 @@ def test_classes_of_one_pair_share_one_index(monkeypatch):
     built = []
 
     class Counted(homotopy._HomIndex):
-        def __init__(self, context, pool):
+        def __init__(self, domain, codomain, pool):
             built.append(len(pool))
-            super().__init__(context, pool)
+            super().__init__(domain, codomain, pool)
 
     monkeypatch.setattr(homotopy, "_HomIndex", Counted)
     result = hcs(list(_distinct_classes()))
@@ -121,9 +144,9 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
     unrestricted = []
     init = enumeration._Search.__init__
 
-    def recording(search, context, allowed, *args, **kwargs):
+    def recording(search, domain, codomain, allowed, *args, **kwargs):
         unrestricted.append(allowed is None)
-        init(search, context, allowed, *args, **kwargs)
+        init(search, domain, codomain, allowed, *args, **kwargs)
 
     monkeypatch.setattr(enumeration._Search, "__init__", recording)
     c5 = cycle(5)

@@ -40,7 +40,7 @@ from digitop import (
     tee4,
 )
 from digitop import spectra
-from digitop.enumeration import MapSpaceContext, Meter, _Search, enumerate_assignments
+from digitop.enumeration import Meter, _Search, enumerate_assignments
 from digitop.spectra import _EqualizerSearch, _fewest_picks, _fixed_restrictions, _Pool
 from oracles import (
     all_maps_oracle,
@@ -248,7 +248,7 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     s = coincidence_spectrum_by_search(c, c, 2, budget)
     assert s.exact
     assert s.values == tuple(range(9))
-    search = _Search(MapSpaceContext(c, c), None, Meter(), collect=True)
+    search = _Search(c, c, None, Meter(), collect=True)
     closure = _EqualizerSearch([(_Pool(search, 8), 2)], 8, False, Meter())
     min_picks, exact = closure.run()
     assert exact and sorted(min_picks) == list(range(9))
@@ -259,7 +259,7 @@ def test_a_pool_read_from_a_map_search_must_be_in_the_mode_of_the_closure():
     x = interval(0, 2)
     for fixed in (False, True):
         meter = Meter()
-        search = _Search(MapSpaceContext(x, x), None, meter, collect=not fixed, fixed_sets=fixed)
+        search = _Search(x, x, None, meter, collect=not fixed, fixed_sets=fixed)
         with pytest.raises(InvalidInputError):
             _EqualizerSearch([(_Pool(search, 3), 1)], 3, not fixed, meter)
 
@@ -385,10 +385,9 @@ def test_cs_search_matches_oracle_on_every_labelled_pair():
 
 def _search(x_img, y_img, meter, budget, fixed):
     """The map search of X -> Y, or of X's fixed-point sets, charged to meter."""
-    context = MapSpaceContext(x_img, y_img)
     max_results = budget.max_results if budget else None
     return _Search(
-        context, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
+        x_img, y_img, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
     )
 
 
