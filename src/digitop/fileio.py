@@ -45,23 +45,34 @@ def load_image(source: str, base_dir: Path | None = None) -> DigitalImage:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def _image_from_ref_or_inline(value, base_dir: Path | None, label: str) -> DigitalImage:
+def _image_from_ref_or_inline(value, path: Path, label: str) -> DigitalImage:
+    """The domain or codomain of the map file at ``path``; an error names the file."""
     if isinstance(value, str):
-        return load_image(value, base_dir)
+        return load_image(value, path.parent)
     if isinstance(value, dict):
-        return image_from_json_dict(value)
-    raise InvalidInputError(f"{label} must be an image reference or inline object")
+        try:
+            return image_from_json_dict(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {label}: {exc}") from exc
+    raise InvalidInputError(f"{path}: {label} must be an image reference or inline object")
 
 
 def load_map(path_str: str) -> DigitalMap:
-    """Load a map file; continuity failures carry the first violating edge."""
+    """Load a map file; continuity failures carry the first violating edge.
+
+    Malformed input raises ``InvalidInputError`` naming the file; a
+    ``ContinuityError`` keeps its type, so callers can report the edge.
+    """
     path = Path(path_str)
     data = _read_json(path)
     if not isinstance(data, dict) or "assignment" not in data:
         raise InvalidInputError(f"{path}: a map file needs domain, codomain, assignment")
-    domain = _image_from_ref_or_inline(data.get("domain"), path.parent, f"{path}: domain")
-    codomain = _image_from_ref_or_inline(data.get("codomain"), path.parent, f"{path}: codomain")
-    return from_assignment(domain, codomain, data["assignment"])
+    domain = _image_from_ref_or_inline(data.get("domain"), path, "domain")
+    codomain = _image_from_ref_or_inline(data.get("codomain"), path, "codomain")
+    try:
+        return from_assignment(domain, codomain, data["assignment"])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 def dump_image(image: DigitalImage, path_str: str | None = None) -> str:

@@ -6,7 +6,8 @@ set S of distinct maps is realizable iff one member per class can be picked
 (with repetition up to that class's multiplicity in the argument list)
 whose union is S.  Equal classes are merged first into groups with
 multiplicities, and the spectra module's breadth-first closure over
-equalizer restrictions runs over those groups.
+equalizer restrictions (or, for common fixed points, over the bitmasks of
+the classes' fixed-point sets) runs over those groups.
 
 An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
 first whether every two points of the codomain Y are adjacent, and if not,
@@ -30,7 +31,7 @@ from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage
 from .maps import DigitalMap, _fixed_mask, _require_common_images, identity
-from .spectra import Spectrum, _EqualizerSearch, _fixed_restrictions, _streamed_picks
+from .spectra import Spectrum, _EqualizerSearch, _streamed_picks
 
 
 class HomotopySpectrumResult(Record):
@@ -70,9 +71,9 @@ def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool,
     This builds every class pool the equalizer search reads.  A group's
     pool is its class's ``assignments``, so no map is built, and a class
     object repeated in the list is hashed once.  With ``fixed`` the pool is
-    instead the restrictions of the class's distinct fixed-point sets,
-    which the class keeps, so a class is collapsed once however many
-    searches read it.
+    instead the class's distinct fixed-point sets as bitmasks, which the
+    class keeps, so a class is collapsed once however many searches read
+    it.
     """
     first = classes[0].representative
     for cls in classes[1:]:
@@ -86,13 +87,11 @@ def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool,
     groups: dict[tuple, list] = {}
     for cls, count in repeats.values():
         groups.setdefault(cls.assignments, [cls, 0])[1] += count
-    n = first.domain.n_points
     pools = [
-        (_fixed_restrictions(cls._fixed_masks, n) if fixed else cls.assignments, count)
-        for cls, count in groups.values()
+        (cls._fixed_masks if fixed else cls.assignments, count) for cls, count in groups.values()
     ]
     complete = all(cls.complete for cls, _ in repeats.values())
-    return pools, complete, n
+    return pools, complete, first.domain.n_points
 
 
 def _require_self_maps(f: DigitalMap) -> None:
@@ -172,7 +171,8 @@ def _sizes(
     take the closed form (``_contractible_sizes``), which charges no node,
     and every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
     streamed CFS search, on the engine's meter and result cap, with the
-    arguments' own fixed-point sets added last if the map search is cut.
+    arguments' own fixed-point sets, as bitmasks, added last if the map
+    search is cut.
     A complete Y is tested first, so that case runs no chain search.
     """
     if engine.complete or engine.contractible:

@@ -72,6 +72,13 @@ class Explicit(Record):
             norm.add((j, i) if j < i else (i, j))
         object.__setattr__(self, "edges", frozenset(norm))
 
+    @classmethod
+    def _checked(cls, edges: frozenset[tuple[int, int]]) -> Explicit:
+        """An adjacency of edges already checked: distinct index pairs (i, j), i < j."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "edges", edges)
+        return self
+
 
 AdjacencySpec = CT | Explicit
 
@@ -149,7 +156,7 @@ class DigitalImage(Record):
             edges = frozenset(
                 (min(perm[i], perm[j]), max(perm[i], perm[j])) for i, j in adj.edges
             )
-            adj = Explicit(edges)
+            adj = Explicit._checked(edges)
 
         nbrs = [set() for _ in range(n)]
         for i, j in edges:
@@ -275,10 +282,13 @@ def image_from_json_dict(data: dict) -> DigitalImage:
             raise InvalidInputError(f"unknown adjacency type {kind!r}")
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed image object: {exc}") from exc
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InvalidInputError(f"an image name must be a string, got {name!r}")
     return DigitalImage(
         points=tuple(points),
         adjacency=adjacency,
-        name=data.get("name"),
+        name=name,
         dimension=dimension,
     )
 

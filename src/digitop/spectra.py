@@ -3,10 +3,13 @@
 A coincidence set depends only on the *set* of distinct maps involved, so
 instead of ranging over i-tuples the search ranges over selections of at
 most i maps.  Its state is the running equalizer restriction: the agreed
-value at each point, or None once agreement is broken.  One breadth-first
-closure expands these restrictions in layers of total picks and keeps each
-distinct one once, so the first layer that reaches a size gives the fewest
-picks realizing it, which answers every arity up to the largest at once.
+value at each point, or None once agreement is broken.  For common fixed
+points the identity joins every equalizer, so the state is the set of
+common fixed points, a bitmask over the points that each pick ANDs with
+its map's fixed-point set.  One breadth-first closure expands these
+states in layers of total picks and keeps each distinct one once, so the
+first layer that reaches a size gives the fewest picks realizing it,
+which answers every arity up to the largest at once.
 The closure stops once nothing larger can be found: at the full range
 0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
 ceiling stop; see ``_EqualizerSearch``).
@@ -22,8 +25,9 @@ CS and CFS, and for HFS and MCF where a greedy chain contracts X.
 
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
-the map search and build no self-map: the CFS closure starts from their
-restrictions, and F is CFS_1, their sizes, read until all of 0..#X is seen.
+the map search, as the bitmasks it records, and build no self-map: the
+CFS closure ANDs those masks, and F is CFS_1, their sizes, read until all
+of 0..#X is seen.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ from ._record import Record
 from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
-
-Restriction = tuple  # per-point agreed value, None once agreement is broken
 
 
 class Spectrum(Record):
@@ -72,26 +74,24 @@ class _Pool:
     """The members of one group, read from a map search as readers need them.
 
     The pool holds what its search (an ``enumeration._Search``) has emitted
-    so far: the maps, or with ``fixed_sets`` the restrictions of the
-    distinct fixed-point sets, and it resumes the search whenever a reader
-    walks past its end.  Each reader walks from a position of its own, so
-    the search runs only as far as the furthest reader, and a closure that
-    stops also stops the search.  Once the search has ended, readers walk
-    the list itself.  If it ended cut by its budget or result cap, the
-    restrictions of ``tail`` (fixed-point sets as bitmasks) not yet read
-    join last, and ``exact`` is False.  The pool holds no meter and reads
-    no clock: the search charges the operation's meter, as the closure
-    that walks the pool does.
+    so far: the maps, or with ``fixed_sets`` the distinct fixed-point sets
+    as bitmasks, read as the search records them, and it resumes the search
+    whenever a reader walks past its end.  Each reader walks from a
+    position of its own, so the search runs only as far as the furthest
+    reader, and a closure that stops also stops the search.  Once the
+    search has ended, readers walk the list itself.  If it ended cut by its
+    budget or result cap, the sets of ``tail`` not yet read join last, and
+    ``exact`` is False.  The pool holds no meter and reads no clock: the
+    search charges the operation's meter, as the closure that walks the
+    pool does.
     """
 
-    __slots__ = ("members", "done", "_search", "_batches", "_n", "_read", "_tail")
+    __slots__ = ("members", "done", "_search", "_batches", "_tail")
 
-    def __init__(self, search, n_points: int, tail=()):
+    def __init__(self, search, tail=()):
         self.done = False
         self._search = search
         self._batches = search.batches()
-        self._n = n_points
-        self._read = 0  # fixed-point sets already read
         self._tail = tail
         # the maps of a collecting search are its members as they stand
         self.members = search.results if search.fixed_sets is None else []
@@ -100,11 +100,6 @@ class _Pool:
     def exact(self) -> bool:
         """False iff the search was cut short."""
         return self._search.exhausted
-
-    @property
-    def restrictions(self) -> bool:
-        """True iff the members are fixed-point restrictions rather than maps."""
-        return self._search.fixed_sets is not None
 
     def __iter__(self):
         return iter(self.members) if self.done else self._walk()
@@ -133,11 +128,10 @@ class _Pool:
             self.done = True
         if sets is None:
             return
-        new = list(islice(reversed(sets), len(sets) - self._read))[::-1]
+        members = self.members
+        members += list(islice(reversed(sets), len(sets) - len(members)))[::-1]
         if self.done and not search.exhausted:
-            new += [s for s in dict.fromkeys(self._tail) if s not in sets]
-        self._read = len(sets)
-        self.members += _fixed_restrictions(new, self._n)
+            members += [s for s in dict.fromkeys(self._tail) if s not in sets]
 
 
 class _EqualizerSearch:
@@ -148,29 +142,31 @@ class _EqualizerSearch:
     is the size of the equalizer of everything picked (points where all
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
     is that of its set.  With ``fixed`` the identity joins every equalizer,
-    so a map counts only through its agreement with the identity, and every
-    pool must hold fixed-point restrictions (each fixed point kept, the
-    rest None) rather than maps; the search reads its pools as given and
-    never rewrites them.  A ``_Pool`` is checked to hold restrictions
-    exactly when ``fixed`` is set.
+    so a map counts only through its agreement with the identity, its
+    fixed-point set: every pool then holds fixed-point sets as bitmasks
+    over the points rather than maps.  The search reads its pools as given
+    and never rewrites them.
 
-    A state is a restriction: the agreed value at each point, or None once
-    agreement is broken.  States are expanded in layers of total picks, so
-    the first layer that records a value holds its fewest picks, and the
-    full-range, ceiling and min-mode stops are sound wherever they fire.
-    The ceiling stop: size #X needs every pick equal (or, with ``fixed``,
-    every pick the identity's restriction), so it needs one unbroken
-    restriction lying in every pool.  With none, 0..#X - 1 is everything
-    reachable.  Pools may overlap (truncated classes, or classes a caller
-    passes in), so this is tested, once, when only #X is missing.  Layer one
-    is the first pool itself; with one group and ``fixed`` off, its members
-    are maps, each agreeing with itself everywhere, so it records #X and is
-    not walked.  A pool may be a ``_Pool`` read from a map search,
-    walked by every loop from a position of its own.  A state reached again
-    in its group with no fewer picks in that group is dropped: its first
-    arrival came with no more picks in total and completes every selection
-    the second would.  Every state built costs one node on ``meter``, the
-    meter of the operation, which a ``_Pool``'s search charges too.
+    A state is what the picks so far agree on: without ``fixed`` a
+    restriction, the agreed value at each point or None once agreement is
+    broken; with ``fixed`` the bitmask of their common fixed points, so a
+    pick is one ``&`` and a size one ``bit_count``.  States are expanded in
+    layers of total picks, so the first layer that records a value holds
+    its fewest picks, and the full-range, ceiling and min-mode stops are
+    sound wherever they fire.  The ceiling stop: size #X needs every pick
+    equal (or, with ``fixed``, every pick fixing every point), so it needs
+    one state that agrees everywhere lying in every pool.  With none,
+    0..#X - 1 is everything reachable.  Pools may overlap (truncated
+    classes, or classes a caller passes in), so this is tested, once, when
+    only #X is missing.  Layer one is the first pool itself; with one group
+    and ``fixed`` off, its members are maps, each agreeing with itself
+    everywhere, so it records #X and is not walked.  A pool may be a
+    ``_Pool`` read from a map search, walked by every loop from a position
+    of its own.  A state reached again in its group with no fewer picks in
+    that group is dropped: its first arrival came with no more picks in
+    total and completes every selection the second would.  Every state
+    built costs one node on ``meter``, the meter of the operation, which a
+    ``_Pool``'s search charges too.
     """
 
     def __init__(
@@ -184,12 +180,7 @@ class _EqualizerSearch:
         self.pools: list = []  # tuples of members, or _Pools
         self.mults: list[int] = []
         for pool, mult in groups:
-            if isinstance(pool, _Pool):
-                if pool.restrictions != fixed:
-                    raise InvalidInputError(
-                        "a pool of fixed-point sets needs fixed, and a pool of maps needs it off"
-                    )
-            else:
+            if not isinstance(pool, _Pool):
                 pool = tuple(pool)
                 if not pool:
                     raise InvalidInputError("every group needs a nonempty pool")
@@ -220,38 +211,44 @@ class _EqualizerSearch:
             raise _Stop
 
     def _agree_everywhere(self) -> bool:
-        """Whether some unbroken restriction lies in every pool (size #X is reachable)."""
+        """Whether some state that agrees everywhere lies in every pool (size #X is reachable).
+
+        A map agrees with itself everywhere; a fixed-point set agrees with
+        the identity everywhere only if it holds every point.
+        """
         rest = [set(pool) for pool in self.pools[1:]]
+        full = (1 << self.n) - 1
         return any(
-            None not in r and all(r in pool for pool in rest) for r in self.pools[0]
+            (not self.fixed or r == full) and all(r in pool for pool in rest)
+            for r in self.pools[0]
         )
 
     def _close(self):
-        pools, mults, meter, min_picks, n = (
-            self.pools, self.mults, self.meter, self.min_picks, self.n
+        pools, mults, meter, min_picks, n, fixed = (
+            self.pools, self.mults, self.meter, self.min_picks, self.n, self.fixed
         )
         last = len(pools) - 1
-        # per group: restriction -> fewest picks in that group it was reached with
-        seen: list[dict[Restriction, int]] = [{} for _ in pools]
+        # per group: state -> fewest picks in that group it was reached with
+        seen: list[dict] = [{} for _ in pools]
         layer = {(0, 1): pools[0]}
         picks = 1
-        if last == 0 and not self.fixed:
+        if last == 0 and not fixed:
             # one group of maps: every member agrees with itself everywhere
             self._record(n, picks)
         elif last == 0:
-            # one group of fixed-point restrictions: layer one is recorded
-            # as it stands, a node a member
+            # one group of fixed-point sets: layer one is recorded as it
+            # stands, a node a member
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():
                     self.exact = False
                     raise _Stop
-                size = n - r.count(None)
+                size = r.bit_count()
                 if size not in min_picks:
                     self._record(size, picks)
         while layer:
             picks += 1
-            following: dict[tuple[int, int], list[Restriction]] = {}
+            following: dict[tuple[int, int], list] = {}
             for (g, k), states in layer.items():
                 targets = [(g + 1, 1)] if g < last else []
                 if k < mults[g]:
@@ -265,30 +262,28 @@ class _EqualizerSearch:
                     for r in states:
                         # a pick in the same group that breaks no agreement
                         # leaves r itself, already reached with fewer picks
-                        unchanged = r.count(None) if h == g else -1
+                        unchanged = r if h == g else None
                         for m in pool:
                             meter.nodes += 1
                             if meter.nodes >= meter.check_at and meter.over():
                                 self.exact = False
                                 raise _Stop
-                            new = tuple([v if v == w else None for v, w in zip(r, m)])
-                            broken = new.count(None)
-                            if broken == unchanged:
+                            if fixed:
+                                new = r & m
+                                size = new.bit_count()
+                            else:
+                                new = tuple([v if v == w else None for v, w in zip(r, m)])
+                                size = n - new.count(None)
+                            if new == unchanged:
                                 continue
                             if keep:
                                 if group_seen.get(new, j + 1) <= j:
                                     continue
                                 group_seen[new] = j
                                 out.append(new)
-                            if record and n - broken not in min_picks:
-                                self._record(n - broken, picks)
+                            if record and size not in min_picks:
+                                self._record(size, picks)
             layer = {key: states for key, states in following.items() if states}
-
-
-def _fixed_restrictions(sets, n_points: int) -> list[Restriction]:
-    """Fixed-point sets (bitmasks) as restrictions: each fixed point kept, the rest None."""
-    points = range(n_points)
-    return [tuple([x if s >> x & 1 else None for x in points]) for s in sets]
 
 
 def _streamed_picks(
@@ -310,12 +305,12 @@ def _streamed_picks(
     ``max_results`` caps the maps it reads.  With ``fixed`` (Y is X) the
     identity joins every equalizer (common fixed points), so only the
     maps' distinct fixed-point sets matter: the search records those sets
-    and builds no map, and the pool is their restrictions.  A cut search
-    then adds the sets of ``tail`` (bitmasks) last.  The enumeration and
-    the closure share the operation's meter, so its budget bounds their
-    sum.  The fewest picks stay exact at a stop: layer one is #X alone for
-    maps and is read in full for fixed-point sets, and the first state of
-    layer two reads the whole pool before the next starts.
+    as bitmasks and builds no map, and the pool is those bitmasks as
+    recorded.  A cut search then adds the sets of ``tail`` last.  The
+    enumeration and the closure share the operation's meter, so its budget
+    bounds their sum.  The fewest picks stay exact at a stop: layer one is
+    #X alone for maps and is read in full for fixed-point sets, and the
+    first state of layer two reads the whole pool before the next starts.
 
     This is CS and CFS, and HFS and MCF where a greedy chain contracts X
     (every class is then Hom(X, X)).
@@ -324,13 +319,12 @@ def _streamed_picks(
         domain, codomain, None, meter, collect=not fixed, max_results=max_results,
         fixed_sets=fixed,
     )
-    n = domain.n_points
-    pool = _Pool(search, n, tail)
+    pool = _Pool(search, tail)
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False, True
     min_picks, search_exact = _EqualizerSearch(
-        [(pool, arity)], n, fixed, meter, min_mode
+        [(pool, arity)], domain.n_points, fixed, meter, min_mode
     ).run()
     return min_picks, pool.exact, search_exact
 

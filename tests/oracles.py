@@ -145,15 +145,30 @@ def cfs_oracle(x_img: DigitalImage, i: int) -> set[int]:
 def hcs_oracle(x_img: DigitalImage, y_img: DigitalImage, assignments) -> set[int]:
     """Coincidence sizes with each map ranging over its full homotopy class.
 
+    The choices are walked depth-first, one class at a time, in the order
+    of their product.  The maps chosen so far matter to the rest only
+    through where they agree, and on what (the common value at each point,
+    or None), so a prefix that agrees like one already walked is skipped.
     Stops once every size 0..#X has been seen, since no other size exists.
     """
     classes = [homotopy_class_oracle(x_img, y_img, a) for a in assignments]
-    full = set(range(x_img.n_points + 1))
+    n = x_img.n_points
+    walked = [set() for _ in classes]
     sizes = set()
-    for choice in itertools.product(*classes):
-        sizes.add(equalizer_size(choice))
-        if sizes == full:
-            break
+
+    def walk(depth, agreed) -> bool:
+        if depth == len(classes):
+            sizes.add(n - agreed.count(None))
+            return len(sizes) == n + 1
+        for m in classes[depth]:
+            new = m if agreed is None else tuple(v if v == w else None for v, w in zip(agreed, m))
+            if new not in walked[depth]:
+                walked[depth].add(new)
+                if walk(depth + 1, new):
+                    return True
+        return False
+
+    walk(0, None)
     return sizes
 
 

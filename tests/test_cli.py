@@ -300,6 +300,7 @@ MALFORMED_FILES = {
         _IMAGE_INFO, _image_json(adjacency={"type": "explicit", "edges": [[0, 1.5]]})
     ),
     "number-edges": (_IMAGE_INFO, _image_json(adjacency={"type": "explicit", "edges": 5})),
+    "number-name": (_IMAGE_INFO, {**_image_json(), "name": 5}),
     **{
         f"{' '.join(command)}/{label}": (command, _map_json(assignment))
         for command in (("map", "check"), ("homotopy", "rigid"))
@@ -321,6 +322,21 @@ def test_malformed_files_exit_2_with_an_error_line(capsys, tmp_path, name):
     code, _, err = _run(capsys, *command, str(path))
     assert code == 2
     assert err.startswith("error: ")
+
+
+def test_input_errors_name_their_file(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    inline = {"domain": _image_json(points=[["a"]]), "codomain": "builtin:interval:0:2"}
+    for command, contents, message in [
+        (_IMAGE_INFO, {**_image_json(), "name": ["x"]},
+         "an image name must be a string, got ['x']"),
+        (("map", "check"), _map_json(["a", 0, 0]),
+         "an assignment value must be an integer, got 'a'"),
+        (("map", "check"), {**inline, "assignment": [0]},
+         "domain: a coordinate must be an integer, got 'a'"),
+    ]:
+        path.write_text(json.dumps(contents))
+        assert _run(capsys, *command, str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
 def test_image_info_accepts_file(capsys, tmp_path):

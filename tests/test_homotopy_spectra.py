@@ -161,9 +161,9 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
     [
         # the groups share (1, 1), so #X = 2 is reachable even though 0 and 1 come first
         ((((0, 0), (1, 1)), ((0, 1), (1, 1))), False, {0, 1, 2}, 4),
-        # fixed-point restrictions of the maps (0, 0), (1, 1) and (0, 0), (0, 1):
-        # the pools share (0, None), but only the second holds the identity's
-        ((((0, None), (None, 1)), ((0, None), (0, 1))), True, {0, 1}, 3),
+        # fixed-point sets, as bitmasks, of the maps (0, 0), (1, 1) and (0, 0), (0, 1):
+        # the pools share {0}, but only the second holds the identity's {0, 1}
+        (((0b01, 0b10), (0b01, 0b11)), True, {0, 1}, 3),
     ],
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
@@ -368,6 +368,36 @@ def test_closed_forms_match_oracle_on_every_connected_labelled_graph():
             assert result.values.exact, (edges, assignments)
             assert result.values.as_set() == truth, (edges, assignments)
             assert mcf(maps) == (min(truth), True), (edges, assignments)
+
+
+def test_searched_classes_match_oracle_on_every_labelled_graph():
+    # the graphs whose classes are built and searched: X is not complete and
+    # no greedy chain contracts it (disconnected X included)
+    graphs = []
+    for x_img in _labelled_graphs(SWEEP_POINTS):
+        engine = homotopy._Homotopy(x_img, x_img, None)
+        if not (engine.complete or engine.contractible):
+            graphs.append(x_img)
+    # on 1, 2, 3, 4 and 5 points
+    assert len(graphs) == sum((0, 1, 4, 26, 308)[:SWEEP_POINTS])
+    for x_img in graphs:
+        graph = (x_img.n_points, sorted(x_img.adjacency.edges))
+        ident, first = tuple(range(x_img.n_points)), (0,) * x_img.n_points
+        cls_id, cls_first = (
+            homotopy_class(from_assignment(x_img, x_img, a)) for a in (ident, first)
+        )
+        for assignments, classes in (
+            ([ident, first], [cls_id, cls_first]),
+            ([ident, first, ident], [cls_id, cls_first, cls_id]),
+        ):
+            for searched, oracle in (
+                (hcs_of_classes(classes), hcs_oracle(x_img, x_img, assignments)),
+                (hfs_of_classes(classes), hfs_oracle(x_img, assignments)),
+            ):
+                assert searched.values.exact, (graph, assignments)
+                assert searched.values.as_set() == oracle, (graph, assignments)
+        entries = self_coincidence_sequence(x_img, 3).entries
+        assert entries == tuple((j, mj_oracle(x_img, j), True) for j in (1, 2, 3)), graph
 
 
 @st.composite

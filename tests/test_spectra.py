@@ -41,7 +41,7 @@ from digitop import (
 )
 from digitop import spectra
 from digitop.enumeration import Meter, _Search, enumerate_assignments
-from digitop.spectra import _EqualizerSearch, _fewest_picks, _fixed_restrictions, _Pool
+from digitop.spectra import _EqualizerSearch, _fewest_picks, _Pool
 from oracles import (
     all_maps_oracle,
     cfs_oracle,
@@ -249,19 +249,10 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert s.exact
     assert s.values == tuple(range(9))
     search = _Search(c, c, None, Meter(), collect=True)
-    closure = _EqualizerSearch([(_Pool(search, 8), 2)], 8, False, Meter())
+    closure = _EqualizerSearch([(_Pool(search), 2)], 8, False, Meter())
     min_picks, exact = closure.run()
     assert exact and sorted(min_picks) == list(range(9))
     assert (len(search.results), search.meter.nodes, closure.meter.nodes) == (2584, 4814, 2582)
-
-
-def test_a_pool_read_from_a_map_search_must_be_in_the_mode_of_the_closure():
-    x = interval(0, 2)
-    for fixed in (False, True):
-        meter = Meter()
-        search = _Search(x, x, None, meter, collect=not fixed, fixed_sets=fixed)
-        with pytest.raises(InvalidInputError):
-            _EqualizerSearch([(_Pool(search, 3), 1)], 3, not fixed, meter)
 
 
 @st.composite
@@ -403,10 +394,7 @@ def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     """
     meter = Meter(budget)
     search = _search(x_img, y_img, meter, budget, fixed).run()
-    if fixed:
-        pool = _fixed_restrictions(search.fixed_sets, x_img.n_points)
-    else:
-        pool = search.results
+    pool = list(search.fixed_sets) if fixed else search.results
     if not pool:
         return {}, False
     min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, meter).run()
