@@ -46,15 +46,18 @@ def load_image(source: str, base_dir: Path | None = None) -> DigitalImage:
 
 
 def _image_from_ref_or_inline(value, path: Path, label: str) -> DigitalImage:
-    """The domain or codomain of the map file at ``path``; an error names the file."""
-    if isinstance(value, str):
-        return load_image(value, path.parent)
-    if isinstance(value, dict):
-        try:
-            return image_from_json_dict(value)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{path}: {label}: {exc}") from exc
-    raise InvalidInputError(f"{path}: {label} must be an image reference or inline object")
+    """The domain or codomain of the map file at ``path``; an error names the file and label.
+
+    An error from a referenced image file names that file too.
+    """
+    if not isinstance(value, (str, dict)):
+        raise InvalidInputError(f"{path}: {label} must be an image reference or inline object")
+    try:
+        if isinstance(value, str):
+            return load_image(value, path.parent)
+        return image_from_json_dict(value)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {label}: {exc}") from exc
 
 
 def load_map(path_str: str) -> DigitalMap:

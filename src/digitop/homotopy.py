@@ -6,28 +6,31 @@ maps, so a homotopy class is a breadth-first closure and every membership
 question comes with an explicit chain of one-step moves as a witness.
 
 One engine (``_Homotopy``) builds every class an operation asks for on a
-pair (X, Y), so those classes share one chain search, one index of Hom(X, Y)
-and one budget.
+pair (X, Y), so those classes share one index of Hom(X, Y) and one budget.
 
 A class is every map into one component of Y in two cases, and one
 restricted enumeration lists it then (``_Homotopy._component_maps``).  If
 every two points of Y are adjacent, every function is continuous and any
 two are one step apart.  If a greedy chain of one-step moves carries id_X
-to a constant (``_pulls_to_a_constant``), X is contractible, so every
-f: X -> Y is homotopic to a constant, and its class is every map into the
-component of Y that holds f's image.
+to a constant, X is contractible, so every f: X -> Y is homotopic to a
+constant, and its class is every map into the component of Y that holds
+f's image.  Whether a greedy chain contracts a component is a fact of the
+image, computed once and charged to no budget
+(``DigitalImage._greedy_contractible``); it also answers
+``is_nullhomotopic`` for a map into such a component with no search.
 
 Otherwise a breadth-first closure (``_Homotopy.closure``) lists the class,
-and it answers every homotopy and nullhomotopy question, which need
-shortest chains and early stops.  It finds a member's one-step neighbors
-either by a backtracking search restricted to the closed neighborhoods of
-the member's values, or, once Hom(X, Y) has been enumerated, by
-intersecting bitsets over that indexed Hom space.  One resumable
-enumeration of Hom(X, Y) per engine races the per-member searches: after
-each expansion it runs until its nodes match all the others on the meter.
-The first source suits a small class in a huge Hom space (a rigid map
-needs one search), the second a class that fills much of its Hom space.
-Both give the same members, parents and chains.
+and it answers every homotopy question and every nullhomotopy question the
+greedy chain leaves open, which need shortest chains and early stops.  It
+finds a member's one-step neighbors either by a backtracking search
+restricted to the closed neighborhoods of the member's values, or, once
+Hom(X, Y) has been enumerated, by intersecting bitsets over that indexed
+Hom space.  One resumable enumeration of Hom(X, Y) per engine races the
+per-member searches: after each expansion it runs until its nodes match
+all the others on the meter.  The first source suits a small class in a
+huge Hom space (a rigid map needs one search), the second a class that
+fills much of its Hom space.  Both give the same members, parents and
+chains.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from .maps import (
     _enumerated,
     _fixed_mask,
     constant,
-    continuity_violation,
     identity,
 )
 
@@ -207,14 +209,14 @@ class _HomIndex:
 class _Homotopy:
     """The homotopy engine of one operation on one pair (X, Y).
 
-    One meter pays for the chain search for id_X (run at most once), every
-    closure and enumeration, and the one enumeration of Hom(X, Y) that the
-    closures resume in turn (``_race_index``); once it is exhausted, its
-    maps are the ``index`` every later closure starts on.  The operations
-    of ``homotopy_spectra`` charge their equalizer searches to it too.  A
-    class is listed one of two ways: by one enumeration of a codomain
-    component (``_component_maps``) when Y is ``complete`` or X
-    ``contractible``, or by the closure.  Every search reads the
+    One meter pays for every closure and enumeration, and for the one
+    enumeration of Hom(X, Y) that the closures resume in turn
+    (``_race_index``); once it is exhausted, its maps are the ``index``
+    every later closure starts on.  The operations of ``homotopy_spectra``
+    charge their equalizer searches to it too.  A class is listed one of
+    two ways: by one enumeration of a codomain component
+    (``_component_maps``) when Y is ``complete`` or X ``contractible``, or
+    by the closure.  Neither test charges a node.  Every search reads the
     structures X and Y keep for it, so the engine builds none of its own.
     """
 
@@ -231,16 +233,13 @@ class _Homotopy:
         self._batches = None
         self._hom_nodes = 0
 
-    @cached_property
+    @property
     def contractible(self) -> bool:
-        """True iff a greedy chain pulls id_X to a constant within the meter."""
-        return _pulls_to_a_constant(identity(self.domain), self.meter)
+        """True iff X is connected and a greedy chain contracts it; charges no node."""
+        return self.domain._greedy_contractible == (True,)
 
     def class_of(self, f: DigitalMap) -> HomotopyClass:
-        """f's class: one already built that holds f, else a new one (see homotopy_class).
-
-        A complete codomain is tested first, so that case runs no chain search.
-        """
+        """f's class: one already built that holds f, else a new one (see homotopy_class)."""
         for cls in self.classes:
             if f in cls:
                 return cls
@@ -373,9 +372,8 @@ def homotopy_class(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ho
     If every two codomain points are adjacent, or a greedy chain contracts
     the domain, the class is every map into the component of the codomain
     that holds f's image, listed by one restricted enumeration; otherwise
-    it is the breadth-first closure.  The chain's steps are charged to the
-    same budget, and a budget too small to finish it leaves the closure to
-    answer.
+    it is the breadth-first closure.  The domain decides the chain once,
+    and the budget pays only for the enumeration or the closure.
     """
     return _Homotopy(f.domain, f.codomain, budget).class_of(f)
 
@@ -435,70 +433,18 @@ def is_rigid_image(image: DigitalImage) -> bool:
     return is_rigid_map(identity(image))
 
 
-def _pull_toward(image: DigitalImage, target: int) -> tuple[list[int | None], list[int]]:
-    """(dist, toward) by one breadth-first search from target.
-
-    dist[v] is the graph distance from v to target, None off its component;
-    toward[v] is v's lowest-index neighbor one step closer, v itself at the
-    target and off the component.
-    """
-    nbrs = image.neighbor_sets()
-    dist: list[int | None] = [None] * image.n_points
-    toward = list(range(image.n_points))
-    dist[target] = 0
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for w in nbrs[v]:
-            dw = dist[w]
-            if dw is None:
-                dist[w] = d
-                toward[w] = v
-                queue.append(w)
-            elif dw == d and v < toward[w]:
-                toward[w] = v
-    return dist, toward
-
-
-def _greedy_pull(f: DigitalMap, target: int, meter: Meter) -> bool:
-    """True iff stepping every value toward target chains f to the constant at target.
-
-    Each step moves each value to its lowest-index neighbor strictly closer
-    to the target, so the chain ends after as many steps as the farthest
-    value is from the target; gives up when f leaves the target's component
-    or a step breaks continuity.  A step costs the meter one node per domain
-    point, and a tripped meter also gives False.  Every step is checked for
-    continuity, so True certifies the chain.
-    """
-    dist, toward = _pull_toward(f.codomain, target)
-    if any(dist[v] is None for v in f.assignment):
-        return False
-    n = f.domain.n_points
-    current = f.assignment
-    while any(v != target for v in current):
-        meter.nodes += n
-        if meter.nodes >= meter.check_at and meter.over():
-            return False
-        current = tuple(toward[v] for v in current)
-        if continuity_violation(f.domain, f.codomain, current) is not None:
-            return False
-    return True
-
-
-def _pulls_to_a_constant(f: DigitalMap, meter: Meter) -> bool:
-    """True iff ``_greedy_pull`` finds a chain from f to some constant within the meter.
-
-    For f = id_X this certifies that X is contractible.
-    """
-    return any(_greedy_pull(f, target, meter) for target in range(f.codomain.n_points))
-
-
 def is_nullhomotopic(f: DigitalMap, budget: EnumerationBudget | None = None) -> Ternary:
-    """Is f homotopic to some constant map?  Greedy chain first, then the closure."""
-    engine = _Homotopy(f.domain, f.codomain, budget)
-    if _pulls_to_a_constant(f, engine.meter):
+    """Is f homotopic to some constant map?
+
+    Yes with no search when f's values lie in one component of the codomain
+    that a greedy chain contracts: that chain composed with f ends at a
+    constant.  Otherwise the closure decides, under the budget.
+    """
+    labels = f.codomain._bfs[1]
+    held = {labels[v] for v in f.assignment}
+    if len(held) == 1 and f.codomain._greedy_contractible[held.pop()]:
         return "yes"
+    engine = _Homotopy(f.domain, f.codomain, budget)
     constants = {constant(f.domain, f.codomain, y).assignment for y in range(f.codomain.n_points)}
     _, complete, found = engine.closure(f, stop_at=constants)
     if found:

@@ -10,16 +10,16 @@ equalizer restrictions (or, for common fixed points, over the bitmasks of
 the classes' fixed-point sets) runs over those groups.
 
 An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
-first whether every two points of the codomain Y are adjacent, and if not,
-whether a greedy chain contracts the domain X.  If either holds, every
-class is all of Hom(X, K) for the component K of Y that holds the map's
-image, and no class is built: HCS and MC follow from Y's component labels
-alone (``_contractible_sizes``), and HFS and MCF are CFS_k(X), answered by
-the same streamed search as CFS (``spectra._streamed_picks``).
-Otherwise the same engine builds the classes, so the chain search runs at
-most once per operation.  The engine's meter pays for everything the
-operation does, the equalizer search included, so a node or time budget
-bounds the whole operation.  ``hcs_of_classes`` and ``hfs_of_classes``
+whether every two points of the codomain Y are adjacent, or a greedy chain
+contracts the domain X, which X decides once and charges to no budget.  If
+either holds, every class is all of Hom(X, K) for the component K of Y
+that holds the map's image, and no class is built: HCS and MC follow from
+Y's component labels alone (``_contractible_sizes``), and HFS and MCF are
+CFS_k(X), answered by the same streamed search as CFS
+(``spectra._streamed_picks``).  Otherwise the same engine builds the
+classes.  The engine's meter pays for everything the operation does, the
+equalizer search included, so a node or time budget bounds the whole
+operation.  ``hcs_of_classes`` and ``hfs_of_classes``
 always search the classes they are given, on a meter of their own.
 """
 
@@ -173,7 +173,6 @@ def _sizes(
     streamed CFS search, on the engine's meter and result cap, with the
     arguments' own fixed-point sets, as bitmasks, added last if the map
     search is cut.
-    A complete Y is tested first, so that case runs no chain search.
     """
     if engine.complete or engine.contractible:
         if fixed:
@@ -272,11 +271,12 @@ def self_coincidence_sequence(
 ) -> SelfCoincidenceSequence:
     """m_j(X) = MC of j copies of the identity, for j = 1..j_max.
 
-    One engine answers every j, so the chain search runs at most once and
-    the identity's class, when X does not contract, is built once; its
-    meter pays for every entry, so the budget bounds the whole sequence.
-    On a greedy-contractible X with #X >= 2, m_2 is 0 by the closed form of
-    mc (the identity's class holds two distinct constants).  Once an exact 0
+    One engine answers every j, so the identity's class, when X does not
+    contract, is built once; its meter pays for every entry, so the budget
+    bounds the whole sequence.  On a greedy-contractible X with #X >= 2,
+    m_2 is 0 by the closed form of mc (the identity's class holds two
+    distinct constants), which charges no node, so it is exact under any
+    budget.  Once an exact 0
     appears the remaining entries are 0 (the witnessing selection still
     fits any larger j), so the search is not repeated.
     """

@@ -4,8 +4,9 @@ An image is a pair (point set, adjacency rule) and doubles as a finite simple
 graph whose vertices carry grid coordinates.  Points are stored in canonical
 lexicographic order; everything downstream refers to points by their index in
 that order.  An image also holds what map searches read of it: one
-breadth-first search gives the search order and the components, and the
-closed neighborhoods are bitmasks, each built once, on first use.
+breadth-first search gives the search order and the components, the
+closed neighborhoods are bitmasks, and each component knows whether a
+greedy chain contracts it, each built once, on first use.
 """
 
 from __future__ import annotations
@@ -97,8 +98,9 @@ class DigitalImage(Record):
     optional name is a label and never participates in equality.
 
     The structures every map search reads (``_bfs``, ``_earlier`` and
-    ``_closed``) are built on first use and kept with the image, so an
-    image that no search reads never builds them.
+    ``_closed``) and the homotopy engine's contractibility certificate
+    (``_greedy_contractible``) are built on first use and kept with the
+    image, so an image that no search reads never builds them.
     """
 
     points: tuple[Point, ...]
@@ -251,6 +253,27 @@ class DigitalImage(Record):
         nbrs = self._neighbors
         return tuple(sum(1 << w for w in nbrs_u) | 1 << u for u, nbrs_u in enumerate(nbrs))
 
+    @cached_property
+    def _greedy_contractible(self) -> tuple[bool, ...]:
+        """By component label, whether a greedy chain contracts that component.
+
+        The greedy step toward a target t sends each point of t's component
+        to its lowest-index neighbor one step closer to t, and fixes t and
+        every point off that component.  No point moves more than one step, so id, step,
+        step^2, ... are one step apart and reach the constant at t on the
+        component.  Powers of a continuous map are continuous, so every map
+        of that chain is continuous iff the step is.  A component has the
+        flag iff the step toward one of its points (tried in index order)
+        is continuous; then every map into it is homotopic to a constant.
+        """
+        labels = self._bfs[1]
+        nbrs, edges = self._neighbors, self._sorted_edges
+        flags = [False] * (max(labels) + 1)
+        for t, label in enumerate(labels):
+            if not flags[label]:
+                flags[label] = _greedy_step_is_continuous(nbrs, edges, t)
+        return tuple(flags)
+
     def to_json_dict(self) -> dict:
         """Serializable form; see the image file format in the README."""
         if isinstance(self.adjacency, CT):
@@ -265,6 +288,32 @@ class DigitalImage(Record):
         if self.name is not None:
             out["name"] = self.name
         return out
+
+
+def _greedy_step_is_continuous(
+    nbrs: tuple[frozenset[int], ...], edges: tuple[tuple[int, int], ...], target: int
+) -> bool:
+    """True iff the greedy step toward target is continuous.
+
+    One breadth-first search from target gives the step: each layer is
+    walked in ascending order, so a point's first discoverer is its
+    lowest-index neighbor one step closer.  One pass over the edges checks
+    it; the step fixes every point off target's component, so only that
+    component's edges can break.
+    """
+    step = list(range(len(nbrs)))
+    seen = {target}
+    layer = [target]
+    while layer:
+        following = []
+        for v in sorted(layer):
+            for w in nbrs[v]:
+                if w not in seen:
+                    seen.add(w)
+                    step[w] = v
+                    following.append(w)
+        layer = following
+    return all(step[i] == step[j] or step[j] in nbrs[step[i]] for i, j in edges)
 
 
 def image_from_json_dict(data: dict) -> DigitalImage:

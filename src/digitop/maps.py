@@ -37,7 +37,13 @@ def continuity_violation(
     domain: DigitalImage, codomain: DigitalImage, assignment
 ) -> tuple[tuple[int, int], tuple[int, int]] | None:
     """First domain edge broken by the assignment, as (edge, values), or None."""
-    values = _check_assignment(domain, codomain, assignment)
+    return _broken_edge(domain, codomain, _check_assignment(domain, codomain, assignment))
+
+
+def _broken_edge(
+    domain: DigitalImage, codomain: DigitalImage, values: tuple[int, ...]
+) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """As continuity_violation, for values ``_check_assignment`` has already checked."""
     for i, j in domain.edges:
         a, b = values[i], values[j]
         if a != b and not codomain.adjacent(a, b):
@@ -63,12 +69,13 @@ class DigitalMap(Record):
     assignment: tuple[int, ...]
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage, assignment):
-        witness = continuity_violation(domain, codomain, assignment)
+        values = _check_assignment(domain, codomain, assignment)
+        witness = _broken_edge(domain, codomain, values)
         if witness is not None:
             raise ContinuityError(*witness)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "assignment", tuple(assignment))
+        object.__setattr__(self, "assignment", values)
 
     def __call__(self, x: int) -> int:
         return self.assignment[x]
@@ -104,7 +111,7 @@ def _enumerated(
 
 def from_assignment(domain: DigitalImage, codomain: DigitalImage, assignment) -> DigitalMap:
     """Validate an assignment into a map; raises ContinuityError with a witness edge."""
-    return DigitalMap(domain, codomain, _check_assignment(domain, codomain, assignment))
+    return DigitalMap(domain, codomain, assignment)
 
 
 def identity(image: DigitalImage) -> DigitalMap:

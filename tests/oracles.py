@@ -200,3 +200,53 @@ def mj_oracle(x_img: DigitalImage, j: int) -> int:
             if best == 0:
                 return 0
     return best
+
+
+def greedy_chain_oracle(x_img: DigitalImage) -> bool:
+    """Does stepping id_X toward some target, one checked step at a time, reach a constant?
+
+    A step sends every value to its lowest-index neighbor one step closer
+    to the target.  Each map of the chain is checked for continuity before
+    the next step, until every value is the target.  A target that some
+    point cannot reach fails.
+    """
+    n = x_img.n_points
+    for target in range(n):
+        dist = {target: 0}
+        while True:
+            reached = {
+                w: d + 1
+                for v, d in dist.items()
+                for w in range(n)
+                if w not in dist and x_img.adjacent(v, w)
+            }
+            if not reached:
+                break
+            dist.update(reached)
+        if len(dist) < n:
+            continue
+        toward = [
+            target if v == target
+            else min(w for w in range(n) if x_img.adjacent(v, w) and dist[w] == dist[v] - 1)
+            for v in range(n)
+        ]
+        current = tuple(range(n))
+        while any(v != target for v in current):
+            current = tuple(toward[v] for v in current)
+            if not continuous_oracle(x_img, x_img, current):
+                break
+        else:
+            return True
+    return False
+
+
+def isomorphic_oracle(x_img: DigitalImage, y_img: DigitalImage) -> bool:
+    """Does some permutation of the points carry the edges of X onto those of Y?"""
+    n = x_img.n_points
+    if y_img.n_points != n:
+        return False
+    y_edges = set(y_img.edges)
+    return any(
+        {tuple(sorted((perm[i], perm[j]))) for i, j in x_img.edges} == y_edges
+        for perm in itertools.permutations(range(n))
+    )

@@ -339,6 +339,18 @@ def test_input_errors_name_their_file(capsys, tmp_path):
         assert _run(capsys, *command, str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
+def test_errors_from_a_referenced_image_name_the_map_file(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    for domain, codomain, message in [
+        ("builtin:nonesuch", "builtin:cube", "domain: unknown builtin 'nonesuch'; expected"),
+        ("builtin:cube", "missing.json", f"codomain: {tmp_path / 'missing.json'}: "),
+    ]:
+        path.write_text(json.dumps({"domain": domain, "codomain": codomain, "assignment": [0]}))
+        code, out, err = _run(capsys, "map", "check", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {message}"), err
+
+
 def test_image_info_accepts_file(capsys, tmp_path):
     target = tmp_path / "img.json"
     dump_image(builders.discrete(3), str(target))
@@ -402,6 +414,13 @@ def test_cfs_union_output(capsys):
     assert (code, json.loads(out)) == (0, row)
 
 
+def _dump_maps(tmp_path, maps) -> list[str]:
+    paths = [str(tmp_path / f"{k}.json") for k in range(len(maps))]
+    for f, path in zip(maps, paths):
+        dump_map(f, path)
+    return paths
+
+
 C5 = builders.cycle(5)
 
 
@@ -417,10 +436,7 @@ C5 = builders.cycle(5)
 )
 @pytest.mark.parametrize("command", ["mc", "mcf"])
 def test_class_minimum_output(capsys, tmp_path, command, maps, value):
-    paths = []
-    for k, f in enumerate(maps):
-        paths.append(str(tmp_path / f"{k}.json"))
-        dump_map(f, paths[-1])
+    paths = _dump_maps(tmp_path, maps)
     kind = f"{command.upper()} of 2 maps"
     code, out, _ = _run(capsys, "hspectrum", command, *paths)
     assert (code, out) == (0, _text(f"{kind} = {value}"))
@@ -444,3 +460,48 @@ def test_hspectrum_mj_json(capsys):
     )
     rows = [{"exact": True, "j": j, "value": value} for j, value in ((1, 5), (2, 0), (3, 0))]
     assert (code, [json.loads(line) for line in out.splitlines()]) == (0, rows)
+
+
+C5_ROTATIONS = (identity(C5), from_assignment(C5, C5, (1, 2, 3, 4, 0)))
+TRIPPED = "(budget tripped; values are a lower approximation)"
+
+
+@pytest.mark.parametrize("command", ["hcs", "hfs"])
+def test_class_spectrum_output(capsys, tmp_path, command):
+    # C5's identity and rotation: each class is the five rotations
+    paths = _dump_maps(tmp_path, C5_ROTATIONS)
+    kind = f"{command.upper()} of 2 maps"
+    code, out, _ = _run(capsys, "hspectrum", command, *paths)
+    assert (code, out) == (0, _text(f"{kind} = {{0, 5}}"))
+    code, out, _ = _run(capsys, "hspectrum", command, *paths, "--format", "json")
+    row = {"exact": True, "i": 2, "kind": kind, "values": [0, 5]}
+    assert (code, json.loads(out)) == (0, row)
+    # one node builds no class, so nothing is found, and the row says so
+    code, out, _ = _run(capsys, "hspectrum", command, *paths, "--budget-nodes", "1")
+    assert (code, out) == (0, _text(f"{kind} = {{}}  {TRIPPED}"))
+    code, out, _ = _run(
+        capsys, "hspectrum", command, *paths, "--budget-nodes", "1", "--format", "json"
+    )
+    assert (code, json.loads(out)) == (0, {**row, "exact": False, "values": []})
+
+
+@pytest.mark.parametrize("command", ["mc", "mcf"])
+def test_class_minimum_under_a_tripped_budget(capsys, tmp_path, command):
+    paths = _dump_maps(tmp_path, C5_ROTATIONS)
+    kind = f"{command.upper()} of 2 maps"
+    code, out, _ = _run(capsys, "hspectrum", command, *paths, "--budget-nodes", "1")
+    assert (code, out) == (0, _text(f"{kind}: unknown (budget tripped)"))
+    code, out, _ = _run(
+        capsys, "hspectrum", command, *paths, "--budget-nodes", "1", "--format", "json"
+    )
+    assert (code, json.loads(out)) == (0, {"exact": False, "kind": kind, "value": None})
+
+
+def test_closed_forms_on_a_contractible_domain_need_no_node(capsys, tmp_path):
+    # a greedy chain contracts the path, which the image decides with no
+    # node, so HCS and MC of maps into one component are exact on one node
+    path = builders.interval(0, 2)
+    paths = _dump_maps(tmp_path, (identity(path), constant(path, path, 0)))
+    for command, text in (("hcs", "HCS of 2 maps = {0, 1, 2, 3}"), ("mc", "MC of 2 maps = 0")):
+        code, out, _ = _run(capsys, "hspectrum", command, *paths, "--budget-nodes", "1")
+        assert (code, out) == (0, _text(text))

@@ -38,10 +38,16 @@ from digitop import (
     square4,
     tee4,
 )
-from digitop import homotopy
-from digitop.enumeration import Meter
-from digitop.homotopy import _Homotopy, _pulls_to_a_constant
-from oracles import all_maps_oracle, homotopy_class_oracle, mj_oracle, one_step_distance
+from digitop import components, homotopy
+from digitop.homotopy import _Homotopy
+from oracles import (
+    all_maps_oracle,
+    greedy_chain_oracle,
+    homotopy_class_oracle,
+    mj_oracle,
+    one_step_distance,
+)
+from test_spectra import SWEEP_POINTS, _labelled_graphs
 
 
 def test_one_step_homotopic_basics():
@@ -217,7 +223,8 @@ def test_the_closure_finds_a_contraction_the_greedy_chain_misses():
         ),
     )
     ident = identity(x_img)
-    assert not _pulls_to_a_constant(ident, Meter())
+    assert x_img._greedy_contractible == (False,)
+    assert not greedy_chain_oracle(x_img)
     assert is_contractible(x_img) == "yes"
     answer = are_homotopic(ident, constant(x_img, x_img, 3))
     assert answer.verdict == "yes"
@@ -226,6 +233,69 @@ def test_the_closure_finds_a_contraction_the_greedy_chain_misses():
     assert cls.complete and len(cls.members) == 7980  # all of Hom(X, X)
     entries = self_coincidence_sequence(x_img, 3).entries
     assert entries == ((1, 7, True), (2, 0, True), (3, 0, True))
+
+
+def _component_image(image, block) -> DigitalImage:
+    """The component on the points of block, renumbered 0.. in index order."""
+    position = {v: k for k, v in enumerate(block)}
+    edges = {(position[i], position[j]) for i, j in image.edges if i in position}
+    return DigitalImage(points=tuple((k,) for k in range(len(block))), adjacency=Explicit(edges))
+
+
+def _assert_flags_match_the_stepwise_chain(image):
+    flags = image._greedy_contractible
+    blocks = components(image)
+    assert len(flags) == len(blocks)
+    for flag, block in zip(flags, blocks):
+        assert flag == greedy_chain_oracle(_component_image(image, block)), (image.edges, block)
+    # the chain on the whole image pulls every point to one target
+    assert greedy_chain_oracle(image) == (flags == (True,))
+
+
+def test_greedy_flags_match_the_stepwise_chain_on_every_labelled_graph():
+    # every graph up to SWEEP_POINTS points, disconnected ones included,
+    # each component against the chain on it as an image of its own
+    for image in _labelled_graphs(SWEEP_POINTS):
+        _assert_flags_match_the_stepwise_chain(image)
+
+
+@given(st.integers(min_value=1, max_value=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_greedy_flags_match_the_stepwise_chain_on_random_images(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    image = DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
+    _assert_flags_match_the_stepwise_chain(image)
+
+
+def test_a_map_into_a_contracted_component_is_nullhomotopic_with_no_search(monkeypatch):
+    def closure(*args, **kwargs):
+        raise AssertionError("closure run for a map into a contracted component")
+
+    monkeypatch.setattr(homotopy._Homotopy, "closure", closure)
+    c5, paths = cycle(5), disjoint_paths((3, 2))
+    # C5 wraps onto the 3-point path (0, 1, 2) of the codomain
+    f = from_assignment(c5, paths, (0, 1, 2, 1, 0))
+    one_node = EnumerationBudget(max_nodes=1)
+    assert is_nullhomotopic(f, one_node) == "yes"
+    assert is_nullhomotopic(identity(cube()), one_node) == "yes"
+    assert is_contractible(cube_minus_vertex(), one_node) == "yes"
+    assert is_contractible(singleton(), one_node) == "yes"
+
+
+def test_maps_across_components_or_into_uncontracted_ones_go_to_the_closure():
+    # the identity of a disconnected image spans its components, and the
+    # rotation of C5 and the path into C5 lie in a component no greedy chain
+    # contracts, so only the closure answers, and one node does not let it
+    c5 = cycle(5)
+    for f, verdict in (
+        (identity(discrete(2)), "no"),
+        (identity(disjoint_paths((2, 2))), "no"),
+        (from_assignment(c5, c5, (1, 2, 3, 4, 0)), "no"),
+        (from_assignment(interval(0, 2), c5, (0, 1, 2)), "yes"),
+    ):
+        assert is_nullhomotopic(f) == verdict
+        assert is_nullhomotopic(f, EnumerationBudget(max_nodes=1)) == "unknown"
 
 
 def test_nullhomotopic_constants():
@@ -334,10 +404,6 @@ def test_homotopy_chains_are_shortest(pair, pick):
     assert len(chain) - 1 == one_step_distance(f.domain, f.codomain, f.assignment, g.assignment)
 
 
-def _contracts(image) -> bool:
-    return _pulls_to_a_constant(identity(image), Meter())
-
-
 @st.composite
 def certified_map_pairs(draw):
     """f: X -> Y with X of 1-5 points certified contractible by a greedy chain.
@@ -347,7 +413,7 @@ def certified_map_pairs(draw):
     """
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     x_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=5)))
-    assume(_contracts(x_img))
+    assume(greedy_chain_oracle(x_img))
     if draw(st.booleans()):
         y_img = random_connected_image(rng, draw(st.integers(min_value=1, max_value=4)))
     else:
@@ -393,7 +459,7 @@ def test_budgeted_certified_class_holds_f(f, max_nodes, max_results):
 @settings(max_examples=40, deadline=None)
 def test_self_coincidence_sequence_of_certified_images_matches_oracle(seed, n):
     x_img = random_connected_image(random.Random(seed), n)
-    assume(_contracts(x_img))
+    assume(greedy_chain_oracle(x_img))
     entries = self_coincidence_sequence(x_img, 4).entries
     assert entries == tuple((j, mj_oracle(x_img, j), True) for j in range(1, 5))
 

@@ -39,6 +39,7 @@ from digitop import (
 )
 import digitop.enumeration as enumeration
 import digitop.homotopy as homotopy
+import digitop.images as images
 from digitop.enumeration import Meter, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of
 from digitop.spectra import _EqualizerSearch
@@ -304,25 +305,35 @@ def test_self_coincidence_sequence_is_non_increasing():
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def test_a_failed_chain_search_runs_once(monkeypatch):
+def _count_greedy_targets(monkeypatch) -> list[int]:
+    """The targets whose greedy step the images check, in the order checked."""
     targets = []
-    greedy_pull = homotopy._greedy_pull
+    step_is_continuous = images._greedy_step_is_continuous
 
-    def counted(f, target, meter):
+    def counted(nbrs, edges, target):
         targets.append(target)
-        return greedy_pull(f, target, meter)
+        return step_is_continuous(nbrs, edges, target)
 
-    monkeypatch.setattr(homotopy, "_greedy_pull", counted)
+    monkeypatch.setattr(images, "_greedy_step_is_continuous", counted)
+    return targets
+
+
+def test_a_failed_chain_search_runs_once(monkeypatch):
+    targets = _count_greedy_targets(monkeypatch)
     fig = figure1()
     seq = self_coincidence_sequence(fig, 3)
     assert seq.entries == ((1, 18, True), (2, 18, True), (3, 18, True))
-    # one failed pull toward each point; the class reuses the verdict
+    # one failed step toward each point, kept by the image for the class
     assert targets == list(range(fig.n_points))
     targets.clear()
     c5 = cycle(5)
     assert hcs([identity(c5), constant(c5, c5, 0)]).values.exact
-    # both classes come from one engine, which pulls id_X toward each point once
     assert targets == list(range(c5.n_points))
+    targets.clear()
+    # the image computes its flags once, whatever the operations
+    assert mc([identity(c5), identity(c5)]) == (0, True)
+    assert self_coincidence_sequence(c5, 3).entries[1] == (2, 0, True)
+    assert targets == []
 
 
 def test_budget_propagates_to_inexact_entries():
@@ -368,6 +379,8 @@ def test_closed_forms_match_oracle_on_every_connected_labelled_graph():
             assert result.values.exact, (edges, assignments)
             assert result.values.as_set() == truth, (edges, assignments)
             assert mcf(maps) == (min(truth), True), (edges, assignments)
+        entries = self_coincidence_sequence(x_img, 3).entries
+        assert entries == tuple((j, mj_oracle(x_img, j), True) for j in (1, 2, 3)), edges
 
 
 def test_searched_classes_match_oracle_on_every_labelled_graph():
@@ -438,16 +451,9 @@ def test_contractible_domains_build_no_class(monkeypatch):
     def refuse(engine, f):
         raise AssertionError("a class was built")
 
-    targets = []
-    greedy_pull = homotopy._greedy_pull
-
-    def counted(f, target, meter):
-        targets.append(target)
-        return greedy_pull(f, target, meter)
-
     monkeypatch.setattr(homotopy._Homotopy, "class_of", refuse)
-    monkeypatch.setattr(homotopy, "_greedy_pull", counted)
-    # the greedy pull of id_X toward 0 fails and toward 1 succeeds
+    targets = _count_greedy_targets(monkeypatch)
+    # the greedy step toward 0 is not continuous and toward 1 is
     x_img = _labeled(5, [(0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4)])
     f, g = identity(x_img), constant(x_img, x_img, 2)
     operations = [
@@ -458,11 +464,10 @@ def test_contractible_domains_build_no_class(monkeypatch):
         lambda: m_j_of_map(f, 3),
         lambda: self_coincidence_sequence(x_img, 4),
     ]
-    for operation in operations:
-        targets.clear()
+    for k, operation in enumerate(operations):
         operation()
-        # one chain search per operation, stopped at its first success
-        assert targets == [0, 1]
+        # the image stops at the first continuous step, and keeps its flag
+        assert targets == [0, 1], k
 
 
 def test_class_spectra_build_no_maps(monkeypatch):

@@ -26,6 +26,8 @@ from digitop import (
     square4,
     tee4,
 )
+from oracles import isomorphic_oracle
+from test_spectra import _labelled_graphs
 
 
 def test_ct_adjacent_basic():
@@ -122,6 +124,28 @@ def test_square4_is_cycle4_but_not_tee4():
     assert find_isomorphism(square4(), cycle(4)) is not None
     assert find_isomorphism(square4(), tee4()) is None
     assert find_isomorphism(interval(0, 3), tee4()) is None
+
+
+def test_equal_degrees_do_not_make_an_isomorphism():
+    # C6 and two disjoint triangles are both 2-regular on six points, so only
+    # the search, backtracking through every candidate, can tell them apart
+    triangles = DigitalImage(
+        points=tuple((i,) for i in range(6)),
+        adjacency=Explicit({(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)}),
+    )
+    assert cycle(6).degree_sequence() == triangles.degree_sequence()
+    assert find_isomorphism(cycle(6), triangles) is None
+    assert find_isomorphism(triangles, cycle(6)) is None
+
+
+def test_isomorphism_search_matches_oracle_on_every_pair_of_labelled_graphs():
+    graphs = list(_labelled_graphs(4))
+    for x_img in graphs:
+        for y_img in graphs:
+            if x_img.n_points != y_img.n_points:
+                continue
+            phi = find_isomorphism(x_img, y_img)
+            assert (phi is not None) == isomorphic_oracle(x_img, y_img), (x_img.edges, y_img.edges)
 
 
 def test_isomorphism_apply_and_inverse():

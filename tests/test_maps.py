@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from digitop import (
     ContinuityError,
+    DigitalMap,
     InvalidInputError,
     are_homotopic,
     coincidence_set,
@@ -56,6 +57,16 @@ def test_assignment_validation():
         from_assignment(iv, iv, (0, 1))
     with pytest.raises(InvalidInputError):
         from_assignment(iv, iv, (0, 1, 7))
+
+
+def test_both_constructors_keep_an_assignment_given_as_an_iterator():
+    iv = interval(0, 2)
+    for construct in (DigitalMap, from_assignment):
+        f = construct(iv, iv, iter([0, 1, 2]))
+        assert f.assignment == (0, 1, 2)
+        assert f == identity(iv)
+        with pytest.raises(ContinuityError):
+            construct(iv, iv, iter([0, 2, 2]))
 
 
 def test_compose_and_shape_checks():
