@@ -93,6 +93,21 @@ def mask_values(mask: int) -> list[int]:
     return values
 
 
+def value_bitsets(pool, n_points: int, n_values: int) -> list[list[int]]:
+    """``at[p][v]``: the bitset of the members of pool (assignments) that send p to v.
+
+    Members are numbered in pool order, bit i for the i-th; the bitsets of
+    one point are disjoint, and together they hold every member.
+    """
+    size = (len(pool) + 7) // 8
+    rows = [[bytearray(size) for _ in range(n_values)] for _ in range(n_points)]
+    for i, a in enumerate(pool):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for row, v in zip(rows, a):
+            row[v][byte] |= bit
+    return [[int.from_bytes(b, "little") for b in row] for row in rows]
+
+
 class Meter:
     """The node count and limits of one operation's budget, shared by every search it runs.
 

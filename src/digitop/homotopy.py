@@ -47,6 +47,7 @@ from .enumeration import (
     _Search,
     assignments_in_context,
     mask_values,
+    value_bitsets,
 )
 from .errors import InvalidInputError
 from .images import DigitalImage
@@ -169,15 +170,8 @@ class _HomIndex:
 
     def __init__(self, domain: DigitalImage, codomain: DigitalImage, pool):
         self.pool = pool
-        size = (len(pool) + 7) // 8
-        m = codomain.n_points
-        rows = [[bytearray(size) for _ in range(m)] for _ in range(domain.n_points)]
-        for i, a in enumerate(pool):
-            byte, bit = i >> 3, 1 << (i & 7)
-            for row, v in zip(rows, a):
-                row[v][byte] |= bit
+        self.at = value_bitsets(pool, domain.n_points, codomain.n_points)
         # disjoint in v, so sums are unions
-        self.at = [[int.from_bytes(b, "little") for b in row] for row in rows]
         self.cover = [
             [sum(at_p[v] for v in mask_values(c)) for c in codomain._closed] for at_p in self.at
         ]

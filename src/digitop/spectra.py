@@ -12,7 +12,13 @@ first layer that reaches a size gives the fewest picks realizing it,
 which answers every arity up to the largest at once.
 The closure stops once nothing larger can be found: at the full range
 0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
-ceiling stop; see ``_EqualizerSearch``).
+ceiling stop; see ``_EqualizerSearch``).  A spectrum with a gap stops at
+neither, so its closure exhausts.  Over a pool listed in full (the class
+pools of ``homotopy_spectra``), the children of a state come from the
+pool's value bitsets (``enumeration.value_bitsets``): the members are
+split by whether they agree with the state at each point where it still
+agrees, and each part is one distinct child, so no duplicate is built.
+The groups are searched smallest pool first.
 
 The closure reads its pool from the Hom-space search as it goes (a
 ``_Pool`` on a resumable ``enumeration._Search``), not from a list built
@@ -35,7 +41,7 @@ from __future__ import annotations
 from itertools import islice
 
 from ._record import Record
-from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search
+from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search, value_bitsets
 from .errors import InvalidInputError
 from .images import DigitalImage, is_totally_disconnected
 
@@ -145,7 +151,8 @@ class _EqualizerSearch:
     so a map counts only through its agreement with the identity, its
     fixed-point set: every pool then holds fixed-point sets as bitmasks
     over the points rather than maps.  The search reads its pools as given
-    and never rewrites them.
+    and never rewrites them, but searches the groups smallest pool first:
+    group order changes no fewest picks, and layer one is the first pool.
 
     A state is what the picks so far agree on: without ``fixed`` a
     restriction, the agreed value at each point or None once agreement is
@@ -162,11 +169,23 @@ class _EqualizerSearch:
     and ``fixed`` off, its members are maps, each agreeing with itself
     everywhere, so it records #X and is not walked.  A pool may be a
     ``_Pool`` read from a map search, walked by every loop from a position
-    of its own.  A state reached again in its group with no fewer picks in
-    that group is dropped: its first arrival came with no more picks in
-    total and completes every selection the second would.  Every state
-    built costs one node on ``meter``, the meter of the operation, which a
-    ``_Pool``'s search charges too.
+    of its own; it is then the only group.  A state reached again in its
+    group with no fewer picks in that group is dropped: its first arrival
+    came with no more picks in total and completes every selection the
+    second would.
+
+    The first state that expands against a pool walks its members, one
+    child each.  Without ``fixed``, a later state against a pool of tuples
+    splits the pool by its value bitsets, built then (``_children``), into
+    one part per distinct child, and walks one member of each part: a
+    closure that stops inside its first expansion builds no bitset.  A
+    ``_Pool`` and the fixed-point sets (one ``&`` a child) are always
+    walked.  Each member of the pool costs one node on ``meter``, the
+    meter of the operation, which a ``_Pool``'s search charges too: a
+    walked state charges its members one at a time, a split state its
+    whole pool in one addition before any child is recorded.  So a closure
+    that exhausts, or stops between states, charges the same nodes either
+    way, and a budget trips at the same total.
     """
 
     def __init__(
@@ -177,15 +196,19 @@ class _EqualizerSearch:
         meter: Meter,
         min_mode: bool = False,
     ):
-        self.pools: list = []  # tuples of members, or _Pools
-        self.mults: list[int] = []
+        pairs = []
         for pool, mult in groups:
             if not isinstance(pool, _Pool):
                 pool = tuple(pool)
                 if not pool:
                     raise InvalidInputError("every group needs a nonempty pool")
-            self.pools.append(pool)
-            self.mults.append(mult)
+            pairs.append((pool, mult))
+        if len(pairs) > 1:
+            # the smallest pool first (a _Pool is always alone); group order
+            # changes no fewest picks
+            pairs.sort(key=lambda pair: len(pair[0]))
+        self.pools: list = [pool for pool, _ in pairs]  # tuples of members, or one _Pool
+        self.mults: list[int] = [mult for _, mult in pairs]
         self.n = n_points
         self.fixed = fixed
         self.min_mode = min_mode
@@ -230,6 +253,11 @@ class _EqualizerSearch:
         last = len(pools) - 1
         # per group: state -> fewest picks in that group it was reached with
         seen: list[dict] = [{} for _ in pools]
+        # listed pools of maps split their children from value bitsets, built
+        # at the second state that expands against the pool
+        split = not fixed and not any(isinstance(pool, _Pool) for pool in pools)
+        expanded = [0] * len(pools)
+        bitsets: list = [None] * len(pools)
         layer = {(0, 1): pools[0]}
         picks = 1
         if last == 0 and not fixed:
@@ -263,8 +291,18 @@ class _EqualizerSearch:
                         # a pick in the same group that breaks no agreement
                         # leaves r itself, already reached with fewer picks
                         unchanged = r if h == g else None
-                        for m in pool:
-                            meter.nodes += 1
+                        walk, charge = pool, 1
+                        expanded[h] += 1
+                        if split and expanded[h] > 1:
+                            if bitsets[h] is None:
+                                n_values = 1 + max(max(map(max, p)) for p in pools)
+                                bitsets[h] = value_bitsets(pool, n, n_values)
+                            # one member per distinct child, the pool charged in
+                            # one addition
+                            walk, charge = _children(r, pool, bitsets[h]), 0
+                            meter.nodes += len(pool)
+                        for m in walk:
+                            meter.nodes += charge
                             if meter.nodes >= meter.check_at and meter.over():
                                 self.exact = False
                                 raise _Stop
@@ -284,6 +322,31 @@ class _EqualizerSearch:
                             if record and size not in min_picks:
                                 self._record(size, picks)
             layer = {key: states for key, states in following.items() if states}
+
+
+def _children(r: tuple, pool: tuple, at: list[list[int]]) -> list[tuple]:
+    """One member of pool per distinct equalizer restriction it leaves of r.
+
+    ``at[p][v]`` is the bitset of the members that send p to v.  Splitting
+    the members by whether they agree with r, at each point where r still
+    agrees, leaves one part per distinct agreement set, so per distinct
+    child; the lowest member of each part stands for it, and no other
+    member is read.
+    """
+    parts = [(1 << len(pool)) - 1]
+    for p, v in enumerate(r):
+        if v is None:
+            continue
+        agree = at[p][v]
+        halves = []
+        for part in parts:
+            inside = part & agree
+            if inside and inside != part:
+                halves += (inside, part ^ inside)
+            else:
+                halves.append(part)
+        parts = halves
+    return [pool[(part & -part).bit_length() - 1] for part in parts]
 
 
 def _streamed_picks(

@@ -39,9 +39,10 @@ from digitop import (
 )
 import digitop.enumeration as enumeration
 import digitop.homotopy as homotopy
+import digitop.homotopy_spectra as homotopy_spectra
 import digitop.images as images
 from digitop.enumeration import Meter, enumerate_assignments
-from digitop.homotopy_spectra import _classes_of
+from digitop.homotopy_spectra import _classes_of, _search_classes
 from digitop.spectra import _EqualizerSearch
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
 from test_spectra import SWEEP_POINTS, _labelled_graphs
@@ -121,6 +122,70 @@ def test_distinct_classes_stop_below_the_full_range():
         result = hcs(maps, budget)
         assert result.values.exact
         assert result.values.values == (0, 1, 2, 3, 4, 5)
+
+
+def _hcs_and_nodes(monkeypatch, maps):
+    """hcs of maps, and the nodes charged to the meter of its one engine."""
+    engines = []
+
+    class Recorded(homotopy._Homotopy):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(homotopy_spectra, "_Homotopy", Recorded)
+    result = hcs(maps)
+    assert len(engines) == 1
+    return result, engines[0].meter.nodes
+
+
+def test_split_children_keep_the_node_counts_of_the_member_walk(monkeypatch):
+    # Each closure here exhausts, or stops in the first state against its
+    # pool, which is walked member by member: splitting the later states
+    # charges each its pool, so every count is that of a walk over all
+    # members, one node each.  The groups are given smallest pool first,
+    # the order the search sorts them into.
+    f, g = _distinct_classes()
+    c6 = cycle(6)
+    for maps, nodes in (
+        ([g, f], 10_636),
+        ([g, g, f], 10_636),
+        ([identity(c6), constant(c6, c6, 0)], 8_332),
+    ):
+        result, charged = _hcs_and_nodes(monkeypatch, maps)
+        assert result.values.exact
+        assert charged == nodes
+    # the equalizer search alone, in either order of the classes
+    for maps in ([f, g], [g, f]):
+        classes = _classes_of(maps, None, fixed=False)
+        meter = Meter()
+        sizes, complete, exact = _search_classes(classes, meter, False, False)
+        assert complete and exact
+        assert sorted(sizes) == [0, 1, 2, 3, 4, 5]
+        assert meter.nodes == 1_102
+
+
+def test_a_gap_in_the_spectrum_is_searched_exhaustively():
+    # X is connected but not contractible, and the classes hold 58 948 and
+    # 69 maps.  HCS is 0..6: size 7 is never reached, so neither the
+    # full-range nor the ceiling stop fires and the closure exhausts, at
+    # 69 * 58 948 nodes for arity 2
+    x_img = _labeled(8, [
+        (0, 1), (0, 2), (0, 4), (0, 5), (0, 7), (1, 2), (1, 3), (1, 5), (3, 5), (3, 6),
+        (3, 7), (4, 6),
+    ])
+    f = from_assignment(x_img, x_img, (5, 1, 3, 3, 3, 5, 1, 5))
+    g = from_assignment(x_img, x_img, (3, 1, 1, 0, 6, 1, 4, 1))
+    cls_f, cls_g = _classes_of([f, g], None, fixed=False)
+    assert (len(cls_f.assignments), len(cls_g.assignments)) == (58_948, 69)
+    meter = Meter()
+    sizes, complete, exact = _search_classes((cls_f, cls_g), meter, False, False)
+    assert complete and exact
+    assert sorted(sizes) == list(range(7))
+    assert meter.nodes == 58_948 * 69
+    result = hcs_of_classes([cls_f, cls_g, cls_g])
+    assert result.values.exact
+    assert result.values.values == tuple(range(7))
 
 
 def test_classes_of_one_pair_share_one_index(monkeypatch):

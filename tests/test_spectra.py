@@ -46,6 +46,7 @@ from oracles import (
     all_maps_oracle,
     cfs_oracle,
     cs_oracle,
+    equalizer_size,
     fixed_spectrum_oracle,
     hcs_oracle,
     hfs_oracle,
@@ -526,3 +527,54 @@ def test_class_spectra_and_minima_match_oracle(pair, data):
         assert result.values.as_set() == truth
         assert result.min_value == min(truth)
         assert mcf(maps) == (min(truth), True)
+
+
+def _fewest_picks_oracle(groups) -> dict[int, int]:
+    """{size: fewest picks} over every selection of 1..mult members of each pool.
+
+    Picks may repeat, so a selection is a set of members per group; its
+    picks are the sum of those sets' sizes, and its value the equalizer of
+    their union.
+    """
+    choices = [
+        [set(c) for k in range(1, mult + 1) for c in itertools.combinations(pool, k)]
+        for pool, mult in groups
+    ]
+    best: dict[int, int] = {}
+    for selection in itertools.product(*choices):
+        size = equalizer_size(set().union(*selection))
+        picks = sum(map(len, selection))
+        if picks < best.get(size, picks + 1):
+            best[size] = picks
+    return best
+
+
+@given(tiny_pairs(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_equalizer_search_matches_brute_force_in_any_group_order(pair, data):
+    # pools of at most four maps, so the brute force stays small; the later
+    # states against a pool split their children from its value bitsets
+    x_img, y_img = pair
+    maps = all_maps_oracle(x_img, y_img)
+    pool = st.lists(st.sampled_from(maps), min_size=1, max_size=4, unique=True)
+    groups = data.draw(st.lists(st.tuples(pool, st.integers(1, 3)), min_size=1, max_size=3))
+    min_mode = data.draw(st.booleans())
+    truth = _fewest_picks_oracle(groups)
+
+    def search(order):
+        return _EqualizerSearch(order, x_img.n_points, False, Meter(), min_mode).run()
+
+    min_picks, exact = search(groups)
+    assert exact
+    if min_mode and 0 in truth:
+        # the first 0 stops the search, so what it recorded is part of the truth
+        assert min_picks[0] == truth[0]
+        assert min_picks.items() <= truth.items()
+    else:
+        assert min_picks == truth
+    permuted, permuted_exact = search(data.draw(st.permutations(groups)))
+    assert permuted_exact
+    if min_mode and 0 in truth:
+        assert permuted[0] == truth[0]
+    else:
+        assert permuted == min_picks

@@ -8,17 +8,22 @@ import pytest
 
 from digitop import (
     EnumerationBudget,
+    HomotopySpectrumResult,
     InvalidInputError,
     RunConfig,
+    SelfCoincidenceSequence,
+    Spectrum,
     builders,
     check_figure_examples,
     conjecture_search,
     disjoint_paths,
     fixed_point_spectrum,
+    hcs_of_classes,
     iso_invariance_reports,
     mj_reports,
     random_pair_property_reports,
     run_suite,
+    self_coincidence_sequence,
     subset_sums,
 )
 import digitop.verify as verify
@@ -200,3 +205,66 @@ def test_figure_examples_time_their_own_computation(monkeypatch):
 def test_conjecture_search_rejects_arity_below_two():
     with pytest.raises(InvalidInputError):
         conjecture_search(max_x_points=3, i_max=1)
+
+
+# Each check below is run on a fixture with the engine call it reads swapped
+# for one that drops or adds a value, and must fail on the image it read.
+
+
+def _check_reports(names, check_id, body):
+    """The reports of one check body on the builtin images named."""
+    return verify._run_checks(verify._fixtures(names), ((check_id, body),), RunConfig())
+
+
+def _failed_on(reports, x_img):
+    assert [r.verdict for r in reports] == ["fail"]
+    assert reports[0].details["x_image"] == x_img.to_json_dict()
+    return reports[0].details
+
+
+def _with_values(result, values):
+    """result with the values of its spectrum replaced."""
+    spectrum = result.values
+    return HomotopySpectrumResult(
+        Spectrum(values, spectrum.exact, spectrum.i), result.classes_complete, min(values)
+    )
+
+
+def test_hcs_inclusion_fails_when_the_longer_spectrum_drops_a_value(monkeypatch):
+    def dropping(classes, budget=None):
+        result = hcs_of_classes(classes, budget)
+        if len(classes) == 3:
+            return _with_values(result, result.values.values[1:])
+        return result
+
+    monkeypatch.setattr(verify, "hcs_of_classes", dropping)
+    details = _failed_on(
+        _check_reports("cycle:4", "hcs-monotone", verify._hcs_monotone), builders.cycle(4)
+    )
+    assert set(details["hcs_2"]) - set(details["hcs_3"]) == {0}
+
+
+def test_rigid_hcs_fails_when_a_value_is_added(monkeypatch):
+    def adding(classes, budget=None):
+        result = hcs_of_classes(classes, budget)
+        return _with_values(result, (0, *result.values.values))
+
+    monkeypatch.setattr(verify, "hcs_of_classes", adding)
+    details = _failed_on(
+        _check_reports("singleton", "rigid-hcs", verify._rigid_hcs), builders.singleton()
+    )
+    assert (details["i"], details["values"]) == (2, [0, 1])
+
+
+def test_mj_monotone_fails_when_the_sequence_grows(monkeypatch):
+    def growing(x_img, j_max, budget=None):
+        entries = list(self_coincidence_sequence(x_img, j_max, budget).entries)
+        j, value, exact = entries[-1]
+        entries[-1] = (j, value + 1, exact)
+        return SelfCoincidenceSequence(tuple(entries))
+
+    monkeypatch.setattr(verify, "self_coincidence_sequence", growing)
+    details = _failed_on(
+        _check_reports("cycle:5", "mj-monotone", verify._mj_monotone), builders.cycle(5)
+    )
+    assert [value for _, value, _ in details["entries"]] == [5, 0, 0, 1]
