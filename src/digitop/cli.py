@@ -18,7 +18,7 @@ import sys
 
 from .enumeration import EnumerationBudget, count_continuous_maps, enumerate_continuous_maps
 from .errors import ContinuityError, InvalidInputError
-from .fileio import dump_image, load_image, load_map
+from .fileio import dump_image, load_image, load_map, load_map_or_image
 from .homotopy import (
     are_homotopic,
     homotopy_class,
@@ -89,19 +89,6 @@ def _spectrum_text(kind: str, spectrum) -> str:
         notes.append(f"stabilizes at arity {spectrum.stabilized_at}")
     suffix = f"  ({'; '.join(notes)})" if notes else ""
     return f"{kind} = {body}{suffix}"
-
-
-def _load_map_or_image(source: str):
-    """A JSON object with an assignment is a map; anything else is an image."""
-    if not source.startswith("builtin:") and os.path.isfile(source):
-        with open(source, encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError:
-                raw = None
-        if isinstance(raw, dict) and "assignment" in raw:
-            return load_map(source)
-    return load_image(source)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +234,7 @@ def cmd_are_homotopic(args) -> int:
 
 
 def cmd_rigid(args) -> int:
-    loaded = _load_map_or_image(args.source)
+    loaded = load_map_or_image(args.source)
     if isinstance(loaded, DigitalMap):
         rigid = is_rigid_map(loaded)
         subject = "map"

@@ -19,9 +19,10 @@ BUILTIN_PREFIX = "builtin:"
 
 
 def _read_json(path: Path):
+    """The JSON value of a UTF-8 file; an unreadable or malformed file names itself."""
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"{path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -38,7 +39,11 @@ def load_image(source: str, base_dir: Path | None = None) -> DigitalImage:
     path = Path(source)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
-    data = _read_json(path)
+    return _image_of(_read_json(path), path)
+
+
+def _image_of(data, path: Path) -> DigitalImage:
+    """The image that the JSON value read from ``path`` describes."""
     try:
         return image_from_json_dict(data)
     except InvalidInputError as exc:
@@ -67,7 +72,25 @@ def load_map(path_str: str) -> DigitalMap:
     ``ContinuityError`` keeps its type, so callers can report the edge.
     """
     path = Path(path_str)
+    return _map_of(_read_json(path), path)
+
+
+def load_map_or_image(source: str) -> DigitalMap | DigitalImage:
+    """A map file (a JSON object with an assignment) as a map; any other reference as an image.
+
+    The file is read and parsed once.
+    """
+    path = Path(source)
+    if source.startswith(BUILTIN_PREFIX) or not path.is_file():
+        return load_image(source)
     data = _read_json(path)
+    if isinstance(data, dict) and "assignment" in data:
+        return _map_of(data, path)
+    return _image_of(data, path)
+
+
+def _map_of(data, path: Path) -> DigitalMap:
+    """The map that the JSON value read from ``path`` describes."""
     if not isinstance(data, dict) or "assignment" not in data:
         raise InvalidInputError(f"{path}: a map file needs domain, codomain, assignment")
     domain = _image_from_ref_or_inline(data.get("domain"), path, "domain")

@@ -35,6 +35,7 @@ chains.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection
 from functools import cached_property
@@ -96,15 +97,14 @@ class HomotopyClass(Record):
 
     A class stores ``assignments``, its members' assignments in ascending
     order, the one form every search over classes reads.  ``members`` wraps
-    them as maps on first read, and ``in`` reads a set of them built on
-    first use; equality and the hash compare the assignments, so neither
-    builds a map.  A class of self-maps keeps its members' distinct
-    fixed-point sets once a common-fixed-point search has read them, so
-    repeated searches collapse the class once.  The constructor takes the
-    members as maps, which must share the representative's domain and
-    codomain; the homotopy engine builds its classes from the assignments
-    it found (``_of_assignments``).  Either way every stored assignment is
-    continuous.
+    them as maps on first read, ``in`` bisects them, and equality and the
+    hash compare them, so none of the three builds a map or a copy.  A
+    class of self-maps keeps its members' distinct fixed-point sets once a
+    common-fixed-point search has read them, so repeated searches collapse
+    the class once.  The constructor takes the members as maps, which must
+    share the representative's domain and codomain; the homotopy engine
+    builds its classes from the assignments it found (``_of_assignments``).
+    Either way every stored assignment is continuous.
     """
 
     _fields = ("representative", "assignments", "complete")
@@ -144,10 +144,6 @@ class HomotopyClass(Record):
         return tuple(_enumerated(rep.domain, rep.codomain, a) for a in self.assignments)
 
     @cached_property
-    def _assignment_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.assignments)
-
-    @cached_property
     def _fixed_masks(self) -> tuple[int, ...]:
         """The distinct fixed-point sets of the members (self-maps), in member order."""
         return tuple(dict.fromkeys(map(_fixed_mask, self.assignments)))
@@ -155,7 +151,8 @@ class HomotopyClass(Record):
     def __contains__(self, f: DigitalMap) -> bool:
         rep = self.representative
         same_pair = f.domain == rep.domain and f.codomain == rep.codomain
-        return same_pair and f.assignment in self._assignment_set
+        i = bisect_left(self.assignments, f.assignment)
+        return same_pair and self.assignments[i : i + 1] == (f.assignment,)
 
 
 class _HomIndex:

@@ -4,10 +4,12 @@ Each argument map may be deformed within its homotopy class, so the search
 ranges over selections from the classes.  Tuples again reduce to sets: a
 set S of distinct maps is realizable iff one member per class can be picked
 (with repetition up to that class's multiplicity in the argument list)
-whose union is S.  Equal classes are merged first into groups with
-multiplicities, and the spectra module's breadth-first closure over
-equalizer restrictions (or, for common fixed points, over the bitmasks of
-the classes' fixed-point sets) runs over those groups.
+whose union is S.  Repeats of one class object are merged first into
+groups with multiplicities (one engine returns one object per class, so
+the repeated maps of an operation share a group), and the spectra
+module's breadth-first closure over equalizer restrictions (or, for common
+fixed points, over the bitmasks of the classes' fixed-point sets) runs
+over those groups, reading each class's sorted assignments as they are.
 
 An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
 whether every two points of the codomain Y are adjacent, or a greedy chain
@@ -65,33 +67,33 @@ class SelfCoincidenceSequence(Record):
         object.__setattr__(self, "entries", entries)
 
 
-def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool, int]:
-    """Group equal classes with multiplicities; returns (groups, complete, #X).
+def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool, int, int]:
+    """Group repeats of one class object with multiplicities; returns (groups, complete, #X, #Y).
 
     This builds every class pool the equalizer search reads.  A group's
-    pool is its class's ``assignments``, so no map is built, and a class
-    object repeated in the list is hashed once.  With ``fixed`` the pool is
-    instead the class's distinct fixed-point sets as bitmasks, which the
-    class keeps, so a class is collapsed once however many searches read
-    it.
+    pool is its class's ``assignments``, as they are, so no map is built
+    and no member is read.  One engine returns one object per class, so
+    the repeated maps of an operation make one group.  Equal but distinct
+    class objects make two groups of one pool; those admit the same sets
+    of distinct maps as one group with the summed multiplicity, so every
+    value and minimum is the same, and only node counts can differ.  With
+    ``fixed`` the pool is instead the class's distinct fixed-point sets as
+    bitmasks, which the class keeps, so a class is collapsed once however
+    many searches read it.
     """
     first = classes[0].representative
     for cls in classes[1:]:
         rep = cls.representative
         if rep.domain != first.domain or rep.codomain != first.codomain:
             raise InvalidInputError("all classes must share domain and codomain")
-    repeats: dict[int, list] = {}
+    groups: dict[int, list] = {}
     for cls in classes:
-        entry = repeats.setdefault(id(cls), [cls, 0])
-        entry[1] += 1
-    groups: dict[tuple, list] = {}
-    for cls, count in repeats.values():
-        groups.setdefault(cls.assignments, [cls, 0])[1] += count
+        groups.setdefault(id(cls), [cls, 0])[1] += 1
     pools = [
         (cls._fixed_masks if fixed else cls.assignments, count) for cls, count in groups.values()
     ]
-    complete = all(cls.complete for cls, _ in repeats.values())
-    return pools, complete, first.domain.n_points
+    complete = all(cls.complete for cls, _ in groups.values())
+    return pools, complete, first.domain.n_points, first.codomain.n_points
 
 
 def _require_self_maps(f: DigitalMap) -> None:
@@ -115,8 +117,8 @@ def _search_classes(
         raise InvalidInputError("need at least one homotopy class")
     if fixed:
         _require_self_maps(classes[0].representative)
-    groups, complete, n = _merge_classes(classes, fixed)
-    search = _EqualizerSearch(groups, n, fixed, meter, min_mode)
+    groups, complete, n, n_values = _merge_classes(classes, fixed)
+    search = _EqualizerSearch(groups, n, n_values, fixed, meter, min_mode)
     min_picks, search_exact = search.run()
     return tuple(min_picks), complete, search_exact
 

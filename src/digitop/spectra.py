@@ -147,12 +147,15 @@ class _EqualizerSearch:
     between 1 and multiplicity maps from every group, and the value recorded
     is the size of the equalizer of everything picked (points where all
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
-    is that of its set.  With ``fixed`` the identity joins every equalizer,
-    so a map counts only through its agreement with the identity, its
-    fixed-point set: every pool then holds fixed-point sets as bitmasks
-    over the points rather than maps.  The search reads its pools as given
-    and never rewrites them, but searches the groups smallest pool first:
-    group order changes no fewest picks, and layer one is the first pool.
+    is that of its set.  The maps send ``n_points`` points to values below
+    ``n_values``, the sizes of their domain and codomain, which the caller
+    knows, so no member is read to find them.  With ``fixed`` the identity
+    joins every equalizer, so a map counts only through its agreement with
+    the identity, its fixed-point set: every pool then holds fixed-point
+    sets as bitmasks over the points rather than maps.  The search reads
+    its pools as given and never rewrites them, but searches the groups
+    smallest pool first: group order changes no fewest picks, and layer
+    one is the first pool.
 
     A state is what the picks so far agree on: without ``fixed`` a
     restriction, the agreed value at each point or None once agreement is
@@ -192,6 +195,7 @@ class _EqualizerSearch:
         self,
         groups,
         n_points: int,
+        n_values: int,
         fixed: bool,
         meter: Meter,
         min_mode: bool = False,
@@ -209,7 +213,7 @@ class _EqualizerSearch:
             pairs.sort(key=lambda pair: len(pair[0]))
         self.pools: list = [pool for pool, _ in pairs]  # tuples of members, or one _Pool
         self.mults: list[int] = [mult for _, mult in pairs]
-        self.n = n_points
+        self.n, self.n_values = n_points, n_values
         self.fixed = fixed
         self.min_mode = min_mode
         self.meter = meter
@@ -295,8 +299,7 @@ class _EqualizerSearch:
                         expanded[h] += 1
                         if split and expanded[h] > 1:
                             if bitsets[h] is None:
-                                n_values = 1 + max(max(map(max, p)) for p in pools)
-                                bitsets[h] = value_bitsets(pool, n, n_values)
+                                bitsets[h] = value_bitsets(pool, n, self.n_values)
                             # one member per distinct child, the pool charged in
                             # one addition
                             walk, charge = _children(r, pool, bitsets[h]), 0
@@ -387,7 +390,7 @@ def _streamed_picks(
         # constants always exist, so an empty pool means the budget tripped
         return {}, False, True
     min_picks, search_exact = _EqualizerSearch(
-        [(pool, arity)], domain.n_points, fixed, meter, min_mode
+        [(pool, arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
     ).run()
     return min_picks, pool.exact, search_exact
 

@@ -339,6 +339,25 @@ def test_input_errors_name_their_file(capsys, tmp_path):
         assert _run(capsys, *command, str(path)) == (2, "", f"error: {path}: {message}\n")
 
 
+NON_UTF8_FILES = {
+    "utf-16-bom": b"\xff\xfe" + json.dumps(_image_json()).encode("utf-16-le"),
+    "latin-1-name": json.dumps({**_image_json(), "name": "\u00e9"}, ensure_ascii=False).encode(
+        "latin-1"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", [_IMAGE_INFO, ("map", "check"), ("homotopy", "rigid")])
+@pytest.mark.parametrize("name", sorted(NON_UTF8_FILES))
+def test_non_utf8_files_exit_2_naming_the_file(capsys, tmp_path, command, name):
+    path = tmp_path / "input.json"
+    path.write_bytes(NON_UTF8_FILES[name])
+    code, out, err = _run(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_errors_from_a_referenced_image_name_the_map_file(capsys, tmp_path):
     path = tmp_path / "map.json"
     for domain, codomain, message in [

@@ -47,7 +47,7 @@ from oracles import (
     mj_oracle,
     one_step_distance,
 )
-from test_spectra import SWEEP_POINTS, _labelled_graphs
+from test_spectra import SWEEP_POINTS, _labelled_graphs, tiny_pairs
 
 
 def test_one_step_homotopic_basics():
@@ -489,3 +489,24 @@ def test_a_class_rejects_members_of_another_pair():
     f = identity(cycle(5))
     with pytest.raises(InvalidInputError):
         HomotopyClass(f, (f, constant(cycle(5), cycle(4), 0)), True)
+
+
+@given(tiny_pairs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_membership_reads_the_sorted_assignments(pair, data):
+    # every map of the pair is in the class iff its assignment is; a map of
+    # another pair is not, even with an assignment the class holds
+    x_img, y_img = pair
+    maps = [from_assignment(x_img, y_img, a) for a in all_maps_oracle(x_img, y_img)]
+    cls = homotopy_class(data.draw(st.sampled_from(maps)))
+    members = set(cls.assignments)
+    assert [f in cls for f in maps] == [f.assignment in members for f in maps]
+    wider_y = DigitalImage(
+        points=y_img.points + ((y_img.n_points,),), adjacency=Explicit(set(y_img.edges))
+    )
+    wider_x = DigitalImage(
+        points=x_img.points + ((x_img.n_points,),), adjacency=Explicit(set(x_img.edges))
+    )
+    for a in cls.assignments:
+        assert from_assignment(x_img, wider_y, a) not in cls
+        assert from_assignment(wider_x, y_img, a + a[:1]) not in cls

@@ -233,7 +233,7 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
     ],
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
-    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, fixed, Meter())
+    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, 2, fixed, Meter())
     min_picks, exact = search.run()
     assert exact and set(min_picks) == expected
     assert search.meter.nodes == nodes
@@ -558,3 +558,15 @@ def test_class_spectra_build_no_maps(monkeypatch):
     assert [m.assignment for m in members] == wrapped == list(cls.assignments)
     assert len(wrapped) == 5
     assert cls.members is members and len(wrapped) == 5
+
+
+def test_equal_but_distinct_class_objects_give_the_same_spectra():
+    # a and b are two groups of one pool, which admit the same sets of
+    # distinct maps as one group of a with the summed multiplicity
+    a, b = homotopy_class(identity(cycle(5))), homotopy_class(identity(cycle(5)))
+    c = homotopy_class(constant(cycle(5), cycle(5), 0))
+    assert a == b and a is not b
+    for spectrum_of in (hcs_of_classes, hfs_of_classes):
+        for distinct, repeated in (([a, b], [a, a]), ([a, b, c], [a, a, c])):
+            got, want = spectrum_of(distinct), spectrum_of(repeated)
+            assert got.values.exact and got == want

@@ -250,7 +250,7 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert s.exact
     assert s.values == tuple(range(9))
     search = _Search(c, c, None, Meter(), collect=True)
-    closure = _EqualizerSearch([(_Pool(search), 2)], 8, False, Meter())
+    closure = _EqualizerSearch([(_Pool(search), 2)], 8, 8, False, Meter())
     min_picks, exact = closure.run()
     assert exact and sorted(min_picks) == list(range(9))
     assert (len(search.results), search.meter.nodes, closure.meter.nodes) == (2584, 4814, 2582)
@@ -398,7 +398,9 @@ def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     pool = list(search.fixed_sets) if fixed else search.results
     if not pool:
         return {}, False
-    min_picks, exact = _EqualizerSearch([(pool, arity)], x_img.n_points, fixed, meter).run()
+    min_picks, exact = _EqualizerSearch(
+        [(pool, arity)], x_img.n_points, y_img.n_points, fixed, meter
+    ).run()
     return min_picks, search.exhausted and exact
 
 
@@ -562,7 +564,9 @@ def test_equalizer_search_matches_brute_force_in_any_group_order(pair, data):
     truth = _fewest_picks_oracle(groups)
 
     def search(order):
-        return _EqualizerSearch(order, x_img.n_points, False, Meter(), min_mode).run()
+        return _EqualizerSearch(
+            order, x_img.n_points, y_img.n_points, False, Meter(), min_mode
+        ).run()
 
     min_picks, exact = search(groups)
     assert exact

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from functools import partial
 
 import pytest
 
@@ -16,6 +17,8 @@ from digitop import (
     builders,
     check_figure_examples,
     conjecture_search,
+    conjugate,
+    constant,
     disjoint_paths,
     fixed_point_spectrum,
     hcs_of_classes,
@@ -268,3 +271,137 @@ def test_mj_monotone_fails_when_the_sequence_grows(monkeypatch):
         _check_reports("cycle:5", "mj-monotone", verify._mj_monotone), builders.cycle(5)
     )
     assert [value for _, value, _ in details["entries"]] == [5, 0, 0, 1]
+
+
+def _edit(spectrum, edit):
+    """spectrum with edit applied to its values."""
+    return Spectrum(edit(spectrum.values), spectrum.exact, spectrum.i, spectrum.stabilized_at)
+
+
+def _edited(fn, edit):
+    """fn with edit applied to the values of the spectrum it returns."""
+    return lambda *args: _edit(fn(*args), edit)
+
+
+def _edited_last_arity(fn, edit):
+    """fn, returning spectra by arity, with edit applied to the largest arity's values."""
+    def wrong(*args):
+        by_arity = fn(*args)
+        last = max(by_arity)
+        by_arity[last] = _edit(by_arity[last], edit)
+        return by_arity
+
+    return wrong
+
+
+def _drop_top(values):
+    return values[:-1]
+
+
+def _drop_bottom(values):
+    return values[1:]
+
+
+def _add_above(values):
+    return (*values, values[-1] + 1)
+
+
+def _conjugate_ignoring_the_map(f, phi):
+    """Not the conjugate of f: the conjugate of a constant, whatever f is."""
+    return conjugate(constant(f.domain, f.domain, 0), phi)
+
+
+# (check body, X names, Y names or None, {verify attribute: wrong call}, a detail of the branch)
+FAILING_CHECKS = {
+    "lemma-cardinality": (
+        verify._lemma_cardinality, "interval:0:2", "interval:0:1",
+        {"coincidence_spectrum": _edited(verify.coincidence_spectrum, _drop_top)}, "values",
+    ),
+    "lemma-full-range": (
+        verify._lemma_full_range, "interval:0:2", "interval:0:1",
+        {"coincidence_spectrum": _edited(verify.coincidence_spectrum, _drop_bottom)}, "values",
+    ),
+    "lemma-full-range/search": (
+        verify._lemma_full_range, "interval:0:2", "interval:0:1",
+        {
+            "coincidence_spectrum_by_search":
+                _edited(verify.coincidence_spectrum_by_search, _drop_bottom),
+        },
+        "search_values",
+    ),
+    "monotone/adjacent-pair": (
+        verify._monotone, "interval:0:2", "interval:0:1",
+        {
+            "coincidence_spectra_by_arity":
+                _edited_last_arity(verify.coincidence_spectra_by_arity, _drop_bottom),
+        },
+        "reason",
+    ),
+    "monotone/shrinking-chain": (
+        verify._monotone, "discrete:2", "discrete:2",
+        {
+            "coincidence_spectra_by_arity":
+                _edited_last_arity(verify.coincidence_spectra_by_arity, _drop_bottom),
+        },
+        "chain",
+    ),
+    "monotone/public": (
+        verify._monotone, "discrete:2", "discrete:2",
+        {"coincidence_spectrum": _edited(verify.coincidence_spectrum, _drop_bottom)}, "public",
+    ),
+    "monotone-search": (
+        verify._monotone_search, "discrete:2", "discrete:2",
+        {
+            "coincidence_spectrum": _edited(verify.coincidence_spectrum, _drop_top),
+            "coincidence_spectrum_by_search":
+                _edited(verify.coincidence_spectrum_by_search, _drop_top),
+        },
+        "values",
+    ),
+    "fx-subset": (
+        verify._fx_subset, "interval:0:2", None,
+        {"fixed_point_spectrum": _edited(verify.fixed_point_spectrum, _add_above)}, "cs2_values",
+    ),
+    "fx-subset-search": (
+        verify._fx_subset_search, "interval:0:2", None,
+        {
+            "coincidence_spectrum_by_search":
+                _edited(verify.coincidence_spectrum_by_search, _drop_top),
+        },
+        "cs2_values",
+    ),
+    "totally-disconnected": (
+        verify._totally_disconnected, "interval:0:2", "discrete:2",
+        {"coincidence_spectrum": _edited(verify.coincidence_spectrum, _add_above)}, "values",
+    ),
+    "nested-coincidence": (
+        verify._nested, "interval:0:2", "interval:0:2",
+        # a longer tuple agrees at more points
+        {"coincidence_set": lambda maps: frozenset(range(len(maps)))}, "tuple",
+    ),
+    "iso-invariance": (
+        verify._iso_invariance, "cycle:4", None,
+        {"conjugate": _conjugate_ignoring_the_map}, "coincidence_sizes",
+    ),
+    "conjecture": (
+        partial(verify._conjecture, i_max=3), "discrete:2", "discrete:2",
+        {
+            "coincidence_spectra_by_arity":
+                _edited_last_arity(verify.coincidence_spectra_by_arity, _add_above),
+        },
+        "observed",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_CHECKS))
+def test_each_check_fails_when_its_engine_call_is_wrong(monkeypatch, case):
+    body, xs, ys, swaps, branch_detail = FAILING_CHECKS[case]
+    for name, wrong in swaps.items():
+        monkeypatch.setattr(verify, name, wrong)
+    check_id = case.split("/")[0]
+    reports = verify._run_checks(verify._fixtures(xs, ys), ((check_id, body),), RunConfig())
+    details = _failed_on(reports, builders.builtin(xs))
+    assert branch_detail in details
+    if ys is not None:
+        assert details["y_image"] == builders.builtin(ys).to_json_dict()
