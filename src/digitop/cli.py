@@ -314,8 +314,6 @@ def cmd_hspectrum_mj(args) -> int:
     for j, value, exact in seq.entries:
         if args.format == "json":
             print(json.dumps({"j": j, "value": value, "exact": exact}, sort_keys=True))
-        elif value is None:
-            print(f"m_{j} = unknown (budget tripped)")
         else:
             print(f"m_{j} = {value}" + ("" if exact else "  (upper bound; budget tripped)"))
     return 0

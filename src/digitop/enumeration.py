@@ -11,17 +11,19 @@ each image builds once, on first use, and keeps (``DigitalImage._bfs``,
 Candidate sets are Python ``int`` bitmasks over the codomain's points: a
 point's candidates are its ``allowed`` mask ANDed with the closed
 neighborhood masks of the values at its earlier neighbors, and values are
-read off lowest bit first, so maps come out in ascending order.  The last
-point emits its maps in one loop, and charges their nodes in one addition
-whenever no limit can trip inside that batch.  A search of self-maps can
-instead record only their distinct fixed-point sets, one step per batch.
+read off lowest bit first, so maps come out in ascending order.  At the
+last point a search first keeps the values of the batch that its limits
+allow, charging them in one addition whenever no limit can trip inside the
+batch, and then one leaf records them.  A search writes one list,
+``results``: its maps, or for self-maps only their distinct fixed-point
+sets, at most two per batch; or it only counts.
 
 The search is one iterative depth-first loop in a generator that pauses
 after each last-position batch.  Collecting callers run it to the end; a
-caller that reads the maps as they come (the spectra's equalizer closure,
-the homotopy engine's race to index Hom(X, Y)) resumes it only while it
-needs more, so a search it stops charges no further node.  Either way the
-maps, their order and the node counts are the same.
+caller that reads the results as they come (the spectra's equalizer
+closure, the homotopy engine's race to index Hom(X, Y)) resumes it only
+while it needs more, so a search it stops charges no further node.  Either
+way the results, their order and the node counts are the same.
 """
 
 from __future__ import annotations
@@ -81,16 +83,6 @@ class EnumerationOutcome(Record):
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "exhausted", exhausted)
         object.__setattr__(self, "nodes_used", nodes_used)
-
-
-def mask_values(mask: int) -> list[int]:
-    """The values whose bits are set in mask, ascending."""
-    values = []
-    while mask:
-        low = mask & -mask
-        values.append(low.bit_length() - 1)
-        mask ^= low
-    return values
 
 
 def value_bitsets(pool, n_points: int, n_values: int) -> list[list[int]]:
@@ -169,19 +161,22 @@ class _Search:
     ``closed`` the codomain's closed-neighborhood masks, read off in
     ascending order; ``pending``
     holds the untried candidates of each position, so the depth-first
-    search needs no recursion.  The last position emits its maps in one
-    loop, with no call per map.  When that batch ends before
-    ``meter.check_at`` and there is no result cap, its nodes are charged
-    in one addition; otherwise one per value, so the node counts and stops
-    are the same either way.
+    search needs no recursion.
 
-    With ``fixed_sets`` (self-maps only, and not with ``collect``) the
-    search keeps, in ``fixed_sets``, the distinct fixed-point sets of its
-    maps as bitmasks over the points, in the order their first maps come
-    out.  A batch shares the fixed points of its prefix and differs only
-    in whether the last point v is fixed, so it adds at most two sets
-    with no loop over its maps: the prefix's set with v fixed (value v)
-    and without (any other value), in the order of their first values.
+    ``output`` says what the one list ``results`` holds: ``"maps"``, the
+    maps as assignment tuples; ``"fixed"`` (self-maps only), each distinct
+    fixed-point set as a bitmask over the points, in the order of its
+    first map; or ``"count"``, nothing, with the maps only counted in
+    ``count``.  The last position first keeps the values of its batch
+    that the meter and the cap allow, then one leaf records them with no
+    call per map.  When the batch ends before ``meter.check_at`` and there
+    is no result cap, its nodes are charged in one addition; otherwise one
+    per value up to the stop, so the node counts and stops are the same
+    either way.  A batch shares the fixed points of its prefix and differs
+    only in whether the last point v is fixed, so it adds at most two
+    sets with no loop over its maps: the set of its first map (its lowest
+    value), then, when it holds both v and another value, that set with
+    v's bit flipped.
     """
 
     def __init__(
@@ -190,9 +185,8 @@ class _Search:
         codomain: DigitalImage,
         allowed: tuple[int, ...] | None,
         meter: Meter,
-        collect: bool,
+        output: str,
         max_results: int | None = None,
-        fixed_sets: bool = False,
     ):
         self.order = order = domain._bfs[0]
         self.earlier = domain._earlier
@@ -202,15 +196,12 @@ class _Search:
         self.n = domain.n_points
         self.meter = meter
         self.max_results = max_results
-        self.collect = collect
+        self.output = output
         self.assign = [0] * self.n
-        self.results: list[tuple[int, ...]] = []
+        self.results: list = []
+        self._seen: set[int] = set()  # the fixed-point sets in results
         self.count = 0
         self.exhausted = True
-        self.fixed_sets: dict[int, None] | None = None
-        if fixed_sets:
-            self.fixed_sets = {}
-            self.prefix = self.order[:-1]  # every point but the last
 
     def run(self):
         """Search to the end (or the first stop); the node count is in ``nodes``."""
@@ -223,15 +214,15 @@ class _Search:
     def batches(self):
         """The search as a generator that pauses after each last-position batch.
 
-        Between two resumptions the new maps are at the end of ``results``
-        (or the new sets at the end of ``fixed_sets``); a search that is
-        never resumed again charges no further node.  The generator ends
-        when the search is exhausted or stopped (``exhausted`` is False).
+        Between two resumptions the new maps or fixed-point sets are at the
+        end of ``results``; a search that is never resumed again charges no
+        further node.  The generator ends when the search is exhausted or
+        stopped (``exhausted`` is False).
         """
         n = self.n
         order, earlier, allowed, closed = self.order, self.earlier, self.allowed, self.closed
         assign, meter, max_results = self.assign, self.meter, self.max_results
-        results, sets = self.results, self.fixed_sets
+        results, seen, output = self.results, self._seen, self.output
         last = n - 1
         v = order[last]
         bit = 1 << v
@@ -254,57 +245,55 @@ class _Search:
                         cands &= closed[assign[u]]
                     continue
             elif cands:
-                # the last position: each value completes a map
+                # the last position: each value completes a map; keep the
+                # values charged before any stop, then record them
+                stopped = False
                 batch = cands.bit_count()
                 if max_results is None and meter.nodes + batch < meter.check_at:
                     meter.nodes += batch
                     self.count += batch
-                    if self.collect:
-                        while cands:
-                            low = cands & -cands
-                            cands ^= low
-                            assign[v] = low.bit_length() - 1
-                            results.append(tuple(assign))
-                    elif sets is not None:
-                        prefix = self._prefix_fixed()
-                        if cands & bit:
-                            if cands & (bit - 1):
-                                sets[prefix] = None
-                            sets[prefix | bit] = None
-                        if cands & ~bit:
-                            sets[prefix] = None
                 else:
-                    for value in mask_values(cands):
+                    rest, cands = cands, 0
+                    while rest:
                         meter.nodes += 1
-                        if meter.nodes >= meter.check_at and meter.over():
-                            self.exhausted = False
-                            return
-                        if self.count == max_results:
-                            # a result past the cap exists, so the cap truncated the run
-                            self.exhausted = False
-                            return
+                        # at the cap a result past it exists, so the cap truncated the run
+                        if (meter.nodes >= meter.check_at and meter.over()) or (
+                            self.count == max_results
+                        ):
+                            stopped = True
+                            break
+                        low = rest & -rest
+                        cands |= low
+                        rest ^= low
                         self.count += 1
-                        if self.collect:
-                            assign[v] = value
-                            results.append(tuple(assign))
-                        elif sets is not None:
-                            prefix = self._prefix_fixed()
-                            sets[(prefix | bit) if value == v else prefix] = None
+                if output == "maps":
+                    while cands:
+                        low = cands & -cands
+                        cands ^= low
+                        assign[v] = low.bit_length() - 1
+                        results.append(tuple(assign))
+                elif output == "fixed" and cands:
+                    # the fixed-point set of the batch's first map
+                    assign[v] = (cands & -cands).bit_length() - 1
+                    fixed = 0
+                    for x in order:
+                        if assign[x] == x:
+                            fixed |= 1 << x
+                    if fixed not in seen:
+                        seen.add(fixed)
+                        results.append(fixed)
+                    if cands & bit and cands != bit and fixed ^ bit not in seen:
+                        seen.add(fixed ^ bit)
+                        results.append(fixed ^ bit)
+                if stopped:
+                    self.exhausted = False
+                    return
                 yield
             # backtrack to the deepest position with a candidate left
             k -= 1
             if k < 0:
                 return
             cands = pending[k]
-
-    def _prefix_fixed(self) -> int:
-        """The fixed points among every position but the last, as a bitmask."""
-        assign = self.assign
-        fixed = 0
-        for x in self.prefix:
-            if assign[x] == x:
-                fixed |= 1 << x
-        return fixed
 
 
 def assignments_in_context(
@@ -320,7 +309,7 @@ def assignments_in_context(
     are set in ``allowed[x]``.  The meter may be shared with other searches
     of the same operation; the node count returned is this search's own.
     """
-    search = _Search(domain, codomain, allowed, meter, collect=True, max_results=max_results).run()
+    search = _Search(domain, codomain, allowed, meter, "maps", max_results).run()
     return search.results, search.exhausted, search.nodes
 
 
@@ -356,9 +345,7 @@ def count_continuous_maps(
 ) -> tuple[int, bool]:
     """Number of continuous maps, without materializing them."""
     budget = budget or UNLIMITED
-    search = _Search(
-        domain, codomain, None, Meter(budget), collect=False, max_results=budget.max_results
-    ).run()
+    search = _Search(domain, codomain, None, Meter(budget), "count", budget.max_results).run()
     return search.count, search.exhausted
 
 

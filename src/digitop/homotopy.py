@@ -47,7 +47,6 @@ from .enumeration import (
     Meter,
     _Search,
     assignments_in_context,
-    mask_values,
     value_bitsets,
 )
 from .errors import InvalidInputError
@@ -56,7 +55,6 @@ from .maps import (
     DigitalMap,
     _enumerated,
     _fixed_mask,
-    constant,
     identity,
 )
 
@@ -168,9 +166,10 @@ class _HomIndex:
     def __init__(self, domain: DigitalImage, codomain: DigitalImage, pool):
         self.pool = pool
         self.at = value_bitsets(pool, domain.n_points, codomain.n_points)
-        # disjoint in v, so sums are unions
+        # disjoint in v, so sums are unions; N[u] is u and its neighbors
+        nbrs = codomain._neighbors
         self.cover = [
-            [sum(at_p[v] for v in mask_values(c)) for c in codomain._closed] for at_p in self.at
+            [at_p[u] + sum(at_p[w] for w in nbrs[u]) for u in range(len(at_p))] for at_p in self.at
         ]
         self.seen = 0
 
@@ -249,7 +248,7 @@ class _Homotopy:
         """
         meter = self.meter
         if self._hom is None:
-            self._hom = _Search(self.domain, self.codomain, None, meter, collect=True)
+            self._hom = _Search(self.domain, self.codomain, None, meter, "maps")
             self._batches = self._hom.batches()
         while self._hom_nodes < meter.nodes - self._hom_nodes:
             start = meter.nodes
@@ -436,7 +435,8 @@ def is_nullhomotopic(f: DigitalMap, budget: EnumerationBudget | None = None) -> 
     if len(held) == 1 and f.codomain._greedy_contractible[held.pop()]:
         return "yes"
     engine = _Homotopy(f.domain, f.codomain, budget)
-    constants = {constant(f.domain, f.codomain, y).assignment for y in range(f.codomain.n_points)}
+    n = f.domain.n_points
+    constants = {(y,) * n for y in range(f.codomain.n_points)}
     _, complete, found = engine.closure(f, stop_at=constants)
     if found:
         return "yes"

@@ -57,13 +57,15 @@ class HomotopySpectrumResult(Record):
 class SelfCoincidenceSequence(Record):
     """Entries (j, m_j, exact); non-increasing in j when all entries are exact.
 
-    A None value means the budget tripped before anything was recorded.
+    Every entry has a value: the search of m_j has one group, whose first
+    layer records #X before any node is charged, so an entry the budget
+    cut is an upper bound.
     """
 
     _fields = ("entries",)
-    entries: tuple[tuple[int, int | None, bool], ...]
+    entries: tuple[tuple[int, int, bool], ...]
 
-    def __init__(self, entries: tuple[tuple[int, int | None, bool], ...]):
+    def __init__(self, entries: tuple[tuple[int, int, bool], ...]):
         object.__setattr__(self, "entries", entries)
 
 
@@ -284,7 +286,7 @@ def self_coincidence_sequence(
     """
     if j_max < 1:
         raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
-    entries: list[tuple[int, int | None, bool]] = [(1, x_img.n_points, True)]
+    entries: list[tuple[int, int, bool]] = [(1, x_img.n_points, True)]
     engine = _Homotopy(x_img, x_img, budget)
     ident = identity(x_img)
     for j in range(2, j_max + 1):

@@ -404,7 +404,13 @@ class Isomorphism(Record):
 def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | None:
     """Exhaustive isomorphism search with degree and neighborhood pruning.
 
-    Returns the first match in deterministic order, or None.
+    Returns the first match in deterministic order, or None.  The points
+    of X are placed in search order; a position's candidates are a
+    bitmask of the unused points of Y with the same degree, adjacent to
+    the image of each earlier neighbor and to no image of an earlier
+    non-neighbor, tried ascending.  ``pending`` holds the untried
+    candidates of each position, so the depth-first search needs no
+    recursion.
     """
     n = x_img.n_points
     if y_img.n_points != n or x_img.degree_sequence() != y_img.degree_sequence():
@@ -412,37 +418,32 @@ def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | 
 
     x_nbrs = x_img.neighbor_sets()
     y_nbrs = y_img.neighbor_sets()
-    x_deg = [len(s) for s in x_nbrs]
-    y_deg = [len(s) for s in y_nbrs]
+    y_mask = [c ^ 1 << w for w, c in enumerate(y_img._closed)]  # open neighborhoods
+    of_degree: dict[int, int] = {}
+    for w, s in enumerate(y_nbrs):
+        of_degree[len(s)] = of_degree.get(len(s), 0) | 1 << w
     order = x_img._bfs[0]
-
-    assign: dict[int, int] = {}
-    used = [False] * n
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    assign = [0] * n
+    pending = [0] * n  # the untried candidates at each position
+    used = 0
+    k = 0
+    while True:
         v = order[k]
-        for w in range(n):
-            if used[w] or x_deg[v] != y_deg[w]:
-                continue
-            ok = True
-            for u, img_u in assign.items():
-                if (u in x_nbrs[v]) != (img_u in y_nbrs[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[v] = w
-            used[w] = True
-            if extend(k + 1):
-                return True
-            del assign[v]
-            used[w] = False
-        return False
-
-    if extend(0):
-        forward = tuple(assign[i] for i in range(n))
-        return Isomorphism(x_img, y_img, forward)
-    return None
-
+        cands = of_degree[len(x_nbrs[v])] & ~used
+        for u in order[:k]:
+            mask = y_mask[assign[u]]
+            cands &= mask if u in x_nbrs[v] else ~mask
+        while not cands:
+            # backtrack to the deepest position with a candidate left
+            k -= 1
+            if k < 0:
+                return None
+            used ^= 1 << assign[order[k]]
+            cands = pending[k]
+        low = cands & -cands
+        pending[k] = cands ^ low
+        assign[order[k]] = low.bit_length() - 1
+        used |= low
+        k += 1
+        if k == n:
+            return Isomorphism(x_img, y_img, assign)

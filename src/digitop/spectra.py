@@ -38,8 +38,6 @@ of 0..#X is seen.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from ._record import Record
 from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search, value_bitsets
 from .errors import InvalidInputError
@@ -79,17 +77,17 @@ class _Stop(Exception):
 class _Pool:
     """The members of one group, read from a map search as readers need them.
 
-    The pool holds what its search (an ``enumeration._Search``) has emitted
-    so far: the maps, or with ``fixed_sets`` the distinct fixed-point sets
-    as bitmasks, read as the search records them, and it resumes the search
-    whenever a reader walks past its end.  Each reader walks from a
-    position of its own, so the search runs only as far as the furthest
-    reader, and a closure that stops also stops the search.  Once the
-    search has ended, readers walk the list itself.  If it ended cut by its
-    budget or result cap, the sets of ``tail`` not yet read join last, and
-    ``exact`` is False.  The pool holds no meter and reads no clock: the
-    search charges the operation's meter, as the closure that walks the
-    pool does.
+    The members are the search's ``results`` (an ``enumeration._Search``),
+    the one list it writes: the maps, or the distinct fixed-point sets as
+    bitmasks, as the search records them.  The pool resumes the search
+    whenever a reader walks past the end of that list.  Each reader walks
+    from a position of its own, so the search runs only as far as the
+    furthest reader, and a closure that stops also stops the search.  Once
+    the search has ended, readers walk the list itself.  If it ended cut
+    by its budget or result cap, the sets of ``tail`` it has not recorded
+    join last, and ``exact`` is False.  The pool holds no meter and reads
+    no clock: the search charges the operation's meter, as the closure
+    that walks the pool does.
     """
 
     __slots__ = ("members", "done", "_search", "_batches", "_tail")
@@ -99,8 +97,7 @@ class _Pool:
         self._search = search
         self._batches = search.batches()
         self._tail = tail
-        # the maps of a collecting search are its members as they stand
-        self.members = search.results if search.fixed_sets is None else []
+        self.members = search.results
 
     @property
     def exact(self) -> bool:
@@ -122,22 +119,16 @@ class _Pool:
             self._grow()
 
     def _grow(self) -> None:
-        """Resume the search until it emits something new, or ends, and read it."""
-        search = self._search
-        sets = search.fixed_sets
-        emitted = search.results if sets is None else sets
-        before = len(emitted)
-        for _ in self._batches:
-            if len(emitted) > before:
-                break
-        else:
-            self.done = True
-        if sets is None:
-            return
+        """Resume the search until it records something new, or ends."""
         members = self.members
-        members += list(islice(reversed(sets), len(sets) - len(members)))[::-1]
-        if self.done and not search.exhausted:
-            members += [s for s in dict.fromkeys(self._tail) if s not in sets]
+        before = len(members)
+        for _ in self._batches:
+            if len(members) > before:
+                return
+        self.done = True
+        search = self._search
+        if not search.exhausted:
+            members += [s for s in dict.fromkeys(self._tail) if s not in search._seen]
 
 
 class _EqualizerSearch:
@@ -368,23 +359,21 @@ def _streamed_picks(
     closure exact).  The pool is read from the map search only as far as
     the closure walks it, so any stop of the closure (full range, ceiling,
     or with ``min_mode`` the first 0) also ends the enumeration, and
-    ``max_results`` caps the maps it reads.  With ``fixed`` (Y is X) the
-    identity joins every equalizer (common fixed points), so only the
-    maps' distinct fixed-point sets matter: the search records those sets
-    as bitmasks and builds no map, and the pool is those bitmasks as
-    recorded.  A cut search then adds the sets of ``tail`` last.  The
-    enumeration and the closure share the operation's meter, so its budget
-    bounds their sum.  The fewest picks stay exact at a stop: layer one is
-    #X alone for maps and is read in full for fixed-point sets, and the
-    first state of layer two reads the whole pool before the next starts.
+    ``max_results`` caps the maps it reads.  The pool is the search's one
+    list, ``results``.  With ``fixed`` (Y is X) the identity joins every
+    equalizer (common fixed points), so only the maps' distinct
+    fixed-point sets matter: that list then holds those sets, as bitmasks,
+    and no map is built.  A cut search then adds the sets of ``tail``
+    last.  The enumeration and the closure share the operation's meter, so
+    its budget bounds their sum.  The fewest picks stay exact at a stop:
+    layer one is #X alone for maps and is read in full for fixed-point
+    sets, and the first state of layer two reads the whole pool before the
+    next starts.
 
     This is CS and CFS, and HFS and MCF where a greedy chain contracts X
     (every class is then Hom(X, X)).
     """
-    search = _Search(
-        domain, codomain, None, meter, collect=not fixed, max_results=max_results,
-        fixed_sets=fixed,
-    )
+    search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps", max_results)
     pool = _Pool(search, tail)
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped

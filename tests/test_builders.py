@@ -68,8 +68,11 @@ def test_builtin_resolution():
 
 
 def test_builtin_reports_the_constructor_reason():
+    for name in ("cycle:0", "discrete:0"):
+        with pytest.raises(InvalidInputError, match="at least one point"):
+            builtin(name)
     with pytest.raises(InvalidInputError, match="at least one point"):
-        builtin("cycle:0")
+        random_connected_image(random.Random(0), 0)
     with pytest.raises(InvalidInputError, match="empty interval"):
         builtin("interval:3:1")
     for name in ("cycle:x", "interval:1", "interval:0:x", "discrete:1:2"):

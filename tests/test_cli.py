@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from digitop import builders, constant, dump_map, from_assignment, identity
+from digitop import builders, cli, constant, dump_map, from_assignment, identity
 from digitop.cli import cli_dispatch
 from digitop.fileio import dump_image
+from digitop.verify import VerificationReport
 
 
 def _run(capsys, *argv):
@@ -42,6 +43,9 @@ def test_image_build_round_trip(capsys, tmp_path):
     code, out, _ = _run(capsys, "image", "info", str(target))
     assert code == 0
     assert "points: 4" in out
+    # with no -o the JSON goes to stdout
+    code, out, _ = _run(capsys, "image", "build", "cycle:4")
+    assert (code, json.loads(out)) == (0, json.loads(target.read_text()))
 
 
 def test_map_check_exit_codes(capsys, tmp_path):
@@ -85,6 +89,15 @@ def test_maps_count_and_enumerate(capsys):
     assert code == 0
     assert len(out.strip().splitlines()) == 5
     assert "truncated" in err
+
+    code, out, _ = _run(
+        capsys, "maps", "enumerate", "builtin:interval:0:1", "builtin:interval:0:1",
+        "--format", "json",
+    )
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"assignment": a} for a in ([0, 0], [0, 1], [1, 0], [1, 1])
+    ]
 
 
 def test_enumerate_limit_equal_to_the_count_is_exhaustive(capsys):
@@ -206,6 +219,17 @@ def test_out_of_range_arity_exits_2_before_any_check(capsys, command, option):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "must be at least" in err
+
+
+def test_verify_text_prints_the_details_of_a_failing_report(capsys, monkeypatch):
+    failing = VerificationReport("lemma-cardinality", "X=cube", "fail", 0.5, {"values": [0, 1]})
+    monkeypatch.setattr(cli, "run_suite", lambda suite, config: [failing])
+    code, out, err = _run(capsys, "verify", "paper-fixtures")
+    assert (code, err) == (1, "0 passed, 1 failed, 0 skipped\n")
+    assert out == _text(
+        "[   fail] lemma-cardinality: X=cube (0.500s)",
+        '          details: {"values": [0, 1]}',
+    )
 
 
 def test_verify_under_a_node_budget_skips_rather_than_fails(capsys):
@@ -471,6 +495,11 @@ def test_rigid_on_a_map_file(capsys, tmp_path):
         assert (code, out) == (0, _text(f"map rigid: {verdict}"))
         code, out, _ = _run(capsys, "homotopy", "rigid", str(path), "--format", "json")
         assert (code, json.loads(out)) == (0, {"rigid": verdict == "True", "subject": "map"})
+    # an image file is read as the image, whose identity is tested
+    path = tmp_path / "image.json"
+    dump_image(builders.cycle(4), str(path))
+    code, out, _ = _run(capsys, "homotopy", "rigid", str(path))
+    assert (code, out) == (0, _text("image rigid: False"))
 
 
 def test_hspectrum_mj_json(capsys):

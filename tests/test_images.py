@@ -72,6 +72,16 @@ def test_validation_rejects_bad_input():
         Explicit({(0, 0)})
     with pytest.raises(InvalidInputError):
         DigitalImage(points=((0,), (1,)), adjacency=Explicit({(0, 2)}))
+    with pytest.raises(InvalidInputError, match="dimension must be positive"):
+        DigitalImage(points=((0,),), adjacency=CT(1), dimension=0)
+    with pytest.raises(InvalidInputError, match="invalid for dimension 1"):
+        DigitalImage(points=((0,), (1,)), adjacency=CT(2))
+    data = interval(0, 1).to_json_dict()
+    data["adjacency"] = {"type": "nonesuch"}
+    with pytest.raises(InvalidInputError, match="unknown adjacency type"):
+        image_from_json_dict(data)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        neighbors(interval(0, 1), 2)
 
 
 def test_adjacency_is_symmetric_and_antireflexive():
@@ -136,6 +146,18 @@ def test_equal_degrees_do_not_make_an_isomorphism():
     assert cycle(6).degree_sequence() == triangles.degree_sequence()
     assert find_isomorphism(cycle(6), triangles) is None
     assert find_isomorphism(triangles, cycle(6)) is None
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: interval(0, 1499), lambda: cycle(1500)], ids=["path", "cycle"]
+)
+def test_isomorphism_search_takes_no_frame_per_point(build):
+    # 1 500 points are past Python's recursion limit, so the search may not
+    # take a frame per point; the first match of an image with itself is the
+    # identity
+    img = build()
+    phi = find_isomorphism(img, img)
+    assert phi is not None and phi.forward == tuple(range(1500))
 
 
 def test_isomorphism_search_matches_oracle_on_every_pair_of_labelled_graphs():

@@ -77,6 +77,10 @@ def test_compose_and_shape_checks():
     assert compose(g, f).assignment == (1, 2, 0)
     with pytest.raises(InvalidInputError):
         compose(f, f)
+    with pytest.raises(InvalidInputError, match="self-maps only"):
+        conjugate(f, find_isomorphism(iv, iv))
+    with pytest.raises(InvalidInputError, match="domain must match"):
+        conjugate(g, find_isomorphism(iv, iv))
 
 
 def test_conjugate_preserves_fixed_points():
@@ -116,6 +120,8 @@ def test_fixed_and_common_fixed_sets():
     assert common_fixed_set([near]) == (0, 1, 2)
     with pytest.raises(InvalidInputError):
         fixed_point_set(constant(c4, cube(), 0))
+    with pytest.raises(InvalidInputError, match="self-maps only"):
+        common_fixed_set([constant(c4, cube(), 0)])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=4, max_size=4))

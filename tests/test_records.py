@@ -63,6 +63,12 @@ def test_records_are_immutable(record):
     assert getattr(record, field) is before
 
 
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_name_their_type_and_equal_no_other_object(record):
+    assert repr(record).startswith(f"{type(record).__name__}(")
+    assert record != object()
+
+
 def test_equal_records_compare_and_hash_equal():
     iv = builders.interval(0, 2)
     f, g = identity(iv), identity(builders.interval(0, 2))

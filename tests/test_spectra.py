@@ -249,7 +249,7 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     s = coincidence_spectrum_by_search(c, c, 2, budget)
     assert s.exact
     assert s.values == tuple(range(9))
-    search = _Search(c, c, None, Meter(), collect=True)
+    search = _Search(c, c, None, Meter(), "maps")
     closure = _EqualizerSearch([(_Pool(search), 2)], 8, 8, False, Meter())
     min_picks, exact = closure.run()
     assert exact and sorted(min_picks) == list(range(9))
@@ -378,9 +378,7 @@ def test_cs_search_matches_oracle_on_every_labelled_pair():
 def _search(x_img, y_img, meter, budget, fixed):
     """The map search of X -> Y, or of X's fixed-point sets, charged to meter."""
     max_results = budget.max_results if budget else None
-    return _Search(
-        x_img, y_img, None, meter, collect=not fixed, max_results=max_results, fixed_sets=fixed
-    )
+    return _Search(x_img, y_img, None, meter, "fixed" if fixed else "maps", max_results)
 
 
 def _fixed_sets(x_img, budget):
@@ -395,7 +393,7 @@ def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     """
     meter = Meter(budget)
     search = _search(x_img, y_img, meter, budget, fixed).run()
-    pool = list(search.fixed_sets) if fixed else search.results
+    pool = search.results
     if not pool:
         return {}, False
     min_picks, exact = _EqualizerSearch(
@@ -441,7 +439,7 @@ def test_fixed_sets_are_those_of_the_enumerated_maps(x_img, budget):
     maps, exhausted, nodes = enumerate_assignments(x_img, x_img, budget)
     search = _fixed_sets(x_img, budget)
     fixed = (sum(1 << x for x, v in enumerate(a) if v == x) for a in maps)
-    assert list(search.fixed_sets) == list(dict.fromkeys(fixed))
+    assert search.results == list(dict.fromkeys(fixed))
     assert (search.exhausted, search.nodes) == (exhausted, nodes)
 
 

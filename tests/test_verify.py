@@ -179,8 +179,9 @@ def test_a_tripped_budget_skips_and_never_fails(max_nodes):
 
 def test_rigidity_checks_are_budgeted():
     config = RunConfig(budget=EnumerationBudget(max_nodes=5))
-    by_name = {r.instance: r for r in check_figure_examples(config)}
-    for name in ("F(cube)", "rigid(figure1)"):
+    # C6 in place of the contractible cube minus a vertex: its closure trips
+    by_name = {r.instance: r for r in check_figure_examples(config, cube_minus=builders.cycle(6))}
+    for name in ("F(cube)", "rigid(figure1)", "contractible(cube_minus_vertex)"):
         assert by_name[name].verdict == "skipped", name
         assert by_name[name].details["reason"] == "budget tripped"
     reports = [r for r in run_suite("paper-fixtures", config) if r.check_id == "rigid-hcs"]
@@ -358,6 +359,10 @@ FAILING_CHECKS = {
         },
         "values",
     ),
+    "monotone-search/public": (
+        verify._monotone_search, "discrete:2", "discrete:2",
+        {"coincidence_spectrum": _edited(verify.coincidence_spectrum, _drop_bottom)}, "public",
+    ),
     "fx-subset": (
         verify._fx_subset, "interval:0:2", None,
         {"fixed_point_spectrum": _edited(verify.fixed_point_spectrum, _add_above)}, "cs2_values",
@@ -379,6 +384,8 @@ FAILING_CHECKS = {
         # a longer tuple agrees at more points
         {"coincidence_set": lambda maps: frozenset(range(len(maps)))}, "tuple",
     ),
+    # no call is swapped: the fixture itself is wrong, since C4 is not rigid
+    "rigid-hcs": (verify._rigid_hcs, "cycle:4", None, {}, "reason"),
     "iso-invariance": (
         verify._iso_invariance, "cycle:4", None,
         {"conjugate": _conjugate_ignoring_the_map}, "coincidence_sizes",
