@@ -63,6 +63,7 @@ def _budget_for(args, images) -> EnumerationBudget | None:
 
 
 def _emit(args, obj: dict, text: str) -> None:
+    """Print one result row: ``obj`` as a JSON line with ``--format json``, else ``text``."""
     if args.format == "json":
         print(json.dumps(obj, sort_keys=True))
     else:
@@ -130,7 +131,7 @@ def cmd_image_build(args) -> int:
         dump_image(img, args.output)
         print(f"wrote {img.n_points} points to {args.output}", file=sys.stderr)
     else:
-        print(json.dumps(img.to_json_dict(), sort_keys=True, indent=2))
+        print(dump_image(img))
     return 0
 
 
@@ -195,10 +196,7 @@ def cmd_maps_enumerate(args) -> int:
     budget = _budget_for(args, [x_img, y_img])
     outcome = enumerate_continuous_maps(x_img, y_img, budget)
     for m in outcome.maps:
-        if args.format == "json":
-            print(json.dumps({"assignment": list(m.assignment)}, sort_keys=True))
-        else:
-            print(" ".join(str(v) for v in m.assignment))
+        _emit(args, {"assignment": list(m.assignment)}, " ".join(str(v) for v in m.assignment))
     status = "exhaustive" if outcome.exhausted else "truncated"
     print(f"{len(outcome.maps)} maps ({status})", file=sys.stderr)
     return 0
@@ -209,10 +207,7 @@ def cmd_homotopy_class(args) -> int:
     budget = _budget_for(args, [f.domain, f.codomain])
     cls = homotopy_class(f, budget)
     for a in cls.assignments:
-        if args.format == "json":
-            print(json.dumps({"assignment": list(a)}, sort_keys=True))
-        else:
-            print(" ".join(str(v) for v in a))
+        _emit(args, {"assignment": list(a)}, " ".join(str(v) for v in a))
     status = "complete" if cls.complete else "truncated"
     print(f"{len(cls.assignments)} maps in class ({status})", file=sys.stderr)
     return 0
@@ -312,10 +307,8 @@ def cmd_hspectrum_mj(args) -> int:
     budget = _budget_for(args, [img])
     seq = self_coincidence_sequence(img, args.j_max, budget)
     for j, value, exact in seq.entries:
-        if args.format == "json":
-            print(json.dumps({"j": j, "value": value, "exact": exact}, sort_keys=True))
-        else:
-            print(f"m_{j} = {value}" + ("" if exact else "  (upper bound; budget tripped)"))
+        text = f"m_{j} = {value}" + ("" if exact else "  (upper bound; budget tripped)")
+        _emit(args, {"j": j, "value": value, "exact": exact}, text)
     return 0
 
 
@@ -323,13 +316,10 @@ def _emit_reports(args, reports) -> int:
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     for report in reports:
         counts[report.verdict] += 1
-        if args.format == "json":
-            print(json.dumps(report.to_json_dict(), sort_keys=True))
-        else:
-            line = f"[{report.verdict:>7}] {report.check_id}: {report.instance} ({report.elapsed:.3f}s)"
-            print(line)
-            if report.verdict == "fail":
-                print(f"          details: {json.dumps(report.details, sort_keys=True)}")
+        text = f"[{report.verdict:>7}] {report.check_id}: {report.instance} ({report.elapsed:.3f}s)"
+        if report.verdict == "fail":
+            text += f"\n          details: {json.dumps(report.details, sort_keys=True)}"
+        _emit(args, report.to_json_dict(), text)
     summary = f"{counts['pass']} passed, {counts['fail']} failed, {counts['skipped']} skipped"
     print(summary, file=sys.stderr)
     return 1 if counts["fail"] else 0

@@ -112,7 +112,8 @@ class Meter:
     nodes), so the common node costs one compare.  No search asks first
     whether a node still fits: its first node trips a spent meter.  Only
     work that charges no node (an expansion over the homotopy engine's
-    index) asks ``late()``.
+    index) asks ``over()`` first; there it can trip only on the deadline,
+    since a search that passes ``max_nodes`` ends its operation.
     """
 
     __slots__ = ("nodes", "max_nodes", "deadline", "check_at")
@@ -142,10 +143,6 @@ class Meter:
             return True
         self.check_at = self._next_check()
         return False
-
-    def late(self) -> bool:
-        """True iff the deadline has passed."""
-        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 class _Search:

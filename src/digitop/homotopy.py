@@ -312,7 +312,7 @@ class _Homotopy:
                 index.mark(parents)
             current = queue.popleft()
             if index is not None:
-                if meter.late():
+                if meter.over():
                     return parents, False, False
                 found = index.new_neighbors(current)
             else:

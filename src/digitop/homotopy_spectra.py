@@ -6,10 +6,11 @@ set S of distinct maps is realizable iff one member per class can be picked
 (with repetition up to that class's multiplicity in the argument list)
 whose union is S.  Repeats of one class object are merged first into
 groups with multiplicities (one engine returns one object per class, so
-the repeated maps of an operation share a group), and the spectra
-module's breadth-first closure over equalizer restrictions (or, for common
-fixed points, over the bitmasks of the classes' fixed-point sets) runs
-over those groups, reading each class's sorted assignments as they are.
+the repeated maps of an operation share a group), and one call of the
+spectra module's breadth-first closure over equalizer restrictions
+(``spectra._equalizer_closure``; for common fixed points, over the
+bitmasks of the classes' fixed-point sets) runs over those groups,
+reading each class's sorted assignments as they are.
 
 An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
 whether every two points of the codomain Y are adjacent, or a greedy chain
@@ -33,7 +34,7 @@ from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage
 from .maps import DigitalMap, _fixed_mask, _require_common_images, identity
-from .spectra import Spectrum, _EqualizerSearch, _streamed_picks
+from .spectra import Spectrum, _equalizer_closure, _streamed_picks
 
 
 class HomotopySpectrumResult(Record):
@@ -72,7 +73,7 @@ class SelfCoincidenceSequence(Record):
 def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool, int, int]:
     """Group repeats of one class object with multiplicities; returns (groups, complete, #X, #Y).
 
-    This builds every class pool the equalizer search reads.  A group's
+    This builds every class pool the equalizer closure reads.  A group's
     pool is its class's ``assignments``, as they are, so no map is built
     and no member is read.  One engine returns one object per class, so
     the repeated maps of an operation make one group.  Equal but distinct
@@ -81,13 +82,17 @@ def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool,
     value and minimum is the same, and only node counts can differ.  With
     ``fixed`` the pool is instead the class's distinct fixed-point sets as
     bitmasks, which the class keeps, so a class is collapsed once however
-    many searches read it.
+    many searches read it.  A class with no member is rejected: the
+    public ``HomotopyClass`` constructor accepts one, and the closure
+    needs every pool nonempty.
     """
     first = classes[0].representative
-    for cls in classes[1:]:
+    for cls in classes:
         rep = cls.representative
         if rep.domain != first.domain or rep.codomain != first.codomain:
             raise InvalidInputError("all classes must share domain and codomain")
+        if not cls.assignments:
+            raise InvalidInputError("every class needs a member")
     groups: dict[int, list] = {}
     for cls in classes:
         groups.setdefault(id(cls), [cls, 0])[1] += 1
@@ -109,7 +114,7 @@ def _search_classes(
     fixed: bool,
     min_mode: bool,
 ) -> tuple[tuple[int, ...], bool, bool]:
-    """Equalizer search over one map drawn from each class, charged to ``meter``.
+    """Equalizer closure over one map drawn from each class, charged to ``meter``.
 
     Returns (sizes found, classes complete, search exact).  With ``fixed``
     the identity joins every equalizer (common fixed points); ``min_mode``
@@ -120,8 +125,7 @@ def _search_classes(
     if fixed:
         _require_self_maps(classes[0].representative)
     groups, complete, n, n_values = _merge_classes(classes, fixed)
-    search = _EqualizerSearch(groups, n, n_values, fixed, meter, min_mode)
-    min_picks, search_exact = search.run()
+    min_picks, search_exact = _equalizer_closure(groups, n, n_values, fixed, meter, min_mode)
     return tuple(min_picks), complete, search_exact
 
 

@@ -369,7 +369,13 @@ def is_totally_disconnected(image: DigitalImage) -> bool:
 
 
 class Isomorphism(Record):
-    """An adjacency-preserving bijection between two images (both directions)."""
+    """An adjacency-preserving bijection between two images (both directions).
+
+    The constructor checks edges, not all pairs: a bijection maps distinct
+    edges of X to distinct pairs of Y, so when X and Y have as many edges
+    and every edge of X lands on an edge of Y, the edges of X cover those
+    of Y and no non-edge lands on an edge.
+    """
 
     _fields = ("domain", "codomain", "forward")
     domain: DigitalImage
@@ -381,12 +387,11 @@ class Isomorphism(Record):
         n = domain.n_points
         if codomain.n_points != n or sorted(forward) != list(range(n)):
             raise InvalidInputError("forward must be a bijection between the point sets")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if domain.adjacent(i, j) != codomain.adjacent(forward[i], forward[j]):
-                    raise InvalidInputError(
-                        f"bijection does not preserve adjacency at pair ({i}, {j})"
-                    )
+        if len(domain.edges) != len(codomain.edges):
+            raise InvalidInputError("the images have different numbers of edges")
+        for i, j in domain.edges:
+            if not codomain.adjacent(forward[i], forward[j]):
+                raise InvalidInputError(f"bijection does not preserve adjacency at edge ({i}, {j})")
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "forward", forward)

@@ -9,16 +9,18 @@ common fixed points, a bitmask over the points that each pick ANDs with
 its map's fixed-point set.  One breadth-first closure expands these
 states in layers of total picks and keeps each distinct one once, so the
 first layer that reaches a size gives the fewest picks realizing it,
-which answers every arity up to the largest at once.
-The closure stops once nothing larger can be found: at the full range
+which answers every arity up to the largest at once.  The closure is one
+function, ``_equalizer_closure``: every spectrum here and in
+``homotopy_spectra`` calls it once, and it keeps nothing past its
+return.  It stops once nothing larger can be found: at the full range
 0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
-ceiling stop; see ``_EqualizerSearch``).  A spectrum with a gap stops at
-neither, so its closure exhausts.  Over a pool listed in full (the class
-pools of ``homotopy_spectra``), the children of a state come from the
-pool's value bitsets (``enumeration.value_bitsets``): the members are
-split by whether they agree with the state at each point where it still
-agrees, and each part is one distinct child, so no duplicate is built.
-The groups are searched smallest pool first.
+ceiling stop).  A spectrum with a gap stops at neither, so its closure
+exhausts.  Over a pool listed in full (the class pools of
+``homotopy_spectra``), the children of a state come from the pool's
+value bitsets (``enumeration.value_bitsets``): the members are split by
+whether they agree with the state at each point where it still agrees,
+and each part is one distinct child, so no duplicate is built.  The
+groups are searched smallest pool first.
 
 The closure reads its pool from the Hom-space search as it goes (a
 ``_Pool`` on a resumable ``enumeration._Search``), not from a list built
@@ -83,26 +85,22 @@ class _Pool:
     whenever a reader walks past the end of that list.  Each reader walks
     from a position of its own, so the search runs only as far as the
     furthest reader, and a closure that stops also stops the search.  Once
-    the search has ended, readers walk the list itself.  If it ended cut
-    by its budget or result cap, the sets of ``tail`` it has not recorded
-    join last, and ``exact`` is False.  The pool holds no meter and reads
-    no clock: the search charges the operation's meter, as the closure
-    that walks the pool does.
+    the search has ended, readers walk the list itself, and the sets of
+    ``tail`` it has not recorded join last; an exhausted search has
+    recorded them all, so they add something only when the search was cut
+    by its budget or result cap.  Whether it was cut is the search's own
+    ``exhausted``, which the pool never reads: it keeps only the search's
+    batches and list, holds no meter and reads no clock.  The search
+    charges the operation's meter, as the closure that walks the pool does.
     """
 
-    __slots__ = ("members", "done", "_search", "_batches", "_tail")
+    __slots__ = ("members", "done", "_batches", "_tail")
 
     def __init__(self, search, tail=()):
         self.done = False
-        self._search = search
         self._batches = search.batches()
         self._tail = tail
         self.members = search.results
-
-    @property
-    def exact(self) -> bool:
-        """False iff the search was cut short."""
-        return self._search.exhausted
 
     def __iter__(self):
         return iter(self.members) if self.done else self._walk()
@@ -126,27 +124,31 @@ class _Pool:
             if len(members) > before:
                 return
         self.done = True
-        search = self._search
-        if not search.exhausted:
-            members += [s for s in dict.fromkeys(self._tail) if s not in search._seen]
+        if self._tail:
+            # an exhausted search has recorded every set of tail already
+            members[:] = dict.fromkeys([*members, *self._tail])
 
 
-class _EqualizerSearch:
+def _equalizer_closure(
+    groups, n_points: int, n_values: int, fixed: bool, meter: Meter, min_mode: bool = False
+) -> tuple[dict[int, int], bool]:
     """Breadth-first closure of equalizer restrictions over groups of maps.
 
-    ``groups`` is a sequence of (pool, multiplicity): a valid selection picks
-    between 1 and multiplicity maps from every group, and the value recorded
-    is the size of the equalizer of everything picked (points where all
-    picked maps agree).  Picks may repeat, since the equalizer of a multiset
-    is that of its set.  The maps send ``n_points`` points to values below
+    Returns ({achievable size: fewest picks realizing it}, exact); exact is
+    False iff ``meter`` tripped.  ``groups`` is a sequence of (pool,
+    multiplicity), each pool nonempty: a valid selection picks between 1
+    and multiplicity maps from every group, and the value recorded is the
+    size of the equalizer of everything picked (points where all picked
+    maps agree).  Picks may repeat, since the equalizer of a multiset is
+    that of its set.  The maps send ``n_points`` points to values below
     ``n_values``, the sizes of their domain and codomain, which the caller
     knows, so no member is read to find them.  With ``fixed`` the identity
     joins every equalizer, so a map counts only through its agreement with
     the identity, its fixed-point set: every pool then holds fixed-point
-    sets as bitmasks over the points rather than maps.  The search reads
-    its pools as given and never rewrites them, but searches the groups
-    smallest pool first: group order changes no fewest picks, and layer
-    one is the first pool.
+    sets as bitmasks over the points rather than maps.  The closure reads
+    the pools as given and never copies or rewrites them, but searches the
+    groups smallest pool first: group order changes no fewest picks, and
+    layer one is the first pool.
 
     A state is what the picks so far agree on: without ``fixed`` a
     restriction, the agreed value at each point or None once agreement is
@@ -159,19 +161,19 @@ class _EqualizerSearch:
     one state that agrees everywhere lying in every pool.  With none,
     0..#X - 1 is everything reachable.  Pools may overlap (truncated
     classes, or classes a caller passes in), so this is tested, once, when
-    only #X is missing.  Layer one is the first pool itself; with one group
-    and ``fixed`` off, its members are maps, each agreeing with itself
-    everywhere, so it records #X and is not walked.  A pool may be a
-    ``_Pool`` read from a map search, walked by every loop from a position
-    of its own; it is then the only group.  A state reached again in its
-    group with no fewer picks in that group is dropped: its first arrival
-    came with no more picks in total and completes every selection the
-    second would.
+    only #X is missing (``_agree_everywhere``).  Layer one is the first
+    pool itself; with one group and ``fixed`` off, its members are maps,
+    each agreeing with itself everywhere, so it records #X and is not
+    walked.  A pool may be a ``_Pool`` read from a map search, walked by
+    every loop from a position of its own; it is then the only group.  A
+    state reached again in its group with no fewer picks in that group is
+    dropped: its first arrival came with no more picks in total and
+    completes every selection the second would.
 
     The first state that expands against a pool walks its members, one
-    child each.  Without ``fixed``, a later state against a pool of tuples
-    splits the pool by its value bitsets, built then (``_children``), into
-    one part per distinct child, and walks one member of each part: a
+    child each.  Without ``fixed``, a later state against a listed pool of
+    maps splits the pool by its value bitsets, built then (``_children``),
+    into one part per distinct child, and walks one member of each part: a
     closure that stops inside its first expansion builds no bitset.  A
     ``_Pool`` and the fixed-point sets (one ``&`` a child) are always
     walked.  Each member of the pool costs one node on ``meter``, the
@@ -181,94 +183,47 @@ class _EqualizerSearch:
     that exhausts, or stops between states, charges the same nodes either
     way, and a budget trips at the same total.
     """
+    if len(groups) > 1:
+        # the smallest pool first (a _Pool is always alone); group order
+        # changes no fewest picks
+        groups = sorted(groups, key=lambda group: len(group[0]))
+    pools = [pool for pool, _ in groups]
+    mults = [mult for _, mult in groups]
+    min_picks: dict[int, int] = {}
 
-    def __init__(
-        self,
-        groups,
-        n_points: int,
-        n_values: int,
-        fixed: bool,
-        meter: Meter,
-        min_mode: bool = False,
-    ):
-        pairs = []
-        for pool, mult in groups:
-            if not isinstance(pool, _Pool):
-                pool = tuple(pool)
-                if not pool:
-                    raise InvalidInputError("every group needs a nonempty pool")
-            pairs.append((pool, mult))
-        if len(pairs) > 1:
-            # the smallest pool first (a _Pool is always alone); group order
-            # changes no fewest picks
-            pairs.sort(key=lambda pair: len(pair[0]))
-        self.pools: list = [pool for pool, _ in pairs]  # tuples of members, or one _Pool
-        self.mults: list[int] = [mult for _, mult in pairs]
-        self.n, self.n_values = n_points, n_values
-        self.fixed = fixed
-        self.min_mode = min_mode
-        self.meter = meter
-        self.exact = True
-        self.min_picks: dict[int, int] = {}
-
-    def run(self) -> tuple[dict[int, int], bool]:
-        """Returns ({achievable size: fewest picks realizing it}, exact)."""
-        try:
-            self._close()
-        except _Stop:
-            pass
-        return self.min_picks, self.exact
-
-    def _record(self, value: int, picks: int):
+    def record(value: int, picks: int) -> None:
         """Called only for a value not yet recorded, so ``picks`` is its fewest."""
-        min_picks, n = self.min_picks, self.n
         min_picks[value] = picks
-        if (self.min_mode and value == 0) or len(min_picks) == n + 1:
+        if (min_mode and value == 0) or len(min_picks) == n_points + 1:
             raise _Stop
-        if len(min_picks) == n and n not in min_picks and not self._agree_everywhere():
-            raise _Stop
+        if len(min_picks) == n_points and n_points not in min_picks:
+            if not _agree_everywhere(pools, n_points, fixed):
+                raise _Stop
 
-    def _agree_everywhere(self) -> bool:
-        """Whether some state that agrees everywhere lies in every pool (size #X is reachable).
-
-        A map agrees with itself everywhere; a fixed-point set agrees with
-        the identity everywhere only if it holds every point.
-        """
-        rest = [set(pool) for pool in self.pools[1:]]
-        full = (1 << self.n) - 1
-        return any(
-            (not self.fixed or r == full) and all(r in pool for pool in rest)
-            for r in self.pools[0]
-        )
-
-    def _close(self):
-        pools, mults, meter, min_picks, n, fixed = (
-            self.pools, self.mults, self.meter, self.min_picks, self.n, self.fixed
-        )
-        last = len(pools) - 1
-        # per group: state -> fewest picks in that group it was reached with
-        seen: list[dict] = [{} for _ in pools]
-        # listed pools of maps split their children from value bitsets, built
-        # at the second state that expands against the pool
-        split = not fixed and not any(isinstance(pool, _Pool) for pool in pools)
-        expanded = [0] * len(pools)
-        bitsets: list = [None] * len(pools)
-        layer = {(0, 1): pools[0]}
-        picks = 1
+    last = len(pools) - 1
+    # per group: state -> fewest picks in that group it was reached with
+    seen: list[dict] = [{} for _ in pools]
+    # listed pools of maps split their children from value bitsets, built
+    # at the second state that expands against the pool
+    split = not fixed and not isinstance(pools[0], _Pool)
+    expanded = [0] * len(pools)
+    bitsets: list = [None] * len(pools)
+    layer = {(0, 1): pools[0]}
+    picks = 1
+    try:
         if last == 0 and not fixed:
             # one group of maps: every member agrees with itself everywhere
-            self._record(n, picks)
+            record(n_points, picks)
         elif last == 0:
             # one group of fixed-point sets: layer one is recorded as it
             # stands, a node a member
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():
-                    self.exact = False
-                    raise _Stop
+                    return min_picks, False
                 size = r.bit_count()
                 if size not in min_picks:
-                    self._record(size, picks)
+                    record(size, picks)
         while layer:
             picks += 1
             following: dict[tuple[int, int], list] = {}
@@ -278,9 +233,9 @@ class _EqualizerSearch:
                     targets.append((g, k + 1))
                 for h, j in targets:
                     pool, group_seen = pools[h], seen[h]
-                    record = h == last
+                    records = h == last
                     # a state with no pick left anywhere is only recorded
-                    keep = not (record and j == mults[h])
+                    keep = not (records and j == mults[h])
                     out = following.setdefault((h, j), [])
                     for r in states:
                         # a pick in the same group that breaks no agreement
@@ -290,7 +245,7 @@ class _EqualizerSearch:
                         expanded[h] += 1
                         if split and expanded[h] > 1:
                             if bitsets[h] is None:
-                                bitsets[h] = value_bitsets(pool, n, self.n_values)
+                                bitsets[h] = value_bitsets(pool, n_points, n_values)
                             # one member per distinct child, the pool charged in
                             # one addition
                             walk, charge = _children(r, pool, bitsets[h]), 0
@@ -298,14 +253,13 @@ class _EqualizerSearch:
                         for m in walk:
                             meter.nodes += charge
                             if meter.nodes >= meter.check_at and meter.over():
-                                self.exact = False
-                                raise _Stop
+                                return min_picks, False
                             if fixed:
                                 new = r & m
                                 size = new.bit_count()
                             else:
                                 new = tuple([v if v == w else None for v, w in zip(r, m)])
-                                size = n - new.count(None)
+                                size = n_points - new.count(None)
                             if new == unchanged:
                                 continue
                             if keep:
@@ -313,9 +267,25 @@ class _EqualizerSearch:
                                     continue
                                 group_seen[new] = j
                                 out.append(new)
-                            if record and size not in min_picks:
-                                self._record(size, picks)
+                            if records and size not in min_picks:
+                                record(size, picks)
             layer = {key: states for key, states in following.items() if states}
+    except _Stop:
+        pass
+    return min_picks, True
+
+
+def _agree_everywhere(pools: list, n: int, fixed: bool) -> bool:
+    """Whether some state that agrees everywhere lies in every pool (size #X is reachable).
+
+    A map agrees with itself everywhere; a fixed-point set agrees with
+    the identity everywhere only if it holds every point.
+    """
+    rest = [set(pool) for pool in pools[1:]]
+    full = (1 << n) - 1
+    return any(
+        (not fixed or r == full) and all(r in pool for pool in rest) for r in pools[0]
+    )
 
 
 def _children(r: tuple, pool: tuple, at: list[list[int]]) -> list[tuple]:
@@ -378,10 +348,10 @@ def _streamed_picks(
     if next(iter(pool), None) is None:
         # constants always exist, so an empty pool means the budget tripped
         return {}, False, True
-    min_picks, search_exact = _EqualizerSearch(
+    min_picks, search_exact = _equalizer_closure(
         [(pool, arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
-    ).run()
-    return min_picks, pool.exact, search_exact
+    )
+    return min_picks, search.exhausted, search_exact
 
 
 def _fewest_picks(

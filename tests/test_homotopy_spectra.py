@@ -43,7 +43,7 @@ import digitop.homotopy_spectra as homotopy_spectra
 import digitop.images as images
 from digitop.enumeration import Meter, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of, _search_classes
-from digitop.spectra import _EqualizerSearch
+from digitop.spectra import _equalizer_closure
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
 from test_spectra import SWEEP_POINTS, _labelled_graphs
 
@@ -233,10 +233,10 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
     ],
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
-    search = _EqualizerSearch([(pool, 1) for pool in pools], 2, 2, fixed, Meter())
-    min_picks, exact = search.run()
+    meter = Meter()
+    min_picks, exact = _equalizer_closure([(pool, 1) for pool in pools], 2, 2, fixed, meter)
     assert exact and set(min_picks) == expected
-    assert search.meter.nodes == nodes
+    assert meter.nodes == nodes
 
 
 def test_a_class_is_collapsed_to_fixed_point_sets_once(monkeypatch):

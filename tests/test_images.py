@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,13 +163,27 @@ def test_isomorphism_search_takes_no_frame_per_point(build):
 
 
 def test_isomorphism_search_matches_oracle_on_every_pair_of_labelled_graphs():
+    # the constructor checks edges only; every bijection between two graphs
+    # must still be accepted exactly when it preserves adjacency at all pairs
     graphs = list(_labelled_graphs(4))
     for x_img in graphs:
+        n = x_img.n_points
+        pairs = list(itertools.combinations(range(n), 2))
         for y_img in graphs:
-            if x_img.n_points != y_img.n_points:
+            if y_img.n_points != n:
                 continue
             phi = find_isomorphism(x_img, y_img)
             assert (phi is not None) == isomorphic_oracle(x_img, y_img), (x_img.edges, y_img.edges)
+            for perm in itertools.permutations(range(n)):
+                preserves = all(
+                    x_img.adjacent(i, j) == y_img.adjacent(perm[i], perm[j]) for i, j in pairs
+                )
+                try:
+                    Isomorphism(x_img, y_img, perm)
+                except InvalidInputError:
+                    assert not preserves, (x_img.edges, y_img.edges, perm)
+                else:
+                    assert preserves, (x_img.edges, y_img.edges, perm)
 
 
 def test_isomorphism_apply_and_inverse():

@@ -41,7 +41,7 @@ from digitop import (
 )
 from digitop import spectra
 from digitop.enumeration import Meter, _Search, enumerate_assignments
-from digitop.spectra import _EqualizerSearch, _fewest_picks, _Pool
+from digitop.spectra import _equalizer_closure, _fewest_picks, _Pool
 from oracles import (
     all_maps_oracle,
     cfs_oracle,
@@ -250,10 +250,10 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert s.exact
     assert s.values == tuple(range(9))
     search = _Search(c, c, None, Meter(), "maps")
-    closure = _EqualizerSearch([(_Pool(search), 2)], 8, 8, False, Meter())
-    min_picks, exact = closure.run()
+    meter = Meter()
+    min_picks, exact = _equalizer_closure([(_Pool(search), 2)], 8, 8, False, meter)
     assert exact and sorted(min_picks) == list(range(9))
-    assert (len(search.results), search.meter.nodes, closure.meter.nodes) == (2584, 4814, 2582)
+    assert (len(search.results), search.meter.nodes, meter.nodes) == (2584, 4814, 2582)
 
 
 @st.composite
@@ -396,9 +396,9 @@ def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     pool = search.results
     if not pool:
         return {}, False
-    min_picks, exact = _EqualizerSearch(
+    min_picks, exact = _equalizer_closure(
         [(pool, arity)], x_img.n_points, y_img.n_points, fixed, meter
-    ).run()
+    )
     return min_picks, search.exhausted and exact
 
 
@@ -562,9 +562,9 @@ def test_equalizer_search_matches_brute_force_in_any_group_order(pair, data):
     truth = _fewest_picks_oracle(groups)
 
     def search(order):
-        return _EqualizerSearch(
+        return _equalizer_closure(
             order, x_img.n_points, y_img.n_points, False, Meter(), min_mode
-        ).run()
+        )
 
     min_picks, exact = search(groups)
     assert exact
