@@ -32,7 +32,7 @@ import time
 
 from ._record import Record
 from .errors import InvalidInputError
-from .images import DigitalImage
+from .images import DigitalImage, _require_at_least
 from .maps import DigitalMap, _enumerated
 
 
@@ -40,8 +40,9 @@ class EnumerationBudget(Record):
     """Optional limits on a search; None means unlimited.
 
     ``max_nodes`` counts candidate values tried; ``time_budget`` is in
-    seconds and checked every few hundred nodes.  A limit must be > 0, so
-    NaN is rejected: a NaN deadline would never trip.
+    seconds and checked every few hundred nodes.  The counts must be
+    integers and the time an int or a float, never a bool.  A limit must
+    be > 0, so a NaN time is rejected: a NaN deadline would never trip.
     """
 
     _fields = ("max_results", "max_nodes", "time_budget")
@@ -55,13 +56,15 @@ class EnumerationBudget(Record):
         max_nodes: int | None = None,
         time_budget: float | None = None,
     ):
-        for label, v in (
-            ("max_results", max_results),
-            ("max_nodes", max_nodes),
-            ("time_budget", time_budget),
+        for label, v in (("max_results", max_results), ("max_nodes", max_nodes)):
+            if v is not None:
+                _require_at_least(v, 1, label)
+        if time_budget is not None and (
+            isinstance(time_budget, bool)
+            or not isinstance(time_budget, (int, float))
+            or not time_budget > 0
         ):
-            if v is not None and not v > 0:
-                raise InvalidInputError(f"{label} must be positive, got {v}")
+            raise InvalidInputError(f"time_budget must be a positive number, got {time_budget!r}")
         object.__setattr__(self, "max_results", max_results)
         object.__setattr__(self, "max_nodes", max_nodes)
         object.__setattr__(self, "time_budget", time_budget)

@@ -32,8 +32,8 @@ from ._record import Record
 from .enumeration import EnumerationBudget, Meter
 from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
-from .images import DigitalImage
-from .maps import DigitalMap, _fixed_mask, _require_common_images, identity
+from .images import DigitalImage, _require_at_least
+from .maps import DigitalMap, _require_common_images, identity
 from .spectra import Spectrum, _equalizer_closure, _streamed_picks
 
 
@@ -84,7 +84,7 @@ def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool,
     bitmasks, which the class keeps, so a class is collapsed once however
     many searches read it.  A class with no member is rejected: the
     public ``HomotopyClass`` constructor accepts one, and the closure
-    needs every pool nonempty.
+    needs every listed pool nonempty.
     """
     first = classes[0].representative
     for cls in classes:
@@ -178,16 +178,14 @@ def _sizes(
     There every class is every map into one component of Y, so HCS and MC
     take the closed form (``_contractible_sizes``), which charges no node,
     and every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
-    streamed CFS search, on the engine's meter and result cap, with the
-    arguments' own fixed-point sets, as bitmasks, added last if the map
-    search is cut.
+    streamed CFS search on the engine's meter.  This route lists no class,
+    so the engine's result cap, which caps a class's members, does not
+    apply to it, as it does not to the closed form.
     """
     if engine.complete or engine.contractible:
         if fixed:
-            own = [_fixed_mask(f.assignment) for f in maps]
             min_picks, complete, search_exact = _streamed_picks(
-                engine.domain, engine.codomain, engine.meter, engine.max_results, len(maps),
-                True, min_mode, own,
+                engine.domain, engine.codomain, engine.meter, None, len(maps), True, min_mode
             )
             return tuple(min_picks), complete, search_exact
         return _contractible_sizes(maps), True, True
@@ -267,8 +265,7 @@ def m_j_of_map(
     f: DigitalMap, j: int, budget: EnumerationBudget | None = None
 ) -> tuple[int | None, bool]:
     """MC of j copies of f; for j = 1 this is #X by the singleton convention."""
-    if j < 1:
-        raise InvalidInputError(f"j must be >= 1, got {j}")
+    _require_at_least(j, 1, "j")
     if j == 1:
         return f.domain.n_points, True
     return mc([f] * j, budget)
@@ -288,8 +285,7 @@ def self_coincidence_sequence(
     appears the remaining entries are 0 (the witnessing selection still
     fits any larger j), so the search is not repeated.
     """
-    if j_max < 1:
-        raise InvalidInputError(f"j_max must be >= 1, got {j_max}")
+    _require_at_least(j_max, 1, "j_max")
     entries: list[tuple[int, int, bool]] = [(1, x_img.n_points, True)]
     engine = _Homotopy(x_img, x_img, budget)
     ident = identity(x_img)

@@ -26,6 +26,13 @@ def _require_int(value, what: str):
     return value
 
 
+def _require_at_least(value, low: int, what: str):
+    """value itself if it is an int (as ``_require_int``) of at least ``low``."""
+    if _require_int(value, what) < low:
+        raise InvalidInputError(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def ct_adjacent(p: Point, q: Point, t: int) -> bool:
     """Coordinate adjacency: between 1 and ``t`` coordinates differ by exactly 1, the rest agree.
 
@@ -412,10 +419,13 @@ def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | 
     Returns the first match in deterministic order, or None.  The points
     of X are placed in search order; a position's candidates are a
     bitmask of the unused points of Y with the same degree, adjacent to
-    the image of each earlier neighbor and to no image of an earlier
-    non-neighbor, tried ascending.  ``pending`` holds the untried
-    candidates of each position, so the depth-first search needs no
-    recursion.
+    the image of each earlier neighbor, tried ascending.  A candidate is
+    taken only if the used points it is adjacent to are exactly those
+    images, so it is adjacent to no image of an earlier non-neighbor;
+    that is checked as it is tried, so a position costs one mask per
+    earlier neighbor, not one per earlier point.  ``pending`` holds the
+    untried candidates of each position, so the depth-first search needs
+    no recursion.
     """
     n = x_img.n_points
     if y_img.n_points != n or x_img.degree_sequence() != y_img.degree_sequence():
@@ -427,27 +437,34 @@ def find_isomorphism(x_img: DigitalImage, y_img: DigitalImage) -> Isomorphism | 
     of_degree: dict[int, int] = {}
     for w, s in enumerate(y_nbrs):
         of_degree[len(s)] = of_degree.get(len(s), 0) | 1 << w
-    order = x_img._bfs[0]
+    order, earlier = x_img._bfs[0], x_img._earlier
     assign = [0] * n
     pending = [0] * n  # the untried candidates at each position
+    wanted = [0] * n  # the images of each position's earlier neighbors
     used = 0
     k = 0
     while True:
         v = order[k]
         cands = of_degree[len(x_nbrs[v])] & ~used
-        for u in order[:k]:
-            mask = y_mask[assign[u]]
-            cands &= mask if u in x_nbrs[v] else ~mask
-        while not cands:
-            # backtrack to the deepest position with a candidate left
-            k -= 1
-            if k < 0:
-                return None
-            used ^= 1 << assign[order[k]]
-            cands = pending[k]
-        low = cands & -cands
-        pending[k] = cands ^ low
-        assign[order[k]] = low.bit_length() - 1
+        wanted[k] = 0
+        for u in earlier[k]:
+            cands &= y_mask[assign[u]]
+            wanted[k] |= 1 << assign[u]
+        while True:
+            while not cands:
+                # backtrack to the deepest position with a candidate left
+                k -= 1
+                if k < 0:
+                    return None
+                used ^= 1 << assign[order[k]]
+                cands = pending[k]
+            low = cands & -cands
+            cands ^= low
+            w = low.bit_length() - 1
+            if y_mask[w] & used == wanted[k]:
+                break
+        pending[k] = cands
+        assign[order[k]] = w
         used |= low
         k += 1
         if k == n:

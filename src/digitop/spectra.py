@@ -23,13 +23,16 @@ and each part is one distinct child, so no duplicate is built.  The
 groups are searched smallest pool first.
 
 The closure reads its pool from the Hom-space search as it goes (a
-``_Pool`` on a resumable ``enumeration._Search``), not from a list built
-first: the search runs only as far as the closure has walked, so every
-stop of the closure also ends the enumeration, and a budgeted spectrum
-that stops before its budget trips is exact.  The search and the closure
-are charged to one meter, the operation's, so a node or time budget
-bounds the whole spectrum.  One driver (``_streamed_picks``) runs this for
-CS and CFS, and for HFS and MCF where a greedy chain contracts X.
+``_Pool``, which is the ``results`` list of a resumable
+``enumeration._Search``), not from a list built first: the search runs
+only as far as the closure has walked, so every stop of the closure also
+ends the enumeration, and a budgeted spectrum that stops before its
+budget trips is exact.  The search and the closure are charged to one
+meter, the operation's, so a node or time budget bounds the whole
+spectrum.  One driver (``_streamed_picks``) runs this for CS and CFS, and
+for HFS and MCF where a greedy chain contracts X.  A pool of maps is not
+read to record #X, which the constants of Hom(X, Y) always realize, so a
+budget that trips before the first map still leaves CS_i at least {#X}.
 
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
@@ -42,8 +45,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search, value_bitsets
-from .errors import InvalidInputError
-from .images import DigitalImage, is_totally_disconnected
+from .images import DigitalImage, _require_at_least, _require_int, is_totally_disconnected
 
 
 class Spectrum(Record):
@@ -79,27 +81,24 @@ class _Stop(Exception):
 class _Pool:
     """The members of one group, read from a map search as readers need them.
 
-    The members are the search's ``results`` (an ``enumeration._Search``),
-    the one list it writes: the maps, or the distinct fixed-point sets as
-    bitmasks, as the search records them.  The pool resumes the search
-    whenever a reader walks past the end of that list.  Each reader walks
-    from a position of its own, so the search runs only as far as the
-    furthest reader, and a closure that stops also stops the search.  Once
-    the search has ended, readers walk the list itself, and the sets of
-    ``tail`` it has not recorded join last; an exhausted search has
-    recorded them all, so they add something only when the search was cut
-    by its budget or result cap.  Whether it was cut is the search's own
+    The pool is the search's ``results`` (an ``enumeration._Search``), the
+    one list it writes: the maps, or the distinct fixed-point sets as
+    bitmasks, as the search records them.  A reader that walks past the
+    end of that list resumes the search, one batch at a time, until the
+    list grows or the search ends.  Each reader walks from a position of
+    its own, so the search runs only as far as the furthest reader, and a
+    closure that stops also stops the search.  Once the search has ended,
+    readers walk the list itself.  Whether it was cut is the search's own
     ``exhausted``, which the pool never reads: it keeps only the search's
     batches and list, holds no meter and reads no clock.  The search
     charges the operation's meter, as the closure that walks the pool does.
     """
 
-    __slots__ = ("members", "done", "_batches", "_tail")
+    __slots__ = ("members", "done", "_batches")
 
-    def __init__(self, search, tail=()):
+    def __init__(self, search):
         self.done = False
         self._batches = search.batches()
-        self._tail = tail
         self.members = search.results
 
     def __iter__(self):
@@ -114,19 +113,7 @@ class _Pool:
                 i += 1
             if self.done:
                 return
-            self._grow()
-
-    def _grow(self) -> None:
-        """Resume the search until it records something new, or ends."""
-        members = self.members
-        before = len(members)
-        for _ in self._batches:
-            if len(members) > before:
-                return
-        self.done = True
-        if self._tail:
-            # an exhausted search has recorded every set of tail already
-            members[:] = dict.fromkeys([*members, *self._tail])
+            self.done = next(self._batches, True) is True  # a batch yields None
 
 
 def _equalizer_closure(
@@ -136,11 +123,12 @@ def _equalizer_closure(
 
     Returns ({achievable size: fewest picks realizing it}, exact); exact is
     False iff ``meter`` tripped.  ``groups`` is a sequence of (pool,
-    multiplicity), each pool nonempty: a valid selection picks between 1
-    and multiplicity maps from every group, and the value recorded is the
-    size of the equalizer of everything picked (points where all picked
-    maps agree).  Picks may repeat, since the equalizer of a multiset is
-    that of its set.  The maps send ``n_points`` points to values below
+    multiplicity), each listed pool nonempty; a ``_Pool`` may end empty when
+    the budget trips before its first member.  A valid selection picks
+    between 1 and multiplicity maps from every group, and the value recorded
+    is the size of the equalizer of everything picked (points where all
+    picked maps agree).  Picks may repeat, since the equalizer of a multiset
+    is that of its set.  The maps send ``n_points`` points to values below
     ``n_values``, the sizes of their domain and codomain, which the caller
     knows, so no member is read to find them.  With ``fixed`` the identity
     joins every equalizer, so a map counts only through its agreement with
@@ -154,21 +142,21 @@ def _equalizer_closure(
     restriction, the agreed value at each point or None once agreement is
     broken; with ``fixed`` the bitmask of their common fixed points, so a
     pick is one ``&`` and a size one ``bit_count``.  States are expanded in
-    layers of total picks, so the first layer that records a value holds
-    its fewest picks, and the full-range, ceiling and min-mode stops are
-    sound wherever they fire.  The ceiling stop: size #X needs every pick
-    equal (or, with ``fixed``, every pick fixing every point), so it needs
-    one state that agrees everywhere lying in every pool.  With none,
-    0..#X - 1 is everything reachable.  Pools may overlap (truncated
-    classes, or classes a caller passes in), so this is tested, once, when
-    only #X is missing (``_agree_everywhere``).  Layer one is the first
-    pool itself; with one group and ``fixed`` off, its members are maps,
-    each agreeing with itself everywhere, so it records #X and is not
-    walked.  A pool may be a ``_Pool`` read from a map search, walked by
-    every loop from a position of its own; it is then the only group.  A
-    state reached again in its group with no fewer picks in that group is
-    dropped: its first arrival came with no more picks in total and
-    completes every selection the second would.
+    layers of total picks, so the first layer that records a value holds its
+    fewest picks, and the full-range, ceiling and min-mode stops are sound
+    wherever they fire.  The ceiling stop: size #X needs every pick equal
+    (or, with ``fixed``, every pick fixing every point), so it needs one
+    state that agrees everywhere lying in every pool.  With none, 0..#X - 1
+    is everything reachable.  Pools may overlap (truncated classes, or
+    classes a caller passes in), so this is tested, once, when only #X is
+    missing (``_agree_everywhere``).  Layer one is the first pool itself;
+    with one group and ``fixed`` off, its members are maps, each agreeing
+    with itself everywhere, so it records #X without reading a member.  A
+    pool may be a ``_Pool`` read from a map search, walked by every loop
+    from a position of its own; it is then the only group.  A state reached
+    again in its group with no fewer picks in that group is dropped: its
+    first arrival came with no more picks in total and completes every
+    selection the second would.
 
     The first state that expands against a pool walks its members, one
     child each.  Without ``fixed``, a later state against a listed pool of
@@ -321,35 +309,29 @@ def _streamed_picks(
     arity: int,
     fixed: bool,
     min_mode: bool = False,
-    tail=(),
 ) -> tuple[dict[int, int], bool, bool]:
     """Search selections of at most ``arity`` maps in Hom(X, Y), read as the closure goes.
 
     Returns ({achievable size: fewest picks realizing it}, pool complete,
-    closure exact).  The pool is read from the map search only as far as
-    the closure walks it, so any stop of the closure (full range, ceiling,
-    or with ``min_mode`` the first 0) also ends the enumeration, and
-    ``max_results`` caps the maps it reads.  The pool is the search's one
-    list, ``results``.  With ``fixed`` (Y is X) the identity joins every
-    equalizer (common fixed points), so only the maps' distinct
-    fixed-point sets matter: that list then holds those sets, as bitmasks,
-    and no map is built.  A cut search then adds the sets of ``tail``
-    last.  The enumeration and the closure share the operation's meter, so
-    its budget bounds their sum.  The fewest picks stay exact at a stop:
-    layer one is #X alone for maps and is read in full for fixed-point
-    sets, and the first state of layer two reads the whole pool before the
-    next starts.
+    closure exact).  The pool is the search's one list, ``results``, read
+    only as far as the closure walks it, so any stop of the closure (full
+    range, ceiling, or with ``min_mode`` the first 0) also ends the
+    enumeration, and ``max_results`` caps the maps it reads.  With
+    ``fixed`` (Y is X) the identity joins every equalizer (common fixed
+    points), so only the maps' distinct fixed-point sets matter: that list
+    then holds those sets, as bitmasks, and no map is built.  The
+    enumeration and the closure share the operation's meter, so its budget
+    bounds their sum.  The fewest picks stay exact at a stop: layer one is
+    #X alone for maps, which Hom(X, Y) always realizes since it holds the
+    constants, and is read in full for fixed-point sets, and the first
+    state of layer two reads the whole pool before the next starts.
 
     This is CS and CFS, and HFS and MCF where a greedy chain contracts X
     (every class is then Hom(X, X)).
     """
     search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps", max_results)
-    pool = _Pool(search, tail)
-    if next(iter(pool), None) is None:
-        # constants always exist, so an empty pool means the budget tripped
-        return {}, False, True
     min_picks, search_exact = _equalizer_closure(
-        [(pool, arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
+        [(_Pool(search), arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
     )
     return min_picks, search.exhausted, search_exact
 
@@ -407,7 +389,7 @@ def coincidence_spectrum(
     arbitrary k-subset to a realizes every size; the spectrum is all of
     {0, ..., #X} for every i >= 2 and no search is needed.
     """
-    if i >= 2 and not is_totally_disconnected(y_img):
+    if _require_int(i, "arity") >= 2 and not is_totally_disconnected(y_img):
         return Spectrum(values=tuple(range(x_img.n_points + 1)), exact=True, i=i)
     return coincidence_spectrum_by_search(x_img, y_img, i, budget)
 
@@ -419,10 +401,7 @@ def coincidence_spectrum_by_search(
     budget: EnumerationBudget | None = None,
 ) -> Spectrum:
     """CS_i by the equalizer closure, with no structural shortcut."""
-    if i < 1:
-        raise InvalidInputError(f"arity must be >= 1, got {i}")
-    if i == 1:
-        return Spectrum(values=(x_img.n_points,), exact=True, i=1)
+    _require_at_least(i, 1, "arity")
     min_picks, exact = _fewest_picks(x_img, y_img, i, budget)
     return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
@@ -440,8 +419,7 @@ def coincidence_spectrum_union(
     tracks the fewest picks realizing each value, which recovers every
     CS_i <= i_max and hence the first arity where the union stops growing.
     """
-    if i_max < 2:
-        raise InvalidInputError(f"i_max must be >= 2, got {i_max}")
+    _require_at_least(i_max, 2, "i_max")
     if not is_totally_disconnected(y_img):
         values = tuple(range(x_img.n_points + 1))
         return Spectrum(values=values, exact=True, i=None, stabilized_at=2)
@@ -460,8 +438,7 @@ def coincidence_spectra_by_arity(
     A value realized by a k-map selection belongs to CS_i for every i >= k,
     so tracking the fewest picks per value recovers the whole family.
     """
-    if i_max < 2:
-        raise InvalidInputError(f"i_max must be >= 2, got {i_max}")
+    _require_at_least(i_max, 2, "i_max")
     min_picks, exact = _fewest_picks(x_img, y_img, i_max, budget)
     return {
         i: Spectrum(values=_within(min_picks, i), exact=exact, i=i)
@@ -493,8 +470,7 @@ def common_fixed_spectrum(
     The identity is baked into every equalizer, so only fixed-point sets of
     the chosen maps matter.
     """
-    if i < 1:
-        raise InvalidInputError(f"arity must be >= 1, got {i}")
+    _require_at_least(i, 1, "arity")
     min_picks, exact = _fewest_picks(x_img, x_img, i, budget, fixed=True)
     return Spectrum(values=_within(min_picks, i), exact=exact, i=i)
 
@@ -503,7 +479,6 @@ def common_fixed_spectrum_union(
     x_img: DigitalImage, i_max: int, budget: EnumerationBudget | None = None
 ) -> Spectrum:
     """CFS(X) up to arity i_max, with the stabilization arity when established."""
-    if i_max < 1:
-        raise InvalidInputError(f"i_max must be >= 1, got {i_max}")
+    _require_at_least(i_max, 1, "i_max")
     min_picks, exact = _fewest_picks(x_img, x_img, i_max, budget, fixed=True)
     return _union(min_picks, exact, 1, i_max)

@@ -32,7 +32,15 @@ from .homotopy_spectra import (
     hfs_of_classes,
     self_coincidence_sequence,
 )
-from .images import CT, DigitalImage, Explicit, Isomorphism, components
+from .images import (
+    CT,
+    DigitalImage,
+    Explicit,
+    Isomorphism,
+    _require_at_least,
+    _require_int,
+    components,
+)
 from .maps import (
     DigitalMap,
     _enumerated,
@@ -83,11 +91,6 @@ class VerificationReport(Record):
         }
 
 
-def _at_least(name: str, value: int, low: int) -> None:
-    if value < low:
-        raise InvalidInputError(f"{name} must be at least {low}, got {value}")
-
-
 class RunConfig(Record):
     """Settings of a verification run; random instances have 1..max_random_points points."""
 
@@ -111,10 +114,10 @@ class RunConfig(Record):
         max_random_points: int = 6,
     ):
         # CS_1 is always {#X}, so the laws about CS_i start at arity 2
-        _at_least("i_max", i_max, 2)
-        _at_least("j_max", j_max, 1)
-        _at_least("random_instances", random_instances, 0)
-        _at_least("max_random_points", max_random_points, 1)
+        _require_at_least(i_max, 2, "i_max")
+        _require_at_least(j_max, 1, "j_max")
+        _require_at_least(random_instances, 0, "random_instances")
+        _require_at_least(max_random_points, 1, "max_random_points")
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "i_max", i_max)
         object.__setattr__(self, "j_max", j_max)
@@ -748,7 +751,9 @@ def conjecture_search(
     CS_2 = ... = CS_{i_max} and that CS_2 is exactly the subset sums of the
     component sizes.
     """
-    _at_least("i_max", i_max, 2)
+    _require_int(max_x_points, "max_x_points")
+    _require_int(max_y_points, "max_y_points")
+    _require_at_least(i_max, 2, "i_max")
     config = config or RunConfig()
 
     def sweep(*_):

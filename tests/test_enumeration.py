@@ -14,6 +14,14 @@ from digitop import (
     EnumerationBudget,
     Explicit,
     InvalidInputError,
+    RunConfig,
+    coincidence_spectra_by_arity,
+    coincidence_spectrum,
+    coincidence_spectrum_by_search,
+    coincidence_spectrum_union,
+    common_fixed_spectrum,
+    common_fixed_spectrum_union,
+    conjecture_search,
     count_continuous_maps,
     cube,
     cube_minus_vertex,
@@ -23,7 +31,9 @@ from digitop import (
     from_assignment,
     identity,
     interval,
+    m_j_of_map,
     one_step_neighbors,
+    self_coincidence_sequence,
     singleton,
     square4,
     tee4,
@@ -115,6 +125,58 @@ def test_budget_rejects_nan(field):
     # a NaN deadline compares false with every clock reading, so it never trips
     with pytest.raises(InvalidInputError):
         EnumerationBudget(**{field: float("nan")})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: EnumerationBudget(max_results=2.5),
+        lambda: EnumerationBudget(max_nodes="5"),
+        lambda: EnumerationBudget(max_nodes=True),
+        lambda: EnumerationBudget(time_budget=True),
+        lambda: EnumerationBudget(time_budget="1"),
+        lambda: RunConfig(i_max=2.5),
+        lambda: RunConfig(random_instances=4.0),
+        lambda: conjecture_search(2.5),
+        lambda: conjecture_search(4, 2.5),
+        lambda: conjecture_search(4, 2, 3.0),
+        lambda: coincidence_spectrum(cycle(4), discrete(2), 2.5),
+        lambda: coincidence_spectrum(cycle(4), cycle(4), 2.5),
+        lambda: coincidence_spectrum_by_search(cycle(4), discrete(2), True),
+        lambda: coincidence_spectrum_union(cycle(4), discrete(2), 2.5),
+        lambda: coincidence_spectra_by_arity(cycle(4), discrete(2), 2.5),
+        lambda: common_fixed_spectrum(cycle(4), 1.5),
+        lambda: common_fixed_spectrum_union(cycle(4), "2"),
+        lambda: m_j_of_map(identity(cycle(4)), 2.5),
+        lambda: self_coincidence_sequence(cycle(4), 2.5),
+    ],
+    ids=[
+        "budget-results-float",
+        "budget-nodes-str",
+        "budget-nodes-bool",
+        "budget-time-bool",
+        "budget-time-str",
+        "config-i-max-float",
+        "config-instances-float",
+        "conjecture-x-float",
+        "conjecture-y-float",
+        "conjecture-i-max-float",
+        "cs-float-into-edgeless",
+        "cs-float-past-the-shortcut",
+        "cs-search-bool",
+        "cs-union-float",
+        "cs-by-arity-float",
+        "cfs-float",
+        "cfs-union-str",
+        "m-j-float",
+        "sequence-float",
+    ],
+)
+def test_every_count_is_an_integer(call):
+    # a float cap never equals the result count, so it would never trip, and
+    # a float arity would come back as the spectrum's i
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 def test_enumeration_order_is_deterministic():

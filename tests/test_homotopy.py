@@ -337,6 +337,21 @@ def test_verdicts_into_a_complete_codomain():
     assert is_nullhomotopic(identity(k3)) == "yes"
 
 
+def test_a_chain_into_a_complete_codomain_costs_no_node():
+    # any two functions into a complete image are one step apart, so the
+    # closure answers at once: here no one-step search fits in one node
+    c8 = cycle(8)
+    k6 = DigitalImage(
+        points=tuple((i,) for i in range(6)),
+        adjacency=Explicit({(i, j) for i in range(6) for j in range(i + 1, 6)}),
+    )
+    f = from_assignment(c8, k6, (0, 1, 2, 3, 4, 5, 0, 1))
+    g = constant(c8, k6, 5)
+    answer = are_homotopic(f, g, EnumerationBudget(max_nodes=1))
+    assert answer.verdict == "yes"
+    assert answer.witness.chain == (f, g)
+
+
 _POOLS = {
     name: enumerate_continuous_maps(img, img).maps
     for name, img in (("interval", interval(0, 2)), ("cycle", cycle(4)), ("tee", tee4()))

@@ -16,6 +16,7 @@ from digitop import (
     common_fixed_spectrum,
     common_fixed_spectrum_union,
     constant,
+    cube,
     cycle,
     discrete,
     disjoint_paths,
@@ -533,6 +534,35 @@ def test_contractible_domains_build_no_class(monkeypatch):
         operation()
         # the image stops at the first continuous step, and keeps its flag
         assert targets == [0, 1], k
+
+
+@pytest.mark.parametrize("img", [interval(0, 3), tee4(), cube()], ids=["interval", "tee4", "cube"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+def test_a_result_cap_does_not_cut_a_contractible_hfs(img, cap):
+    # HFS and MCF of a greedy-contractible X read Hom(X, X) and list no
+    # class, so the cap on a class's members does not apply to them
+    maps = [identity(img), constant(img, img, img.n_points - 1)]
+    budget = EnumerationBudget(max_results=cap)
+    capped, full = hfs(maps, budget), hfs(maps)
+    assert capped.values == full.values and capped.values.exact
+    assert mcf(maps, budget) == mcf(maps) == (0, True)
+
+
+def test_an_exact_zero_ends_the_sequence_search(monkeypatch):
+    # m_2(C6) is 0 (the identity is homotopic to a rotation), and a selection
+    # that agrees nowhere still fits every larger j, so m_3 and m_4 are read
+    # from it with no search
+    calls = []
+    minimum = homotopy_spectra._minimum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return minimum(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy_spectra, "_minimum", counted)
+    seq = self_coincidence_sequence(cycle(6), 4)
+    assert seq.entries == ((1, 6, True), (2, 0, True), (3, 0, True), (4, 0, True))
+    assert len(calls) == 1
 
 
 def test_class_spectra_build_no_maps(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -150,16 +151,31 @@ def test_equal_degrees_do_not_make_an_isomorphism():
     assert find_isomorphism(triangles, cycle(6)) is None
 
 
+def _explicit_line(n: int, edges) -> DigitalImage:
+    return DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(set(edges)))
+
+
 @pytest.mark.parametrize(
-    "build", [lambda: interval(0, 1499), lambda: cycle(1500)], ids=["path", "cycle"]
+    "build",
+    [
+        lambda: interval(0, 1499),
+        lambda: cycle(1500),
+        lambda: _explicit_line(4000, [(i, i + 1) for i in range(3999)]),
+        lambda: _explicit_line(4000, [(i, (i + 1) % 4000) for i in range(4000)]),
+        lambda: _explicit_line(4000, []),
+    ],
+    ids=["path", "cycle", "path-4000", "cycle-4000", "edgeless-4000"],
 )
 def test_isomorphism_search_takes_no_frame_per_point(build):
     # 1 500 points are past Python's recursion limit, so the search may not
     # take a frame per point; the first match of an image with itself is the
-    # identity
+    # identity.  A position is checked against its earlier neighbours only,
+    # not every earlier point, so 4 000 points take milliseconds
     img = build()
+    start = time.perf_counter()
     phi = find_isomorphism(img, img)
-    assert phi is not None and phi.forward == tuple(range(1500))
+    assert time.perf_counter() - start < 0.5
+    assert phi is not None and phi.forward == tuple(range(img.n_points))
 
 
 def test_isomorphism_search_matches_oracle_on_every_pair_of_labelled_graphs():

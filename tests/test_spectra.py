@@ -237,6 +237,22 @@ def test_budget_marks_inexact():
     assert not s.exact
 
 
+def test_a_budget_spent_before_the_first_map_still_gives_the_point_count():
+    # a lone map agrees with itself everywhere, and Hom(X, Y) always holds
+    # the constants, so #X is recorded without reading the pool; the budget
+    # trips before the first map of Hom(C4, D2), so nothing else is found
+    budget = EnumerationBudget(max_nodes=1)
+    s = coincidence_spectrum_by_search(cycle(4), discrete(2), 2, budget)
+    assert (s.values, s.exact) == ((4,), False)
+
+
+def test_all_of_the_range_is_exact_under_a_result_cap():
+    # the cap cuts the map search of Hom(C4, C4) after 0..4 are all seen, so
+    # the search is not exhausted, yet nothing is missing
+    s = fixed_point_spectrum(cycle(4), EnumerationBudget(max_results=22))
+    assert (s.values, s.exact) == (tuple(range(5)), True)
+
+
 def test_a_stop_ends_the_enumeration_within_its_budget():
     # CS_2(cube, cube) reaches the full range after 2 584 of the 15 488
     # maps, so the closure's stop ends the enumeration at 4 814 of its
