@@ -92,19 +92,38 @@ from .spectra import (
     common_fixed_spectrum_union,
     fixed_point_spectrum,
 )
-from .verify import (
-    SUITES,
-    RunConfig,
-    VerificationReport,
-    check_figure_examples,
-    conjecture_search,
-    disjoint_paths,
-    iso_invariance_reports,
-    mj_reports,
-    random_pair_property_reports,
-    run_suite,
-    subset_sums,
+
+# ``verify`` loads on first use of one of its names (PEP 562): only the
+# machine checks need it, and most commands never run them
+_VERIFY_NAMES = frozenset(
+    {
+        "SUITES",
+        "RunConfig",
+        "VerificationReport",
+        "check_figure_examples",
+        "conjecture_search",
+        "disjoint_paths",
+        "iso_invariance_reports",
+        "mj_reports",
+        "random_pair_property_reports",
+        "run_suite",
+        "subset_sums",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name not in _VERIFY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import verify
+
+    value = getattr(verify, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _VERIFY_NAMES)
 
 __version__ = "0.1.0"
 

@@ -7,15 +7,18 @@ parameterized forms ``cycle:<n>``, ``interval:<a>:<b>`` and ``discrete:<m>``.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .errors import InvalidInputError
-from .images import CT, DigitalImage, Explicit, Point
+from .images import CT, DigitalImage, Explicit, Point, _require_int
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
 
 
 def interval(a: int, b: int) -> DigitalImage:
     """The digital interval [a, b] in Z with 2-adjacency."""
-    if a > b:
+    if _require_int(a, "an interval end") > _require_int(b, "an interval end"):
         raise InvalidInputError(f"empty interval [{a}, {b}]")
     return DigitalImage(
         points=tuple((k,) for k in range(a, b + 1)),
@@ -30,7 +33,7 @@ def cycle(n: int) -> DigitalImage:
     For n <= 2 the wrap-around edges coincide or collapse, so C_1 is a
     singleton and C_2 a single edge.
     """
-    if n < 1:
+    if _require_int(n, "a cycle length") < 1:
         raise InvalidInputError(f"cycle needs at least one point, got n={n}")
     edges = set()
     for i in range(n):
@@ -46,7 +49,7 @@ def cycle(n: int) -> DigitalImage:
 
 def discrete(m: int) -> DigitalImage:
     """m isolated points: no adjacencies at all."""
-    if m < 1:
+    if _require_int(m, "a point count") < 1:
         raise InvalidInputError(f"discrete image needs at least one point, got m={m}")
     return DigitalImage(
         points=tuple((i,) for i in range(m)),
@@ -150,7 +153,7 @@ def random_connected_image(
     A random spanning tree guarantees connectivity; each remaining pair is
     then added independently with probability ``extra_edge_prob``.
     """
-    if n_points < 1:
+    if _require_int(n_points, "a point count") < 1:
         raise InvalidInputError("need at least one point")
     edges: set[tuple[int, int]] = set()
     order = list(range(n_points))

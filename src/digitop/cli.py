@@ -36,7 +36,6 @@ from .spectra import (
     common_fixed_spectrum_union,
     fixed_point_spectrum,
 )
-from .verify import RunConfig, conjecture_search, run_suite
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_TIME_BUDGET = 60.0
@@ -326,6 +325,8 @@ def _emit_reports(args, reports) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import RunConfig, run_suite
+
     config = RunConfig(
         budget=_budget_for(args, []),
         i_max=args.i_max,
@@ -338,6 +339,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    from .verify import RunConfig, conjecture_search
+
     config = RunConfig(
         budget=_budget_for(args, []),
         i_max=args.i_max,
@@ -364,133 +367,118 @@ def _env_node_budget() -> int | None:
         ) from None
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget-nodes",
-        type=int,
-        default=_env_node_budget(),
-        help="abort searches after this many extension steps",
-    )
-    common.add_argument(
-        "--budget-time",
-        type=float,
-        default=None,
-        help="abort searches after this many seconds",
-    )
-    common.add_argument("--i-max", type=int, default=4, help="largest tuple arity")
-    common.add_argument("--j-max", type=int, default=4, help="largest j for m_j")
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    return common
+def _arg(*flags, **kwargs) -> tuple:
+    return flags, kwargs
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+# the options of every command, ahead of its own arguments; --budget-nodes
+# defaults to DIGITOP_BUDGET_NODES, read each time a parser is built
+_COMMON = (
+    _arg("--budget-nodes", type=int, help="abort searches after this many extension steps"),
+    _arg("--budget-time", type=float, default=None, help="abort searches after this many seconds"),
+    _arg("--i-max", type=int, default=4, help="largest tuple arity"),
+    _arg("--j-max", type=int, default=4, help="largest j for m_j"),
+    _arg("--format", choices=("text", "json"), default="text"),
+    _arg("--seed", type=int, default=0),
+)
+_SOURCE = _arg("source")
+_PAIR = (_arg("domain"), _arg("codomain"))
+_ARITY = (
+    _arg("--i", type=int, default=2, help="tuple arity"),
+    _arg("--union", action="store_true", help="union over arities up to --i-max"),
+)
+_MAPS = _arg("maps", nargs="+", help="map files")
+
+# name -> (help or None, then a group's own table, or a command's handler
+# followed by its own arguments)
+_COMMANDS = {
+    "image": ("inspect or materialize images", {
+        "info": ("summary of an image", cmd_image_info,
+                 _arg("source", help="image file or builtin:<name>")),
+        "build": ("write a builtin image as JSON", cmd_image_build,
+                  _arg("name", help="builtin name, e.g. cube or cycle:5"),
+                  _arg("-o", "--output", default=None)),
+    }),
+    "map": ("check or apply a single map", {
+        "check": ("validate continuity", cmd_map_check, _arg("map", help="map file")),
+        "apply": ("evaluate at a point", cmd_map_apply, _arg("map", help="map file"),
+                  _arg("--point", type=int, default=None, help="point index; omit for all")),
+    }),
+    "maps": ("the space of continuous maps", {
+        "count": (None, cmd_maps_count, *_PAIR),
+        "enumerate": (None, cmd_maps_enumerate, *_PAIR,
+                      _arg("--limit", type=int, default=None, help="stop after this many maps")),
+    }),
+    "homotopy": ("deformation questions", {
+        "class": ("members of a homotopy class", cmd_homotopy_class, _arg("map"),
+                  _arg("--limit", type=int, default=None)),
+        "are-homotopic": (None, cmd_are_homotopic, _arg("map_f"), _arg("map_g")),
+        "rigid": ("rigidity of a map or image", cmd_rigid,
+                  _arg("source", help="image, builtin:<name>, or map file")),
+        "contractible": (None, cmd_contractible, _SOURCE),
+    }),
+    "spectrum": ("exact spectra over map tuples", {
+        "cs": ("coincidence spectrum", cmd_spectrum_tuple, *_PAIR, *_ARITY),
+        "cfs": ("common-fixed-point spectrum", cmd_spectrum_tuple, _SOURCE, *_ARITY),
+        "f": ("fixed-point spectrum", cmd_spectrum_f, _SOURCE),
+    }),
+    "hspectrum": ("spectra over homotopy classes", {
+        "hcs": (None, cmd_hspectrum_classes, _MAPS),
+        "hfs": (None, cmd_hspectrum_classes, _MAPS),
+        "mc": (None, cmd_hspectrum_classes, _MAPS),
+        "mcf": (None, cmd_hspectrum_classes, _MAPS),
+        "mj": ("self-coincidence sequence", cmd_hspectrum_mj, _SOURCE),
+    }),
+    "verify": ("run a machine-check suite", cmd_verify,
+               _arg("suite", choices=("paper-fixtures", "random-small", "all")),
+               _arg("--instances", type=int, default=40, help="random instances per batch"),
+               _arg("--max-points", type=int, default=6, help="largest random image")),
+    "conjecture": ("spectrum stabilization sweep", cmd_conjecture,
+                   _arg("--max-x", type=int, default=6, help="largest domain size"),
+                   _arg("--max-y", type=int, default=3, help="largest edgeless codomain size")),
+}
+
+
+def _add_branch(parser, dest: str, table: dict, named: list[str], budget_nodes) -> None:
+    """Register every entry of table under parser; fill in only the one named[0] names."""
+    branches = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, body, *arguments) in table.items():
+        # help=None would list the command on a line of its own in the group's help
+        p = branches.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if named[:1] != [name]:
+            continue
+        if isinstance(body, dict):
+            _add_branch(p, "command", body, named[1:], budget_nodes)
+            continue
+        for flags, kwargs in (*_COMMON, *arguments):
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=body, budget_nodes=budget_nodes)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser, with arguments on the one command that argv names.
+
+    Every group and command is registered with its help, so help, usage and
+    "invalid choice" errors read as if all were built.  Options follow the
+    final subcommand and groups take no option but ``-h``, so argparse can
+    only descend along the first two arguments that do not start with "-"
+    (no name does); only that branch gets its arguments.  ``argv`` of None
+    reads ``sys.argv[1:]``, as ``parse_args`` does.
+    """
+    budget_nodes = _env_node_budget()
+    argv = sys.argv[1:] if argv is None else argv
+    named = [arg for arg in argv if not arg.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="digitop",
         description="workbench for coincidence and fixed-point spectra of digital images",
     )
-    top = parser.add_subparsers(dest="group", required=True)
-
-    image = top.add_parser("image", help="inspect or materialize images").add_subparsers(
-        dest="command", required=True
-    )
-    p = image.add_parser("info", parents=[common], help="summary of an image")
-    p.add_argument("source", help="image file or builtin:<name>")
-    p.set_defaults(func=cmd_image_info)
-    p = image.add_parser("build", parents=[common], help="write a builtin image as JSON")
-    p.add_argument("name", help="builtin name, e.g. cube or cycle:5")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_image_build)
-
-    map_group = top.add_parser("map", help="check or apply a single map").add_subparsers(
-        dest="command", required=True
-    )
-    p = map_group.add_parser("check", parents=[common], help="validate continuity")
-    p.add_argument("map", help="map file")
-    p.set_defaults(func=cmd_map_check)
-    p = map_group.add_parser("apply", parents=[common], help="evaluate at a point")
-    p.add_argument("map", help="map file")
-    p.add_argument("--point", type=int, default=None, help="point index; omit for all")
-    p.set_defaults(func=cmd_map_apply)
-
-    maps_group = top.add_parser("maps", help="the space of continuous maps").add_subparsers(
-        dest="command", required=True
-    )
-    p = maps_group.add_parser("count", parents=[common])
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.set_defaults(func=cmd_maps_count)
-    p = maps_group.add_parser("enumerate", parents=[common])
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("--limit", type=int, default=None, help="stop after this many maps")
-    p.set_defaults(func=cmd_maps_enumerate)
-
-    homotopy_group = top.add_parser("homotopy", help="deformation questions").add_subparsers(
-        dest="command", required=True
-    )
-    p = homotopy_group.add_parser("class", parents=[common], help="members of a homotopy class")
-    p.add_argument("map")
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=cmd_homotopy_class)
-    p = homotopy_group.add_parser("are-homotopic", parents=[common])
-    p.add_argument("map_f")
-    p.add_argument("map_g")
-    p.set_defaults(func=cmd_are_homotopic)
-    p = homotopy_group.add_parser("rigid", parents=[common], help="rigidity of a map or image")
-    p.add_argument("source", help="image, builtin:<name>, or map file")
-    p.set_defaults(func=cmd_rigid)
-    p = homotopy_group.add_parser("contractible", parents=[common])
-    p.add_argument("source")
-    p.set_defaults(func=cmd_contractible)
-
-    spectrum_group = top.add_parser("spectrum", help="exact spectra over map tuples").add_subparsers(
-        dest="command", required=True
-    )
-    for name, positionals, help_text in (
-        ("cs", ("domain", "codomain"), "coincidence spectrum"),
-        ("cfs", ("source",), "common-fixed-point spectrum"),
-    ):
-        p = spectrum_group.add_parser(name, parents=[common], help=help_text)
-        for positional in positionals:
-            p.add_argument(positional)
-        p.add_argument("--i", type=int, default=2, help="tuple arity")
-        p.add_argument("--union", action="store_true", help="union over arities up to --i-max")
-        p.set_defaults(func=cmd_spectrum_tuple)
-    p = spectrum_group.add_parser("f", parents=[common], help="fixed-point spectrum")
-    p.add_argument("source")
-    p.set_defaults(func=cmd_spectrum_f)
-
-    hspectrum_group = top.add_parser(
-        "hspectrum", help="spectra over homotopy classes"
-    ).add_subparsers(dest="command", required=True)
-    for name in ("hcs", "hfs", "mc", "mcf"):
-        p = hspectrum_group.add_parser(name, parents=[common])
-        p.add_argument("maps", nargs="+", help="map files")
-        p.set_defaults(func=cmd_hspectrum_classes)
-    p = hspectrum_group.add_parser("mj", parents=[common], help="self-coincidence sequence")
-    p.add_argument("source")
-    p.set_defaults(func=cmd_hspectrum_mj)
-
-    p = top.add_parser("verify", parents=[common], help="run a machine-check suite")
-    p.add_argument("suite", choices=("paper-fixtures", "random-small", "all"))
-    p.add_argument("--instances", type=int, default=40, help="random instances per batch")
-    p.add_argument("--max-points", type=int, default=6, help="largest random image")
-    p.set_defaults(func=cmd_verify)
-
-    p = top.add_parser("conjecture", parents=[common], help="spectrum stabilization sweep")
-    p.add_argument("--max-x", type=int, default=6, help="largest domain size")
-    p.add_argument("--max-y", type=int, default=3, help="largest edgeless codomain size")
-    p.set_defaults(func=cmd_conjecture)
-
+    _add_branch(parser, "group", _COMMANDS, named, budget_nodes)
     return parser
 
 
 def cli_dispatch(argv=None) -> int:
     try:
-        parser = build_parser()
+        parser = build_parser(argv)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -39,7 +39,6 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Collection
 from functools import cached_property
-from typing import Literal
 
 from ._record import Record
 from .enumeration import (
@@ -58,7 +57,11 @@ from .maps import (
     identity,
 )
 
-Ternary = Literal["yes", "no", "unknown"]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Literal
+
+    Ternary = Literal["yes", "no", "unknown"]
 
 
 def one_step_homotopic(f: DigitalMap, g: DigitalMap) -> bool:

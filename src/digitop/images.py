@@ -274,11 +274,10 @@ class DigitalImage(Record):
         is continuous; then every map into it is homotopic to a constant.
         """
         labels = self._bfs[1]
-        nbrs, edges = self._neighbors, self._sorted_edges
         flags = [False] * (max(labels) + 1)
         for t, label in enumerate(labels):
             if not flags[label]:
-                flags[label] = _greedy_step_is_continuous(nbrs, edges, t)
+                flags[label] = _greedy_step_is_continuous(self._neighbors, t)
         return tuple(flags)
 
     def to_json_dict(self) -> dict:
@@ -297,30 +296,28 @@ class DigitalImage(Record):
         return out
 
 
-def _greedy_step_is_continuous(
-    nbrs: tuple[frozenset[int], ...], edges: tuple[tuple[int, int], ...], target: int
-) -> bool:
+def _greedy_step_is_continuous(nbrs: tuple[frozenset[int], ...], target: int) -> bool:
     """True iff the greedy step toward target is continuous.
 
-    One breadth-first search from target gives the step: each layer is
-    walked in ascending order, so a point's first discoverer is its
-    lowest-index neighbor one step closer.  One pass over the edges checks
-    it; the step fixes every point off target's component, so only that
-    component's edges can break.
+    One breadth-first search from target gives the step on target's
+    component: each layer is walked in ascending order, so a point's first
+    discoverer is its lowest-index neighbor one step closer.  One pass over
+    that component's edges checks it; the step fixes every point off the
+    component, so no other edge can break.
     """
-    step = list(range(len(nbrs)))
-    seen = {target}
+    step = {target: target}
     layer = [target]
     while layer:
         following = []
         for v in sorted(layer):
             for w in nbrs[v]:
-                if w not in seen:
-                    seen.add(w)
+                if w not in step:
                     step[w] = v
                     following.append(w)
         layer = following
-    return all(step[i] == step[j] or step[j] in nbrs[step[i]] for i, j in edges)
+    return all(
+        step[v] == step[w] or step[w] in nbrs[step[v]] for v in step for w in nbrs[v] if w > v
+    )
 
 
 def image_from_json_dict(data: dict) -> DigitalImage:

@@ -721,7 +721,7 @@ def disjoint_paths(sizes) -> DigitalImage:
     points: list[tuple[int]] = []
     offset = 0
     for s in sizes:
-        points.extend((offset + k,) for k in range(s))
+        points.extend((offset + k,) for k in range(_require_int(s, "a path size")))
         offset += s + 1
     return DigitalImage(
         points=tuple(points),

@@ -14,6 +14,7 @@ from digitop import (
     cube_minus_vertex,
     cycle,
     discrete,
+    disjoint_paths,
     interval,
     is_connected,
     is_totally_disconnected,
@@ -78,6 +79,32 @@ def test_builtin_reports_the_constructor_reason():
     for name in ("cycle:x", "interval:1", "interval:0:x", "discrete:1:2"):
         with pytest.raises(InvalidInputError, match="bad parameter"):
             builtin(name)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cycle(4.0),
+        lambda: cycle(True),
+        lambda: discrete(2.5),
+        lambda: interval(0, 2.5),
+        lambda: interval(0.0, 2),
+        lambda: disjoint_paths([2, 2.0]),
+        lambda: random_connected_image(random.Random(1), 4.0),
+    ],
+    ids=[
+        "cycle-float",
+        "cycle-bool",
+        "discrete-float",
+        "interval-float-end",
+        "interval-float-start",
+        "disjoint-paths-float-size",
+        "random-connected-float-count",
+    ],
+)
+def test_builder_counts_are_checked(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call()
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=10_000))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from digitop import builders, cli, constant, dump_map, from_assignment, identity
+import cli_golden
+from digitop import builders, constant, dump_map, from_assignment, identity
 from digitop.cli import cli_dispatch
 from digitop.fileio import dump_image
 from digitop.verify import VerificationReport
@@ -223,7 +224,7 @@ def test_out_of_range_arity_exits_2_before_any_check(capsys, command, option):
 
 def test_verify_text_prints_the_details_of_a_failing_report(capsys, monkeypatch):
     failing = VerificationReport("lemma-cardinality", "X=cube", "fail", 0.5, {"values": [0, 1]})
-    monkeypatch.setattr(cli, "run_suite", lambda suite, config: [failing])
+    monkeypatch.setattr("digitop.verify.run_suite", lambda suite, config: [failing])
     code, out, err = _run(capsys, "verify", "paper-fixtures")
     assert (code, err) == (1, "0 passed, 1 failed, 0 skipped\n")
     assert out == _text(
@@ -258,15 +259,38 @@ def _python(*argv):
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # nor verify, which two commands alone run, nor typing and random, which
+    # only annotations name; -S keeps site from importing any of them first
+    for module in ("digitop", "digitop.cli"):
+        probe = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        done = _python("-S", "-c", probe)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stdout.split())
+        assert module in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing", "random", "digitop.verify"}
+    # the package still lists and resolves every public name, verify's too
     probe = (
-        "import sys; before = set(sys.modules); import digitop.cli; "
-        "print(*sorted(set(sys.modules) - before))"
+        "import sys, digitop; from digitop import run_suite; "
+        "print(sorted(set(digitop.__all__) - set(dir(digitop)))); "
+        "print(all(getattr(digitop, name) is not None for name in digitop.__all__)); "
+        "print(run_suite is sys.modules['digitop.verify'].run_suite)"
     )
     done = _python("-c", probe)
     assert done.returncode == 0, done.stderr
-    loaded = set(done.stdout.split())
-    assert "digitop.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert done.stdout.split("\n") == ["[]", "True", "True", ""]
+
+
+@pytest.mark.parametrize(
+    "env, argv", cli_golden.CASES, ids=[cli_golden.label(*case) for case in cli_golden.CASES]
+)
+def test_help_usage_and_error_text_are_unchanged(env, argv):
+    digests = cli_golden.DIGESTS.get(cli_golden.version())
+    if digests is None:
+        pytest.skip(f"no digests recorded for Python {cli_golden.version()}")
+    assert cli_golden.run_case(env, argv) == digests[cli_golden.label(env, argv)]
 
 
 @pytest.mark.parametrize("module", ["digitop", "digitop.cli"])

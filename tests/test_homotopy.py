@@ -268,6 +268,18 @@ def test_greedy_flags_match_the_stepwise_chain_on_random_images(n, data):
     _assert_flags_match_the_stepwise_chain(image)
 
 
+def test_a_union_has_the_greedy_flags_of_its_components():
+    # each component's steps check that component's edges alone: 400
+    # copies of C5, never contracted, each beside a 3-point path, contracted
+    copies = 400
+    edges = [(8 * c + i, 8 * c + (i + 1) % 5) for c in range(copies) for i in range(5)]
+    edges += [(8 * c + i, 8 * c + i + 1) for c in range(copies) for i in (5, 6)]
+    union = DigitalImage(points=tuple((k,) for k in range(8 * copies)), adjacency=Explicit(edges))
+    flags = cycle(5)._greedy_contractible + interval(0, 2)._greedy_contractible
+    assert flags == (False, True)
+    assert union._greedy_contractible == flags * copies
+
+
 def test_a_map_into_a_contracted_component_is_nullhomotopic_with_no_search(monkeypatch):
     def closure(*args, **kwargs):
         raise AssertionError("closure run for a map into a contracted component")

@@ -376,9 +376,9 @@ def _count_greedy_targets(monkeypatch) -> list[int]:
     targets = []
     step_is_continuous = images._greedy_step_is_continuous
 
-    def counted(nbrs, edges, target):
+    def counted(nbrs, target):
         targets.append(target)
-        return step_is_continuous(nbrs, edges, target)
+        return step_is_continuous(nbrs, target)
 
     monkeypatch.setattr(images, "_greedy_step_is_continuous", counted)
     return targets
