@@ -117,9 +117,16 @@ class Meter:
     work that charges no node (an expansion over the homotopy engine's
     index) asks ``over()`` first; there it can trip only on the deadline,
     since a search that passes ``max_nodes`` ends its operation.
+
+    The meter is the one record of whether a budget stopped its operation:
+    the first ``over()`` that finds a limit passed sets ``stop`` to
+    ``"node budget"`` or ``"time budget"``, and from then on ``over()`` is
+    True and ``stop`` stays as it is.  An operation reads it once, when
+    it is done: its answer is exact iff ``stop`` is None and nothing else
+    (a capped class) was cut.
     """
 
-    __slots__ = ("nodes", "max_nodes", "deadline", "check_at")
+    __slots__ = ("nodes", "max_nodes", "deadline", "check_at", "stop")
 
     def __init__(self, budget: EnumerationBudget | None = None):
         budget = budget or UNLIMITED
@@ -129,6 +136,7 @@ class Meter:
             time.monotonic() + budget.time_budget if budget.time_budget else None
         )
         self.check_at = self._next_check()
+        self.stop: str | None = None
 
     def _next_check(self) -> int:
         at = _NEVER
@@ -139,13 +147,15 @@ class Meter:
         return at
 
     def over(self) -> bool:
-        """True iff the current node passes the node limit or the deadline."""
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            return True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        self.check_at = self._next_check()
-        return False
+        """True iff a limit stopped the operation, at this node or an earlier one."""
+        if self.stop is None:
+            if self.max_nodes is not None and self.nodes > self.max_nodes:
+                self.stop = "node budget"
+            elif self.deadline is not None and time.monotonic() > self.deadline:
+                self.stop = "time budget"
+            else:
+                self.check_at = self._next_check()
+        return self.stop is not None
 
 
 class _Search:

@@ -101,16 +101,19 @@ def _map_of(data, path: Path) -> DigitalMap:
         raise InvalidInputError(f"{path}: {exc}") from exc
 
 
-def dump_image(image: DigitalImage, path_str: str | None = None) -> str:
-    """Serialize an image; writes to the path when one is given."""
-    text = json.dumps(image.to_json_dict(), sort_keys=True, indent=2)
+def _dump(record: DigitalImage | DigitalMap, path_str: str | None) -> str:
+    """The JSON text of an image or a map; writes it to the path when one is given."""
+    text = json.dumps(record.to_json_dict(), sort_keys=True, indent=2)
     if path_str is not None:
         Path(path_str).write_text(text + "\n")
     return text
+
+
+def dump_image(image: DigitalImage, path_str: str | None = None) -> str:
+    """Serialize an image; writes to the path when one is given."""
+    return _dump(image, path_str)
 
 
 def dump_map(digital_map: DigitalMap, path_str: str | None = None) -> str:
-    text = json.dumps(digital_map.to_json_dict(), sort_keys=True, indent=2)
-    if path_str is not None:
-        Path(path_str).write_text(text + "\n")
-    return text
+    """Serialize a map; writes to the path when one is given."""
+    return _dump(digital_map, path_str)

@@ -411,15 +411,16 @@ def _rigid_within(f: DigitalMap, meter: Meter) -> bool | None:
     """is_rigid_map paid from meter; None when the meter trips before the answer.
 
     The neighborhood search stops at a second neighbor.  That stop and a
-    tripped meter both leave the search unexhausted, but only a trip leaves
-    the meter over its limit: the cap is tested after the node's own check.
+    tripped meter both leave the search unexhausted, but only a trip is
+    recorded on the meter (``Meter.stop``): the cap is tested after the
+    node's own check.
     """
     closed = f.codomain._closed
     allowed = tuple(closed[v] for v in f.assignment)
     _, exhausted, _ = assignments_in_context(f.domain, f.codomain, meter, allowed, max_results=1)
     if exhausted:
         return True
-    return None if meter.over() else False
+    return None if meter.stop else False
 
 
 def is_rigid_image(image: DigitalImage) -> bool:

@@ -12,17 +12,22 @@ spectra module's breadth-first closure over equalizer restrictions
 bitmasks of the classes' fixed-point sets) runs over those groups,
 reading each class's sorted assignments as they are.
 
-An operation on maps makes one homotopy engine (``_Homotopy``) and asks it
-whether every two points of the codomain Y are adjacent, or a greedy chain
-contracts the domain X, which X decides once and charges to no budget.  If
-either holds, every class is all of Hom(X, K) for the component K of Y
-that holds the map's image, and no class is built: HCS and MC follow from
-Y's component labels alone (``_contractible_sizes``), and HFS and MCF are
+An operation on maps makes one homotopy engine (``_Homotopy``).  HCS and
+MC of one map are {#X}, since a lone map agrees with itself everywhere,
+and the engine builds no class for them.  Otherwise the operation asks
+the engine whether every two points of the codomain Y are adjacent, or a
+greedy chain contracts the domain X, which X decides once and charges to
+no budget.  If either holds, every class is all of Hom(X, K) for the component K of Y that
+holds the map's image, and no class is built: HCS and MC follow from Y's
+component labels alone (``_contractible_sizes``), and HFS and MCF are
 CFS_k(X), answered by the same streamed search as CFS
-(``spectra._streamed_picks``).  Otherwise the same engine builds the
-classes.  The engine's meter pays for everything the operation does, the
-equalizer search included, so a node or time budget bounds the whole
-operation.  ``hcs_of_classes`` and ``hfs_of_classes``
+(``spectra._streamed_picks``), which no result cap cuts.  Otherwise the
+same engine builds the classes.  The engine's meter pays for everything
+the operation does, the equalizer search included, so a node or time
+budget bounds the whole operation, and it is the one record of whether
+the budget stopped it (``Meter.stop``): the helpers here return sizes and
+whether the classes are complete, and the operation reads its meter once,
+at the end, for ``exact``.  ``hcs_of_classes`` and ``hfs_of_classes``
 always search the classes they are given, on a meter of their own.
 """
 
@@ -70,39 +75,6 @@ class SelfCoincidenceSequence(Record):
         object.__setattr__(self, "entries", entries)
 
 
-def _merge_classes(classes, fixed: bool) -> tuple[list[tuple[tuple, int]], bool, int, int]:
-    """Group repeats of one class object with multiplicities; returns (groups, complete, #X, #Y).
-
-    This builds every class pool the equalizer closure reads.  A group's
-    pool is its class's ``assignments``, as they are, so no map is built
-    and no member is read.  One engine returns one object per class, so
-    the repeated maps of an operation make one group.  Equal but distinct
-    class objects make two groups of one pool; those admit the same sets
-    of distinct maps as one group with the summed multiplicity, so every
-    value and minimum is the same, and only node counts can differ.  With
-    ``fixed`` the pool is instead the class's distinct fixed-point sets as
-    bitmasks, which the class keeps, so a class is collapsed once however
-    many searches read it.  A class with no member is rejected: the
-    public ``HomotopyClass`` constructor accepts one, and the closure
-    needs every listed pool nonempty.
-    """
-    first = classes[0].representative
-    for cls in classes:
-        rep = cls.representative
-        if rep.domain != first.domain or rep.codomain != first.codomain:
-            raise InvalidInputError("all classes must share domain and codomain")
-        if not cls.assignments:
-            raise InvalidInputError("every class needs a member")
-    groups: dict[int, list] = {}
-    for cls in classes:
-        groups.setdefault(id(cls), [cls, 0])[1] += 1
-    pools = [
-        (cls._fixed_masks if fixed else cls.assignments, count) for cls, count in groups.values()
-    ]
-    complete = all(cls.complete for cls, _ in groups.values())
-    return pools, complete, first.domain.n_points, first.codomain.n_points
-
-
 def _require_self_maps(f: DigitalMap) -> None:
     if not f.is_self_map():
         raise InvalidInputError("common fixed points are defined for self-maps only")
@@ -113,20 +85,46 @@ def _search_classes(
     meter: Meter,
     fixed: bool,
     min_mode: bool,
-) -> tuple[tuple[int, ...], bool, bool]:
+) -> tuple[tuple[int, ...], bool]:
     """Equalizer closure over one map drawn from each class, charged to ``meter``.
 
-    Returns (sizes found, classes complete, search exact).  With ``fixed``
-    the identity joins every equalizer (common fixed points); ``min_mode``
-    stops at the first empty equalizer.
+    Returns (sizes found, classes complete); a trip of ``meter`` cuts the
+    search, and the meter records it.  With ``fixed`` the identity joins
+    every equalizer (common fixed points); ``min_mode`` stops at the first
+    empty equalizer.
+
+    This builds every class pool the equalizer closure reads.  Repeats of
+    one class object make one group, with their count as its multiplicity;
+    one engine returns one object per class, so the repeated maps of an
+    operation make one group.  Equal but distinct class objects make two
+    groups of one pool; those admit the same sets of distinct maps as one
+    group with the summed multiplicity, so every value and minimum is the
+    same, and only node counts can differ.  A group's pool is its class's
+    ``assignments``, as they are, so no map is built and no member is
+    read; with ``fixed`` it is instead the class's distinct fixed-point
+    sets as bitmasks, which the class keeps, so a class is collapsed once
+    however many searches read it.  A class with no member is rejected:
+    the public ``HomotopyClass`` constructor accepts one, and the closure
+    needs every listed pool nonempty.
     """
     if not classes:
         raise InvalidInputError("need at least one homotopy class")
+    first = classes[0].representative
     if fixed:
-        _require_self_maps(classes[0].representative)
-    groups, complete, n, n_values = _merge_classes(classes, fixed)
-    min_picks, search_exact = _equalizer_closure(groups, n, n_values, fixed, meter, min_mode)
-    return tuple(min_picks), complete, search_exact
+        _require_self_maps(first)
+    counts: dict[int, list] = {}
+    for cls in classes:
+        rep = cls.representative
+        if rep.domain != first.domain or rep.codomain != first.codomain:
+            raise InvalidInputError("all classes must share domain and codomain")
+        if not cls.assignments:
+            raise InvalidInputError("every class needs a member")
+        counts.setdefault(id(cls), [cls, 0])[1] += 1
+    groups = [(cls._fixed_masks if fixed else cls.assignments, k) for cls, k in counts.values()]
+    min_picks = _equalizer_closure(
+        groups, first.domain.n_points, first.codomain.n_points, fixed, meter, min_mode
+    )
+    return tuple(min_picks), all(cls.complete for cls in classes)
 
 
 def _engine_of(
@@ -152,15 +150,14 @@ def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
     Each class is every map into the component of Y that holds the map's
     image: X is connected, so that image lies in one component, or Y is
     complete, so it has one component and every function is continuous.
-    Maps into two components agree nowhere; one map, or maps into one
-    one-point component, agree everywhere.  Otherwise the component has an
-    edge {a, b}: every map into it lies in the one class, so the constant at
-    a with the map sending a chosen set of points to a and the rest to b
-    realizes every size.  The component is read from Y's labels.
+    Maps into two components agree nowhere; maps into one one-point
+    component agree everywhere.  Otherwise the component has an edge
+    {a, b}: every map into it lies in the one class, so with two maps or
+    more the constant at a with the map sending a chosen set of points to
+    a and the rest to b realizes every size.  The component is read from
+    Y's labels.  ``_sizes`` answers one map before it gets here.
     """
     n = maps[0].domain.n_points
-    if len(maps) == 1:
-        return (n,)
     labels = maps[0].codomain._bfs[1]
     held = {labels[f.assignment[0]] for f in maps}
     if len(held) > 1:
@@ -172,31 +169,34 @@ def _contractible_sizes(maps: tuple[DigitalMap, ...]) -> tuple[int, ...]:
 
 def _sizes(
     engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool, min_mode: bool
-) -> tuple[tuple[int, ...], bool, bool]:
-    """As ``_search_classes`` for the classes of maps; no class if Y is complete or X contracts.
+) -> tuple[tuple[int, ...], bool]:
+    """As ``_search_classes`` for the classes of maps, with no class where none is needed.
 
-    There every class is every map into one component of Y, so HCS and MC
-    take the closed form (``_contractible_sizes``), which charges no node,
-    and every class of a self-map is Hom(X, X), so HFS is CFS_k(X): the
-    streamed CFS search on the engine's meter.  This route lists no class,
-    so the engine's result cap, which caps a class's members, does not
-    apply to it, as it does not to the closed form.
+    One map agrees with itself everywhere, so its HCS and MC are {#X}, with
+    no class and no node.  If Y is complete or X contracts, every class is
+    every map into one component of Y, so HCS and MC take the closed form
+    (``_contractible_sizes``), which charges no node, and every class of a
+    self-map is Hom(X, X), so HFS is CFS_k(X): the streamed CFS search on
+    the engine's meter.  These routes list no class, so they report the
+    classes complete, and the engine's result cap, which caps a class's
+    members, does not apply to them.
     """
+    if len(maps) == 1 and not fixed:
+        return (engine.domain.n_points,), True
     if engine.complete or engine.contractible:
         if fixed:
-            min_picks, complete, search_exact = _streamed_picks(
-                engine.domain, engine.codomain, engine.meter, None, len(maps), True, min_mode
-            )
-            return tuple(min_picks), complete, search_exact
-        return _contractible_sizes(maps), True, True
+            x_img, meter = engine.domain, engine.meter
+            return tuple(_streamed_picks(x_img, x_img, meter, len(maps), True, min_mode)), True
+        return _contractible_sizes(maps), True
     classes = tuple(engine.class_of(f) for f in maps)
     return _search_classes(classes, engine.meter, fixed, min_mode)
 
 
 def _result(
-    sizes: tuple[int, ...], complete: bool, search_exact: bool, arity: int
+    sizes: tuple[int, ...], complete: bool, meter: Meter, arity: int
 ) -> HomotopySpectrumResult:
-    values = Spectrum(values=sizes, exact=complete and search_exact, i=arity)
+    """An operation's spectrum; exact iff every class is whole and the meter never tripped."""
+    values = Spectrum(values=sizes, exact=complete and meter.stop is None, i=arity)
     return HomotopySpectrumResult(
         values=values,
         classes_complete=complete,
@@ -208,22 +208,22 @@ def _spectrum_of_classes(
     classes, budget: EnumerationBudget | None, fixed: bool
 ) -> HomotopySpectrumResult:
     classes = tuple(classes)
-    sizes = _search_classes(classes, Meter(budget), fixed, min_mode=False)
-    return _result(*sizes, len(classes))
+    meter = Meter(budget)
+    return _result(*_search_classes(classes, meter, fixed, min_mode=False), meter, len(classes))
 
 
 def _spectrum(maps, budget: EnumerationBudget | None, fixed: bool) -> HomotopySpectrumResult:
     maps, engine = _engine_of(maps, budget, fixed)
-    return _result(*_sizes(engine, maps, fixed, min_mode=False), len(maps))
+    return _result(*_sizes(engine, maps, fixed, min_mode=False), engine.meter, len(maps))
 
 
 def _minimum(
     engine: _Homotopy, maps: tuple[DigitalMap, ...], fixed: bool
 ) -> tuple[int | None, bool]:
     """(least equalizer size, exact) for mc, mcf and m_j; stops at the first 0."""
-    sizes, complete, search_exact = _sizes(engine, maps, fixed, min_mode=True)
+    sizes, complete = _sizes(engine, maps, fixed, min_mode=True)
     value = min(sizes) if sizes else None
-    return value, (complete and search_exact) or value == 0
+    return value, (complete and engine.meter.stop is None) or value == 0
 
 
 def hcs_of_classes(classes, budget: EnumerationBudget | None = None) -> HomotopySpectrumResult:
@@ -266,8 +266,6 @@ def m_j_of_map(
 ) -> tuple[int | None, bool]:
     """MC of j copies of f; for j = 1 this is #X by the singleton convention."""
     _require_at_least(j, 1, "j")
-    if j == 1:
-        return f.domain.n_points, True
     return mc([f] * j, budget)
 
 

@@ -29,10 +29,14 @@ only as far as the closure has walked, so every stop of the closure also
 ends the enumeration, and a budgeted spectrum that stops before its
 budget trips is exact.  The search and the closure are charged to one
 meter, the operation's, so a node or time budget bounds the whole
-spectrum.  One driver (``_streamed_picks``) runs this for CS and CFS, and
-for HFS and MCF where a greedy chain contracts X.  A pool of maps is not
-read to record #X, which the constants of Hom(X, Y) always realize, so a
-budget that trips before the first map still leaves CS_i at least {#X}.
+spectrum.  The stream has one stop rule: it ends where the closure stops
+or the meter trips, and no result cap cuts it.  The meter records a trip
+(``Meter.stop``), and the operation reads it once, when it is done, so
+no helper here reports whether it was stopped.  One function
+(``_streamed_picks``) runs this for CS and CFS, and for HFS and MCF where
+a greedy chain contracts X.  A pool of maps is not read to record #X,
+which the constants of Hom(X, Y) always realize, so a budget that trips
+before the first map still leaves CS_i at least {#X}.
 
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
@@ -44,7 +48,7 @@ of 0..#X is seen.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import UNLIMITED, EnumerationBudget, Meter, _Search, value_bitsets
+from .enumeration import EnumerationBudget, Meter, _Search, value_bitsets
 from .images import DigitalImage, _require_at_least, _require_int, is_totally_disconnected
 
 
@@ -88,10 +92,11 @@ class _Pool:
     list grows or the search ends.  Each reader walks from a position of
     its own, so the search runs only as far as the furthest reader, and a
     closure that stops also stops the search.  Once the search has ended,
-    readers walk the list itself.  Whether it was cut is the search's own
-    ``exhausted``, which the pool never reads: it keeps only the search's
-    batches and list, holds no meter and reads no clock.  The search
-    charges the operation's meter, as the closure that walks the pool does.
+    readers walk the list itself.  The search has no result cap, so it
+    ends cut only where the operation's meter trips, and the meter records
+    that (``Meter.stop``): the pool keeps only the search's batches and
+    list, holds no meter and reads no clock.  The search charges the
+    operation's meter, as the closure that walks the pool does.
     """
 
     __slots__ = ("members", "done", "_batches")
@@ -118,11 +123,12 @@ class _Pool:
 
 def _equalizer_closure(
     groups, n_points: int, n_values: int, fixed: bool, meter: Meter, min_mode: bool = False
-) -> tuple[dict[int, int], bool]:
+) -> dict[int, int]:
     """Breadth-first closure of equalizer restrictions over groups of maps.
 
-    Returns ({achievable size: fewest picks realizing it}, exact); exact is
-    False iff ``meter`` tripped.  ``groups`` is a sequence of (pool,
+    Returns {achievable size: fewest picks realizing it}, cut short where
+    ``meter`` trips, which the meter records (``Meter.stop``) for the
+    operation to read.  ``groups`` is a sequence of (pool,
     multiplicity), each listed pool nonempty; a ``_Pool`` may end empty when
     the budget trips before its first member.  A valid selection picks
     between 1 and multiplicity maps from every group, and the value recorded
@@ -208,7 +214,7 @@ def _equalizer_closure(
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():
-                    return min_picks, False
+                    return min_picks
                 size = r.bit_count()
                 if size not in min_picks:
                     record(size, picks)
@@ -241,7 +247,7 @@ def _equalizer_closure(
                         for m in walk:
                             meter.nodes += charge
                             if meter.nodes >= meter.check_at and meter.over():
-                                return min_picks, False
+                                return min_picks
                             if fixed:
                                 new = r & m
                                 size = new.bit_count()
@@ -260,7 +266,7 @@ def _equalizer_closure(
             layer = {key: states for key, states in following.items() if states}
     except _Stop:
         pass
-    return min_picks, True
+    return min_picks
 
 
 def _agree_everywhere(pools: list, n: int, fixed: bool) -> bool:
@@ -305,18 +311,18 @@ def _streamed_picks(
     domain: DigitalImage,
     codomain: DigitalImage,
     meter: Meter,
-    max_results: int | None,
     arity: int,
     fixed: bool,
     min_mode: bool = False,
-) -> tuple[dict[int, int], bool, bool]:
+) -> dict[int, int]:
     """Search selections of at most ``arity`` maps in Hom(X, Y), read as the closure goes.
 
-    Returns ({achievable size: fewest picks realizing it}, pool complete,
-    closure exact).  The pool is the search's one list, ``results``, read
-    only as far as the closure walks it, so any stop of the closure (full
-    range, ceiling, or with ``min_mode`` the first 0) also ends the
-    enumeration, and ``max_results`` caps the maps it reads.  With
+    Returns {achievable size: fewest picks realizing it}.  The pool is the
+    search's one list, ``results``, read only as far as the closure walks
+    it, so any stop of the closure (full range, ceiling, or with
+    ``min_mode`` the first 0) also ends the enumeration.  No result cap
+    cuts the search: the stream ends where the closure stops or ``meter``
+    trips, and the meter records a trip (``Meter.stop``).  With
     ``fixed`` (Y is X) the identity joins every equalizer (common fixed
     points), so only the maps' distinct fixed-point sets matter: that list
     then holds those sets, as bitmasks, and no map is built.  The
@@ -329,11 +335,10 @@ def _streamed_picks(
     This is CS and CFS, and HFS and MCF where a greedy chain contracts X
     (every class is then Hom(X, X)).
     """
-    search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps", max_results)
-    min_picks, search_exact = _equalizer_closure(
+    search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps")
+    return _equalizer_closure(
         [(_Pool(search), arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
     )
-    return min_picks, search.exhausted, search_exact
 
 
 def _fewest_picks(
@@ -346,13 +351,12 @@ def _fewest_picks(
     """``_streamed_picks`` on Hom(X, Y), or with ``fixed`` on Hom(X, X), under one budget.
 
     Returns ({achievable size: fewest picks realizing it}, exact); exact
-    iff neither the enumeration nor the closure was cut.
+    iff the budget stopped nothing, as the operation's meter records.  The
+    result cap stops nothing here.
     """
-    budget = budget or UNLIMITED
-    min_picks, complete, search_exact = _streamed_picks(
-        x_img, x_img if fixed else y_img, Meter(budget), budget.max_results, arity, fixed
-    )
-    return min_picks, complete and search_exact
+    meter = Meter(budget)
+    min_picks = _streamed_picks(x_img, x_img if fixed else y_img, meter, arity, fixed)
+    return min_picks, meter.stop is None
 
 
 def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:

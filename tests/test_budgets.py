@@ -23,13 +23,16 @@ from digitop import (
     are_homotopic,
     coincidence_spectra_by_arity,
     coincidence_spectrum_by_search,
+    coincidence_spectrum_union,
     common_fixed_spectrum,
     common_fixed_spectrum_union,
     constant,
+    cube,
     cycle,
     discrete,
     disjoint_paths,
     enumerate_continuous_maps,
+    fixed_point_spectrum,
     from_assignment,
     hcs,
     hcs_of_classes,
@@ -309,3 +312,33 @@ def test_classes_complete_reports_the_classes_not_the_search():
     result = hcs_of_classes(classes, EnumerationBudget(max_nodes=1))
     assert result.classes_complete is True
     assert result.values.exact is False
+
+
+@pytest.mark.parametrize(
+    "x_img, y_img",
+    [(cube(), cube()), (cycle(5), discrete(2)), (tee4(), tee4()), (C5, C5), (PATH, EDGE)],
+    ids=["cube-cube", "c5-d2", "tee4-tee4", "c5-c5", "path-edge"],
+)
+def test_a_result_cap_cuts_no_spectrum_stream(x_img, y_img):
+    # CS_i, F, CFS_i and their unions read Hom(X, Y) as a stream that ends
+    # only where its closure stops or the operation's meter trips, so a cap
+    # of one result changes no answer
+    runs = [
+        partial(coincidence_spectrum_by_search, x_img, y_img, 2),
+        partial(coincidence_spectrum_by_search, x_img, y_img, 3),
+        partial(coincidence_spectrum_union, x_img, y_img, 3),
+        partial(coincidence_spectra_by_arity, x_img, y_img, 3),
+        partial(fixed_point_spectrum, x_img),
+        partial(common_fixed_spectrum, x_img, 1),
+        partial(common_fixed_spectrum, x_img, 2),
+        partial(common_fixed_spectrum_union, x_img, 3),
+    ]
+    cap = EnumerationBudget(max_results=1)
+    for run in runs:
+        assert run(budget=cap) == run(budget=None), run
+    # HFS of (id, const) on the contractible cube streams the same search
+    if x_img == cube():
+        pair = [identity(x_img), constant(x_img, x_img, 0)]
+        cfs_2 = common_fixed_spectrum(x_img, 2, cap)
+        assert cfs_2.exact and cfs_2.values == (0, 1, 2, 3, 4, 5, 6, 8)
+        assert hfs(pair, cap).values == cfs_2

@@ -39,7 +39,8 @@ from digitop import (
     tee4,
 )
 from digitop import components, homotopy
-from digitop.homotopy import _Homotopy
+from digitop.enumeration import Meter
+from digitop.homotopy import _Homotopy, _rigid_within
 from oracles import (
     all_maps_oracle,
     greedy_chain_oracle,
@@ -201,6 +202,20 @@ def test_rigidity():
     c5 = cycle(5)
     assert not is_rigid_map(identity(c5))
     assert is_rigid_image(discrete(3))
+
+
+def test_a_decided_rigidity_is_not_read_as_a_budget_stop():
+    # a second neighbor of the identity turns up within a few nodes, long
+    # before the first time check (at node 256), so the search is cut by its
+    # stop at the second neighbor and the passed deadline stopped nothing
+    for image in (cycle(4), interval(0, 3), cube()):
+        meter = Meter(EnumerationBudget(time_budget=1e-9))
+        assert _rigid_within(identity(image), meter) is False
+        assert meter.stop is None
+    # figure1 is rigid, but three nodes cannot show it
+    meter = Meter(EnumerationBudget(max_nodes=3))
+    assert _rigid_within(identity(figure1()), meter) is None
+    assert meter.stop == "node budget"
 
 
 def test_contractibility_verdicts():

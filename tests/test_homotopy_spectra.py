@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from digitop import (
     InvalidInputError,
     are_homotopic,
     coincidence_spectra_by_arity,
+    coincidence_spectrum_by_search,
     common_fixed_spectrum,
     common_fixed_spectrum_union,
     constant,
@@ -160,8 +163,8 @@ def test_split_children_keep_the_node_counts_of_the_member_walk(monkeypatch):
     for maps in ([f, g], [g, f]):
         classes = _classes_of(maps, None, fixed=False)
         meter = Meter()
-        sizes, complete, exact = _search_classes(classes, meter, False, False)
-        assert complete and exact
+        sizes, complete = _search_classes(classes, meter, False, False)
+        assert complete and meter.stop is None
         assert sorted(sizes) == [0, 1, 2, 3, 4, 5]
         assert meter.nodes == 1_102
 
@@ -180,8 +183,8 @@ def test_a_gap_in_the_spectrum_is_searched_exhaustively():
     cls_f, cls_g = _classes_of([f, g], None, fixed=False)
     assert (len(cls_f.assignments), len(cls_g.assignments)) == (58_948, 69)
     meter = Meter()
-    sizes, complete, exact = _search_classes((cls_f, cls_g), meter, False, False)
-    assert complete and exact
+    sizes, complete = _search_classes((cls_f, cls_g), meter, False, False)
+    assert complete and meter.stop is None
     assert sorted(sizes) == list(range(7))
     assert meter.nodes == 58_948 * 69
     result = hcs_of_classes([cls_f, cls_g, cls_g])
@@ -235,8 +238,8 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
 )
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
     meter = Meter()
-    min_picks, exact = _equalizer_closure([(pool, 1) for pool in pools], 2, 2, fixed, meter)
-    assert exact and set(min_picks) == expected
+    min_picks = _equalizer_closure([(pool, 1) for pool in pools], 2, 2, fixed, meter)
+    assert meter.stop is None and set(min_picks) == expected
     assert meter.nodes == nodes
 
 
@@ -343,6 +346,50 @@ def test_mc_and_mcf_minima():
     assert mcf([identity(c5), identity(c5)]) == (0, True)
 
 
+_C5 = cycle(5)
+_FIG = figure1()
+_NODE = EnumerationBudget(max_nodes=1)
+
+
+@pytest.mark.parametrize(
+    "call, answer, builds_a_class",
+    [
+        # a lone map agrees with itself everywhere: {#X}, with no class and no node
+        pytest.param(
+            lambda: hcs([constant(_FIG, _FIG, 0)], EnumerationBudget(time_budget=2)), (18,), False,
+            id="hcs-figure1-constant-time",
+        ),
+        pytest.param(
+            lambda: mc([constant(_FIG, _FIG, 0)], EnumerationBudget(time_budget=2)), 18, False,
+            id="mc-figure1-constant-time",
+        ),
+        pytest.param(lambda: hcs([identity(_C5)], _NODE), (5,), False, id="hcs-c5-id-node"),
+        pytest.param(lambda: mc([identity(_C5)], _NODE), 5, False, id="mc-c5-id-node"),
+        pytest.param(lambda: m_j_of_map(identity(_FIG), 1, _NODE), 18, False, id="m1-figure1-node"),
+        pytest.param(lambda: hcs([constant(_C5, discrete(2), 1)]), (5,), False, id="hcs-c5-d2"),
+        # the identity joins every equalizer, so HFS and MCF of one map need its class
+        pytest.param(lambda: hfs([identity(_C5)]), (0, 5), True, id="hfs-c5-id"),
+        pytest.param(lambda: mcf([identity(_C5)]), 0, True, id="mcf-c5-id"),
+        pytest.param(lambda: hfs([identity(_FIG)]), (18,), True, id="hfs-figure1-id"),
+        pytest.param(lambda: mcf([identity(_FIG)], _NODE), None, True, id="mcf-figure1-id-node"),
+    ],
+)
+def test_one_map_needs_no_class(monkeypatch, call, answer, builds_a_class):
+    built = []
+    class_of = homotopy._Homotopy.class_of
+    monkeypatch.setattr(
+        homotopy._Homotopy, "class_of", lambda engine, f: built.append(f) or class_of(engine, f)
+    )
+    result = call()
+    if isinstance(result, tuple):
+        value, exact = result
+    else:
+        value, exact = result.values.values, result.values.exact
+    assert value == answer
+    assert exact == (answer is not None)
+    assert bool(built) == builds_a_class
+
+
 def test_mj_values_and_convention():
     fig = figure1()
     assert m_j_of_map(identity(fig), 1) == (18, True)
@@ -353,6 +400,40 @@ def test_mj_values_and_convention():
             assert m_j_of_map(identity(cycle(n)), j) == (0, True)
     with pytest.raises(InvalidInputError):
         m_j_of_map(identity(fig), 0)
+
+
+def _invariants(x_img: DigitalImage, base: int) -> list:
+    """Spectra of x_img that relabelling carries along; the constants sit at ``base``."""
+    ident, const = identity(x_img), constant(x_img, x_img, base)
+    return [
+        *(common_fixed_spectrum(x_img, i) for i in (1, 2, 3)),
+        coincidence_spectrum_by_search(x_img, discrete(2), 2),
+        coincidence_spectrum_by_search(x_img, x_img, 3),
+        hcs([ident, const]),
+        hfs([ident, const]),
+        hcs([ident, const, const]),
+        self_coincidence_sequence(x_img, 3),
+    ]
+
+
+def test_relabelling_a_graph_changes_no_spectrum():
+    # Every quantity is invariant under isomorphism: relabelling X by a
+    # permutation p carries each map f to p f p^-1, so the constant at 0
+    # becomes the constant at p(0), and the identity stays the identity.
+    # The search order and the greedy tie-break depend on the labels, so
+    # this is what lets one graph stand for its isomorphism class.
+    rng = random.Random(13)
+    graphs = list(_labelled_graphs(4))
+    assert len(graphs) == 75
+    for x_img in graphs:
+        n = x_img.n_points
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = {(perm[a], perm[b]) for a, b in x_img.adjacency.edges}
+        relabelled = DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
+        assert _invariants(relabelled, perm[0]) == _invariants(x_img, 0), (
+            sorted(x_img.adjacency.edges), perm,
+        )
 
 
 def test_self_coincidence_sequence_matches_oracle():

@@ -267,8 +267,8 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     assert s.values == tuple(range(9))
     search = _Search(c, c, None, Meter(), "maps")
     meter = Meter()
-    min_picks, exact = _equalizer_closure([(_Pool(search), 2)], 8, 8, False, meter)
-    assert exact and sorted(min_picks) == list(range(9))
+    min_picks = _equalizer_closure([(_Pool(search), 2)], 8, 8, False, meter)
+    assert meter.stop is None and sorted(min_picks) == list(range(9))
     assert (len(search.results), search.meter.nodes, meter.nodes) == (2584, 4814, 2582)
 
 
@@ -405,17 +405,16 @@ def _fixed_sets(x_img, budget):
 def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     """The reference for the streamed pool: enumerate it whole, then close over it.
 
-    The enumeration and the closure are charged to one meter, in turn.
+    The enumeration and the closure are charged to one meter, in turn.  The
+    enumeration has no result cap, as the stream it models reads none.
     """
     meter = Meter(budget)
-    search = _search(x_img, y_img, meter, budget, fixed).run()
+    search = _Search(x_img, y_img, None, meter, "fixed" if fixed else "maps").run()
     pool = search.results
     if not pool:
         return {}, False
-    min_picks, exact = _equalizer_closure(
-        [(pool, arity)], x_img.n_points, y_img.n_points, fixed, meter
-    )
-    return min_picks, search.exhausted and exact
+    min_picks = _equalizer_closure([(pool, arity)], x_img.n_points, y_img.n_points, fixed, meter)
+    return min_picks, meter.stop is None
 
 
 _BUDGETS = st.one_of(
@@ -465,7 +464,8 @@ def test_a_time_budget_bounds_the_stream_and_the_closure_together(monkeypatch):
     # phase that makes it.  The search and the closure share one meter, so
     # a time budget that fits each phase alone, but not both together,
     # gives an inexact lower approximation, and one that fits their sum
-    # gives the exact spectrum.
+    # gives the exact spectrum.  The operation's meter records which limit
+    # stopped it.
     now = [0.0]
     phase = ["closure"]
     spent = {"search": 0, "closure": 0}
@@ -490,7 +490,13 @@ def test_a_time_budget_bounds_the_stream_and_the_closure_together(monkeypatch):
                 phase[0] = "closure"
             yield
 
+    meters = []
+
     class SlowMeter(Meter):
+        def __init__(self, budget):
+            super().__init__(budget)
+            meters.append(self)
+
         def over(self):
             tick(100)
             return super().over()
@@ -514,7 +520,29 @@ def test_a_time_budget_bounds_the_stream_and_the_closure_together(monkeypatch):
         (min_picks, exact), _ = spectrum(fits_each)
         assert not exact, fixed
         assert min_picks.keys() <= want[0].keys(), fixed
+        assert meters[-1].stop == "time budget", fixed
         assert spectrum(fits_both) == (want, spent_alone), fixed
+        assert meters[-1].stop is None, fixed
+        _, exact = _fewest_picks(c, c, 2, EnumerationBudget(max_nodes=500), fixed)
+        assert not exact and meters[-1].stop == "node budget", fixed
+
+
+def test_the_meter_keeps_the_first_limit_that_stopped_it(monkeypatch):
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    meter = Meter(EnumerationBudget(max_nodes=1000, time_budget=5))
+    meter.nodes = 256
+    assert not meter.over() and meter.stop is None
+    now[0] = 6.0
+    meter.nodes = 512
+    assert meter.over() and meter.stop == "time budget"
+    meter.nodes = 1001
+    assert meter.over() and meter.stop == "time budget"
+    meter = Meter(EnumerationBudget(max_nodes=1000, time_budget=5))
+    meter.nodes = 1001
+    assert meter.over() and meter.stop == "node budget"
+    now[0] = 12.0
+    assert meter.over() and meter.stop == "node budget"
 
 
 @given(tiny_pairs(), st.data())
@@ -578,9 +606,11 @@ def test_equalizer_search_matches_brute_force_in_any_group_order(pair, data):
     truth = _fewest_picks_oracle(groups)
 
     def search(order):
-        return _equalizer_closure(
-            order, x_img.n_points, y_img.n_points, False, Meter(), min_mode
+        meter = Meter()
+        min_picks = _equalizer_closure(
+            order, x_img.n_points, y_img.n_points, False, meter, min_mode
         )
+        return min_picks, meter.stop is None
 
     min_picks, exact = search(groups)
     assert exact
