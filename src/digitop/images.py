@@ -105,9 +105,11 @@ class DigitalImage(Record):
     optional name is a label and never participates in equality.
 
     The structures every map search reads (``_bfs``, ``_earlier`` and
-    ``_closed``) and the homotopy engine's contractibility certificate
-    (``_greedy_contractible``) are built on first use and kept with the
-    image, so an image that no search reads never builds them.
+    ``_closed``), the homotopy engine's contractibility certificate
+    (``_greedy_contractible``) and the fact that settles #X - 1 in the
+    fixed-point spectra (``_fixes_all_but_one``) are built on first use
+    and kept with the image, so an image that no search reads never builds
+    them.
     """
 
     points: tuple[Point, ...]
@@ -279,6 +281,28 @@ class DigitalImage(Record):
             if not flags[label]:
                 flags[label] = _greedy_step_is_continuous(self._neighbors, t)
         return tuple(flags)
+
+    @cached_property
+    def _fixes_all_but_one(self) -> bool:
+        """Whether some continuous self-map fixes every point but one.
+
+        A self-map that fixes every point but x and sends x to y != x is
+        continuous iff y lies in N[z] for every neighbor z of x: every other
+        edge joins two fixed points.  So x has such a map iff the AND of its
+        neighbors' closed neighborhoods, x's own bit cleared, is non-zero
+        (with no neighbor, the AND holds every point).  A common fixed-point
+        set of #X - 1 points needs such a map among its picks, so without
+        one the spectra's equalizer closure knows #X - 1 is unreachable.
+        """
+        closed = self._closed
+        full = (1 << self.n_points) - 1
+        for x, nbrs in enumerate(self._neighbors):
+            common = full ^ 1 << x
+            for z in nbrs:
+                common &= closed[z]
+            if common:
+                return True
+        return False
 
     def to_json_dict(self) -> dict:
         """Serializable form; see the image file format in the README."""

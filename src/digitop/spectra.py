@@ -12,15 +12,24 @@ first layer that reaches a size gives the fewest picks realizing it,
 which answers every arity up to the largest at once.  The closure is one
 function, ``_equalizer_closure``: every spectrum here and in
 ``homotopy_spectra`` calls it once, and it keeps nothing past its
-return.  It stops once nothing larger can be found: at the full range
-0..#X, or at 0..#X - 1 when no selection can agree everywhere (the
-ceiling stop).  A spectrum with a gap stops at neither, so its closure
-exhausts.  Over a pool listed in full (the class pools of
-``homotopy_spectra``), the children of a state come from the pool's
-value bitsets (``enumeration.value_bitsets``): the members are split by
-whether they agree with the state at each point where it still agrees,
-and each part is one distinct child, so no duplicate is built.  The
-groups are searched smallest pool first.
+return.  It stops once every size it has not found is known
+unreachable: at the full range 0..#X; when only #X is missing and no
+selection can agree everywhere (the ceiling stop); and, for common fixed
+points, when #X - 1 is missing (alone, or with an #X the ceiling
+settles) and no continuous self-map fixes all points but one.  A common
+fixed-point set of #X - 1 points needs such a map among its picks: they
+all fix those points, and not all of them fix the last one, x.  A
+self-map that fixes all but x and sends x to y is continuous iff y lies
+in N[z] for every neighbor z of x, as every other edge joins two fixed
+points, so X decides this once (``DigitalImage._fixes_all_but_one``),
+charged to no meter.  F(cube) = 0..6, 8 then stops after 1 940 of the
+15 488 self-maps.  A spectrum with a gap below #X - 1 stops at none of
+these, so its closure exhausts.  Over a pool listed in full (the class
+pools of ``homotopy_spectra``), the children of a state come from the
+pool's value bitsets (``enumeration.value_bitsets``): the members are
+split by whether they agree with the state at each point where it still
+agrees, and each part is one distinct child, so no duplicate is built.
+The groups are searched smallest pool first.
 
 The closure reads its pool from the Hom-space search as it goes (a
 ``_Pool``, which is the ``results`` list of a resumable
@@ -41,8 +50,8 @@ before the first map still leaves CS_i at least {#X}.
 The self-map spectra F(X) and CFS_i(X) depend only on each self-map's
 fixed-point set, so they read the distinct fixed-point sets straight from
 the map search, as the bitmasks it records, and build no self-map: the
-CFS closure ANDs those masks, and F is CFS_1, their sizes, read until all
-of 0..#X is seen.
+CFS closure ANDs those masks, and F is CFS_1, their sizes, read until
+every size not seen is known unreachable.
 """
 
 from __future__ import annotations
@@ -122,7 +131,13 @@ class _Pool:
 
 
 def _equalizer_closure(
-    groups, n_points: int, n_values: int, fixed: bool, meter: Meter, min_mode: bool = False
+    groups,
+    n_points: int,
+    n_values: int,
+    fixed: bool,
+    meter: Meter,
+    min_mode: bool = False,
+    x_img: DigitalImage | None = None,
 ) -> dict[int, int]:
     """Breadth-first closure of equalizer restrictions over groups of maps.
 
@@ -150,19 +165,27 @@ def _equalizer_closure(
     pick is one ``&`` and a size one ``bit_count``.  States are expanded in
     layers of total picks, so the first layer that records a value holds its
     fewest picks, and the full-range, ceiling and min-mode stops are sound
-    wherever they fire.  The ceiling stop: size #X needs every pick equal
-    (or, with ``fixed``, every pick fixing every point), so it needs one
-    state that agrees everywhere lying in every pool.  With none, 0..#X - 1
-    is everything reachable.  Pools may overlap (truncated classes, or
-    classes a caller passes in), so this is tested, once, when only #X is
-    missing (``_agree_everywhere``).  Layer one is the first pool itself;
-    with one group and ``fixed`` off, its members are maps, each agreeing
-    with itself everywhere, so it records #X without reading a member.  A
-    pool may be a ``_Pool`` read from a map search, walked by every loop
-    from a position of its own; it is then the only group.  A state reached
-    again in its group with no fewer picks in that group is dropped: its
-    first arrival came with no more picks in total and completes every
-    selection the second would.
+    wherever they fire.  The closure stops once every size of 0..#X it has
+    not recorded is known unreachable.  The ceiling stop settles #X: size
+    #X needs every pick equal (or, with ``fixed``, every pick fixing every
+    point), so it needs one state that agrees everywhere lying in every
+    pool.  Pools may overlap (truncated classes, or classes a caller passes
+    in), so this is tested, once, when nothing but #X and a settled #X - 1
+    is missing (``_agree_everywhere``).  ``x_img``, given only with
+    ``fixed``, is the X whose continuous self-maps' fixed-point sets the
+    pools hold, and settles #X - 1 where no such self-map fixes all points
+    but one (``DigitalImage._fixes_all_but_one``, read only when nothing
+    but #X - 1 and #X is missing): a common fixed-point set of #X - 1
+    points needs one among its picks, since every pick fixes those points
+    and not every pick fixes the last.  Coincidences of #X - 1 points need
+    no such map, so a pool of maps comes with no ``x_img``.  Layer one is
+    the first pool itself; with one group and ``fixed`` off, its members
+    are maps, each agreeing with itself everywhere, so it records #X
+    without reading a member.  A pool may be a ``_Pool`` read from a map
+    search, walked by every loop from a position of its own; it is then
+    the only group.  A state reached again in its group with no fewer
+    picks in that group is dropped: its first arrival came with no more
+    picks in total and completes every selection the second would.
 
     The first state that expands against a pool walks its members, one
     child each.  Without ``fixed``, a later state against a listed pool of
@@ -170,12 +193,15 @@ def _equalizer_closure(
     into one part per distinct child, and walks one member of each part: a
     closure that stops inside its first expansion builds no bitset.  A
     ``_Pool`` and the fixed-point sets (one ``&`` a child) are always
-    walked.  Each member of the pool costs one node on ``meter``, the
-    meter of the operation, which a ``_Pool``'s search charges too: a
-    walked state charges its members one at a time, a split state its
-    whole pool in one addition before any child is recorded.  So a closure
-    that exhausts, or stops between states, charges the same nodes either
-    way, and a budget trips at the same total.
+    walked.  When the meter trips in layer one of a ``_Pool`` of
+    fixed-point sets, the sets its search wrote before the trip are
+    recorded with no node: their maps paid for them.  Each member of the
+    pool costs one node on ``meter``, the meter of the operation, which a
+    ``_Pool``'s search charges too: a walked state charges its members one
+    at a time, a split state its whole pool in one addition before any
+    child is recorded.  So a closure that exhausts, or stops between
+    states, charges the same nodes either way, and a budget trips at the
+    same total.
     """
     if len(groups) > 1:
         # the smallest pool first (a _Pool is always alone); group order
@@ -188,10 +214,19 @@ def _equalizer_closure(
     def record(value: int, picks: int) -> None:
         """Called only for a value not yet recorded, so ``picks`` is its fewest."""
         min_picks[value] = picks
-        if (min_mode and value == 0) or len(min_picks) == n_points + 1:
+        if min_mode and value == 0:
             raise _Stop
-        if len(min_picks) == n_points and n_points not in min_picks:
-            if not _agree_everywhere(pools, n_points, fixed):
+        # stop once every size not recorded is known unreachable: only #X - 1
+        # and #X can be, and #X is tested last, as only it reads the pools
+        found = len(min_picks)
+        if found >= n_points - 1:
+            low, top = n_points - 1 in min_picks, n_points in min_picks
+            if (
+                # the sizes not recorded are among #X - 1 and #X
+                found + (not low) + (not top) == n_points + 1
+                and (low or (x_img is not None and not x_img._fixes_all_but_one))
+                and (top or not _agree_everywhere(pools, n_points, fixed))
+            ):
                 raise _Stop
 
     last = len(pools) - 1
@@ -214,6 +249,12 @@ def _equalizer_closure(
             for r in pools[0]:
                 meter.nodes += 1
                 if meter.nodes >= meter.check_at and meter.over():
+                    if isinstance(pools[0], _Pool):
+                        # the sets the search wrote before it tripped, which
+                        # their maps paid for, are recorded with no node
+                        for size in map(int.bit_count, pools[0].members):
+                            if size not in min_picks:
+                                record(size, picks)
                     return min_picks
                 size = r.bit_count()
                 if size not in min_picks:
@@ -336,8 +377,9 @@ def _streamed_picks(
     (every class is then Hom(X, X)).
     """
     search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps")
+    x_img = domain if fixed else None  # whose self-maps' fixed-point sets the pool holds
     return _equalizer_closure(
-        [(_Pool(search), arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode
+        [(_Pool(search), arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode, x_img
     )
 
 
@@ -456,12 +498,18 @@ def fixed_point_spectrum(
     """F(X): achievable fixed-point counts over continuous self-maps.
 
     F is CFS_1: the sizes of the distinct fixed-point sets the map search
-    records, read until all of 0..#X is seen; no self-map is built.  All
-    of 0..#X is exact even when a budget cut the search short.
+    records, read until every size not seen is known unreachable; no
+    self-map is built.  An answer that holds every size a self-map can
+    reach is exact even when a budget cut the search short: all of 0..#X,
+    or all but #X - 1 where no self-map fixes all points but one
+    (``DigitalImage._fixes_all_but_one``).
     """
     min_picks, exact = _fewest_picks(x_img, x_img, 1, budget, fixed=True)
     values = _within(min_picks, 1)
-    return Spectrum(values=values, exact=exact or len(values) == x_img.n_points + 1)
+    if not exact:
+        # every size of 0..#X, but #X - 1 where no self-map fixes all points but one
+        exact = len(values) == x_img.n_points + x_img._fixes_all_but_one
+    return Spectrum(values=values, exact=exact)
 
 
 def common_fixed_spectrum(

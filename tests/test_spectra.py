@@ -152,6 +152,49 @@ def test_fixed_point_spectra_of_cycles():
 
 def test_fixed_point_spectrum_of_cube():
     assert fixed_point_spectrum(cube()).as_set() == {0, 1, 2, 3, 4, 5, 6, 8}
+    # 7 is unreachable, so the search stops at 3 690 nodes, inside this budget
+    s = fixed_point_spectrum(cube(), EnumerationBudget(max_nodes=4_000))
+    assert (s.as_set(), s.exact) == ({0, 1, 2, 3, 4, 5, 6, 8}, True)
+
+
+@pytest.mark.parametrize(
+    "image, arity, sizes, nodes_without, nodes",
+    [
+        # F(cube) and CFS_3(cube) lack only 7, and no self-map of the cube
+        # fixes all points but one, so both stop at 3 690 nodes, where
+        # reading all 15 488 self-maps charges 29 006 and 83 952
+        ("cube", 1, {0, 1, 2, 3, 4, 5, 6, 8}, 29_006, 3_690),
+        ("cube", 3, {0, 1, 2, 3, 4, 5, 6, 8}, 83_952, 3_690),
+        ("cycle:6", 3, {0, 1, 2, 3, 4, 6}, 3_266, 285),
+        # C7 lacks 5 as well, so its closure still exhausts
+        ("cycle:7", 1, {0, 1, 2, 3, 4, 7}, 5_343, 5_343),
+    ],
+)
+def test_a_closure_stops_where_only_an_unreachable_all_but_one_is_missing(
+    image, arity, sizes, nodes_without, nodes
+):
+    x_img = builtin(image)
+    n = x_img.n_points
+    assert not x_img._fixes_all_but_one
+    counts = []
+    # the closure not told which image's self-maps it reads, then told
+    for told in (None, x_img):
+        meter = Meter()
+        search = _Search(x_img, x_img, None, meter, "fixed")
+        min_picks = _equalizer_closure([(_Pool(search), arity)], n, n, True, meter, False, told)
+        assert meter.stop is None and set(min_picks) == sizes
+        counts.append(meter.nodes)
+    assert counts == [nodes_without, nodes]
+
+
+@pytest.mark.parametrize(
+    "image, max_nodes", [("cycle:4", 4), ("cube", 8), ("tee4", 4), ("interval:0:3", 4)]
+)
+def test_a_node_budget_keeps_the_fixed_sets_its_search_wrote(image, max_nodes):
+    # the budget trips inside the map search's first batch, whose fixed-point
+    # set of size 1 is already in the search's results
+    s = fixed_point_spectrum(builtin(image), EnumerationBudget(max_nodes=max_nodes))
+    assert (s.values, s.exact) == ((1,), False)
 
 
 def test_fixed_point_spectrum_matches_oracle():
@@ -229,7 +272,7 @@ def test_fixed_spectra_are_pinned():
     # and the closure pay from one meter; each exact one equals its
     # unbudgeted row and each inexact one is a subset of it
     digest = hashlib.sha256(json.dumps(list(_fixed_rows())).encode()).hexdigest()[:16]
-    assert digest == "f362362a744ea354"
+    assert digest == "09d508a5718de460"
 
 
 def test_budget_marks_inexact():
@@ -366,6 +409,8 @@ def test_fixed_spectra_match_oracle_on_every_labelled_graph():
         f = fixed_point_spectrum(x_img)
         assert f.exact
         assert f.as_set() == fixed_spectrum_oracle(x_img), edges
+        # the lemma that lets the closure stop short of an unreachable #X - 1
+        assert (x_img.n_points - 1 in f.as_set()) == x_img._fixes_all_but_one, edges
         truth = {i: cfs_oracle(x_img, i) for i in (1, 2, 3)}
         for i, values in truth.items():
             s = common_fixed_spectrum(x_img, i)
@@ -375,6 +420,38 @@ def test_fixed_spectra_match_oracle_on_every_labelled_graph():
         assert union.exact
         assert union.as_set() == truth[3], edges
         assert union.stabilized_at == _stabilized(truth), edges
+
+
+@st.composite
+def sparse_images(draw, max_points):
+    """A random image of 1 to max_points points whose self-maps stay few enough to list.
+
+    The points make two runs, each a path or a cycle, and up to three more
+    edges join any two points: every point but a one-point run has a
+    neighbor, and the edges are few.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    cut = draw(st.integers(min_value=1, max_value=n))
+    edges = set()
+    for lo, hi in ((0, cut), (cut, n)):
+        edges |= {(i, i + 1) for i in range(lo, hi - 1)}
+        if hi - lo >= 3 and draw(st.booleans()):
+            edges.add((lo, hi - 1))
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs), max_size=3))
+    return DigitalImage(points=tuple((i,) for i in range(n)), adjacency=Explicit(edges))
+
+
+@given(sparse_images(8))
+@settings(max_examples=150, deadline=None)
+def test_the_all_but_one_lemma_matches_every_fixed_point_set(x_img):
+    # the exhaustive search lists every distinct fixed-point set and has no stop
+    sets = _Search(x_img, x_img, None, Meter(), "fixed").run().results
+    sizes = {r.bit_count() for r in sets}
+    assert (x_img.n_points - 1 in sizes) == x_img._fixes_all_but_one
+    f = fixed_point_spectrum(x_img)
+    assert f.exact and f.as_set() == sizes
 
 
 def test_cs_search_matches_oracle_on_every_labelled_pair():
@@ -503,8 +580,9 @@ def test_a_time_budget_bounds_the_stream_and_the_closure_together(monkeypatch):
 
     monkeypatch.setattr(_Search, "batches", slow_batches)
     monkeypatch.setattr(spectra, "Meter", SlowMeter)
-    c = cube()
-    for fixed in (False, True):
+    # the fixed-point closure of C7 exhausts its stream (it lacks 5 and 6),
+    # where that of the cube stops once only the unreachable 7 is missing
+    for c, fixed in ((cube(), False), (cycle(7), True)):
 
         def spectrum(seconds):
             now[0] = 0.0
