@@ -121,9 +121,13 @@ def _search_classes(
             raise InvalidInputError("every class needs a member")
         counts.setdefault(id(cls), [cls, 0])[1] += 1
     groups = [(cls._fixed_masks if fixed else cls.assignments, k) for cls, k in counts.values()]
-    x_img = first.domain if fixed else None  # whose self-maps' fixed-point sets the pools hold
     min_picks = _equalizer_closure(
-        groups, first.domain.n_points, first.codomain.n_points, fixed, meter, min_mode, x_img
+        groups,
+        first.domain.n_points,
+        first.codomain.n_points,
+        first.domain if fixed else None,
+        meter,
+        min_mode,
     )
     return tuple(min_picks), all(cls.complete for cls in classes)
 

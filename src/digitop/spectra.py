@@ -134,10 +134,9 @@ def _equalizer_closure(
     groups,
     n_points: int,
     n_values: int,
-    fixed: bool,
+    fixed: DigitalImage | None,
     meter: Meter,
     min_mode: bool = False,
-    x_img: DigitalImage | None = None,
 ) -> dict[int, int]:
     """Breadth-first closure of equalizer restrictions over groups of maps.
 
@@ -151,13 +150,15 @@ def _equalizer_closure(
     picked maps agree).  Picks may repeat, since the equalizer of a multiset
     is that of its set.  The maps send ``n_points`` points to values below
     ``n_values``, the sizes of their domain and codomain, which the caller
-    knows, so no member is read to find them.  With ``fixed`` the identity
-    joins every equalizer, so a map counts only through its agreement with
-    the identity, its fixed-point set: every pool then holds fixed-point
-    sets as bitmasks over the points rather than maps.  The closure reads
-    the pools as given and never copies or rewrites them, but searches the
-    groups smallest pool first: group order changes no fewest picks, and
-    layer one is the first pool.
+    knows, so no member is read to find them.  ``fixed``, given for
+    common fixed points, is the X whose continuous self-maps' fixed-point
+    sets the pools hold: the identity joins every equalizer, so a map
+    counts only through its agreement with the identity, its fixed-point
+    set, and every pool then holds fixed-point sets as bitmasks over the
+    points rather than maps.  The closure reads the pools as given and
+    never copies or rewrites them, but searches the groups smallest pool
+    first: group order changes no fewest picks, and layer one is the first
+    pool.
 
     A state is what the picks so far agree on: without ``fixed`` a
     restriction, the agreed value at each point or None once agreement is
@@ -171,15 +172,14 @@ def _equalizer_closure(
     point), so it needs one state that agrees everywhere lying in every
     pool.  Pools may overlap (truncated classes, or classes a caller passes
     in), so this is tested, once, when nothing but #X and a settled #X - 1
-    is missing (``_agree_everywhere``).  ``x_img``, given only with
-    ``fixed``, is the X whose continuous self-maps' fixed-point sets the
-    pools hold, and settles #X - 1 where no such self-map fixes all points
-    but one (``DigitalImage._fixes_all_but_one``, read only when nothing
-    but #X - 1 and #X is missing): a common fixed-point set of #X - 1
-    points needs one among its picks, since every pick fixes those points
-    and not every pick fixes the last.  Coincidences of #X - 1 points need
-    no such map, so a pool of maps comes with no ``x_img``.  Layer one is
-    the first pool itself; with one group and ``fixed`` off, its members
+    is missing (``_agree_everywhere``).  With ``fixed``, X settles #X - 1
+    where no continuous self-map fixes all points but one
+    (``DigitalImage._fixes_all_but_one``, read only when nothing but
+    #X - 1 and #X is missing): a common fixed-point set of #X - 1 points
+    needs one among its picks, since every pick fixes those points and
+    not every pick fixes the last.  Coincidences of #X - 1 points need no
+    such map, so a closure over maps never settles #X - 1.  Layer one is
+    the first pool itself; with one group and no ``fixed``, its members
     are maps, each agreeing with itself everywhere, so it records #X
     without reading a member.  A pool may be a ``_Pool`` read from a map
     search, walked by every loop from a position of its own; it is then
@@ -224,8 +224,8 @@ def _equalizer_closure(
             if (
                 # the sizes not recorded are among #X - 1 and #X
                 found + (not low) + (not top) == n_points + 1
-                and (low or (x_img is not None and not x_img._fixes_all_but_one))
-                and (top or not _agree_everywhere(pools, n_points, fixed))
+                and (low or (fixed is not None and not fixed._fixes_all_but_one))
+                and (top or not _agree_everywhere(pools, n_points, fixed is not None))
             ):
                 raise _Stop
 
@@ -234,13 +234,13 @@ def _equalizer_closure(
     seen: list[dict] = [{} for _ in pools]
     # listed pools of maps split their children from value bitsets, built
     # at the second state that expands against the pool
-    split = not fixed and not isinstance(pools[0], _Pool)
+    split = fixed is None and not isinstance(pools[0], _Pool)
     expanded = [0] * len(pools)
     bitsets: list = [None] * len(pools)
     layer = {(0, 1): pools[0]}
     picks = 1
     try:
-        if last == 0 and not fixed:
+        if last == 0 and fixed is None:
             # one group of maps: every member agrees with itself everywhere
             record(n_points, picks)
         elif last == 0:
@@ -289,7 +289,7 @@ def _equalizer_closure(
                             meter.nodes += charge
                             if meter.nodes >= meter.check_at and meter.over():
                                 return min_picks
-                            if fixed:
+                            if fixed is not None:
                                 new = r & m
                                 size = new.bit_count()
                             else:
@@ -377,9 +377,13 @@ def _streamed_picks(
     (every class is then Hom(X, X)).
     """
     search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps")
-    x_img = domain if fixed else None  # whose self-maps' fixed-point sets the pool holds
     return _equalizer_closure(
-        [(_Pool(search), arity)], domain.n_points, codomain.n_points, fixed, meter, min_mode, x_img
+        [(_Pool(search), arity)],
+        domain.n_points,
+        codomain.n_points,
+        domain if fixed else None,
+        meter,
+        min_mode,
     )
 
 
