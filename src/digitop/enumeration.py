@@ -15,8 +15,11 @@ read off lowest bit first, so maps come out in ascending order.  At the
 last point a search first keeps the values of the batch that its limits
 allow, charging them in one addition whenever no limit can trip inside the
 batch, and then one leaf records them.  A search writes one list,
-``results``: its maps, or for self-maps only their distinct fixed-point
-sets, at most two per batch; or it only counts.
+``results``: its maps as assignment tuples, or as packed ``int`` codes
+(``code_layout``: a byte-aligned field of value + 1 per point, which the
+search extends one field a position, so a leaf writes a code with one OR),
+or for self-maps only their distinct fixed-point sets, at most two per
+batch; or it only counts.
 
 The search is one iterative depth-first loop in a generator that pauses
 after each last-position batch.  Collecting callers run it to the end; a
@@ -28,7 +31,10 @@ way the results, their order and the node counts are the same.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
+from functools import lru_cache
 
 from ._record import Record
 from .errors import InvalidInputError
@@ -103,6 +109,66 @@ def value_bitsets(pool, n_points: int, n_values: int) -> list[list[int]]:
     return [[int.from_bytes(b, "little") for b in row] for row in rows]
 
 
+# an array typecode per field width in bytes
+_TYPECODES = {array(tc).itemsize: tc for tc in "QLIHB"}
+
+
+class _Codes(list):
+    """A list of map codes that keeps the maps it encodes as assignment tuples, ``rows``."""
+
+    __slots__ = ("rows",)
+
+
+class _CodeLayout:
+    """The packed ``int`` codes of maps from ``n_points`` points into ``n_values``.
+
+    A code holds one field of ``bits`` bits per point, the field of point p
+    at bit ``shifts[p]``: the point's value + 1, or, in a state of the
+    equalizer closure, 0 where agreement is broken.  A field is a whole
+    array item, 8 bits while ``n_values`` < 128 and 16 while it is below
+    2**15 (then 32, then 64), so its top bit, the guard, is never set in a
+    code; ``lows`` has a 1 in every field and ``guards`` every guard bit.
+    Codes pass to and from bytes in the host's byte order, one array item
+    per point, so ``encode`` and ``fields`` are one C-level conversion each.
+    """
+
+    __slots__ = ("bits", "lows", "guards", "shifts", "typecode", "width")
+
+    def __init__(self, n_points: int, n_values: int):
+        size = 1
+        while n_values >> (8 * size - 1):
+            size *= 2
+        self.bits = bits = 8 * size
+        self.typecode = _TYPECODES[size]
+        self.width = size * n_points
+        # every field's low bit: 0x0101...01, summed as a geometric series
+        self.lows = ((1 << bits * n_points) - 1) // ((1 << bits) - 1)
+        self.guards = self.lows << (bits - 1)
+        places = range(n_points) if sys.byteorder == "little" else range(n_points - 1, -1, -1)
+        self.shifts = [bits * p for p in places]
+
+    def encode(self, assignments) -> _Codes:
+        """The codes of maps given as assignment tuples, in their order, which it keeps."""
+        tc, order, lows, from_bytes = self.typecode, sys.byteorder, self.lows, int.from_bytes
+        if tc == "B":
+            # bytes() packs a tuple of small ints in half the time of an array
+            codes = _Codes([from_bytes(bytes(a), order) + lows for a in assignments])
+        else:
+            codes = _Codes([from_bytes(array(tc, a).tobytes(), order) + lows for a in assignments])
+        codes.rows = assignments
+        return codes
+
+    def fields(self, code: int) -> memoryview:
+        """The fields of a code in point order: value + 1, or 0 where agreement is broken."""
+        return memoryview(code.to_bytes(self.width, sys.byteorder)).cast(self.typecode)
+
+
+@lru_cache(maxsize=None)
+def code_layout(n_points: int, n_values: int) -> _CodeLayout:
+    """The code layout of maps from n_points points into n_values, built once per pair of sizes."""
+    return _CodeLayout(n_points, n_values)
+
+
 class Meter:
     """The node count and limits of one operation's budget, shared by every search it runs.
 
@@ -174,7 +240,11 @@ class _Search:
     search needs no recursion.
 
     ``output`` says what the one list ``results`` holds: ``"maps"``, the
-    maps as assignment tuples; ``"fixed"`` (self-maps only), each distinct
+    maps as assignment tuples; ``"codes"``, the maps as codes of
+    ``code_layout``: the search keeps the code of each position's prefix
+    as it descends (the other outputs pay one test of ``coded`` a node
+    for it), and the leaf ORs the last point's field into it; ``"fixed"``
+    (self-maps only), each distinct
     fixed-point set as a bitmask over the points, in the order of its
     first map; or ``"count"``, nothing, with the maps only counted in
     ``count``.  The last position first keeps the values of its batch
@@ -237,6 +307,12 @@ class _Search:
         v = order[last]
         bit = 1 << v
         pending = [0] * n  # the untried candidates at each position
+        coded = output == "codes"
+        if coded:
+            # the code of the values at the positions before each position
+            prefix = [0] * n
+            shifts = code_layout(n, len(closed)).shifts
+            shifts = [shifts[x] for x in order]  # by position
         k = 0
         cands = allowed[0]  # the first point has no earlier neighbor
         while True:
@@ -249,6 +325,8 @@ class _Search:
                         self.exhausted = False
                         return
                     assign[order[k]] = low.bit_length() - 1
+                    if coded:
+                        prefix[k + 1] = prefix[k] | low.bit_length() << shifts[k]
                     k += 1
                     cands = allowed[k]
                     for u in earlier[k]:
@@ -282,6 +360,12 @@ class _Search:
                         cands ^= low
                         assign[v] = low.bit_length() - 1
                         results.append(tuple(assign))
+                elif coded:
+                    code, shift = prefix[last], shifts[last]
+                    while cands:
+                        low = cands & -cands
+                        cands ^= low
+                        results.append(code | low.bit_length() << shift)
                 elif output == "fixed" and cands:
                     # the fixed-point set of the batch's first map
                     assign[v] = (cands & -cands).bit_length() - 1

@@ -44,8 +44,10 @@ from ._record import Record
 from .enumeration import (
     EnumerationBudget,
     Meter,
+    _Codes,
     _Search,
     assignments_in_context,
+    code_layout,
     value_bitsets,
 )
 from .errors import InvalidInputError
@@ -100,9 +102,12 @@ class HomotopyClass(Record):
     order, the one form every search over classes reads.  ``members`` wraps
     them as maps on first read, ``in`` bisects them, and equality and the
     hash compare them, so none of the three builds a map or a copy.  A
-    class of self-maps keeps its members' distinct fixed-point sets once a
-    common-fixed-point search has read them, so repeated searches collapse
-    the class once.  The constructor takes the members as maps, which must
+    class keeps its members as packed map codes once an equalizer search
+    over maps has read them (``_codes``, one C-level conversion a member,
+    ``enumeration.code_layout``), and a class of self-maps keeps its
+    members' distinct fixed-point sets once a common-fixed-point search
+    has read them, so repeated searches encode or collapse the class
+    once.  The constructor takes the members as maps, which must
     share the representative's domain and codomain; the homotopy engine
     builds its classes from the assignments it found (``_of_assignments``).
     Either way every stored assignment is continuous.
@@ -143,6 +148,12 @@ class HomotopyClass(Record):
         """The members as maps, in ascending assignment order."""
         rep = self.representative
         return tuple(_enumerated(rep.domain, rep.codomain, a) for a in self.assignments)
+
+    @cached_property
+    def _codes(self) -> _Codes:
+        """The members as map codes (``enumeration.code_layout``), in member order."""
+        rep = self.representative
+        return code_layout(rep.domain.n_points, rep.codomain.n_points).encode(self.assignments)
 
     @cached_property
     def _fixed_masks(self) -> tuple[int, ...]:

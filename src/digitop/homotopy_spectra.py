@@ -10,7 +10,9 @@ the repeated maps of an operation share a group), and one call of the
 spectra module's breadth-first closure over equalizer restrictions
 (``spectra._equalizer_closure``; for common fixed points, over the
 bitmasks of the classes' fixed-point sets) runs over those groups,
-reading each class's sorted assignments as they are.
+reading each class's members as the packed map codes the class keeps
+once encoded (``HomotopyClass._codes``), with its sorted assignments for
+the split's value bitsets.
 
 An operation on maps makes one homotopy engine (``_Homotopy``).  HCS and
 MC of one map are {#X}, since a lone map agrees with itself everywhere,
@@ -100,10 +102,11 @@ def _search_classes(
     groups of one pool; those admit the same sets of distinct maps as one
     group with the summed multiplicity, so every value and minimum is the
     same, and only node counts can differ.  A group's pool is its class's
-    ``assignments``, as they are, so no map is built and no member is
-    read; with ``fixed`` it is instead the class's distinct fixed-point
-    sets as bitmasks, which the class keeps, so a class is collapsed once
-    however many searches read it.  A class with no member is rejected:
+    members as map codes, which keep its ``assignments`` for the split,
+    so no map is built; with ``fixed`` it is instead the class's distinct
+    fixed-point sets as bitmasks.  The class keeps either form once
+    built, so it is encoded or collapsed once however many searches read
+    it.  A class with no member is rejected:
     the public ``HomotopyClass`` constructor accepts one, and the closure
     needs every listed pool nonempty.
     """
@@ -120,7 +123,7 @@ def _search_classes(
         if not cls.assignments:
             raise InvalidInputError("every class needs a member")
         counts.setdefault(id(cls), [cls, 0])[1] += 1
-    groups = [(cls._fixed_masks if fixed else cls.assignments, k) for cls, k in counts.values()]
+    groups = [(cls._fixed_masks if fixed else cls._codes, k) for cls, k in counts.values()]
     min_picks = _equalizer_closure(
         groups,
         first.domain.n_points,

@@ -2,11 +2,16 @@
 
 A coincidence set depends only on the *set* of distinct maps involved, so
 instead of ranging over i-tuples the search ranges over selections of at
-most i maps.  Its state is the running equalizer restriction: the agreed
-value at each point, or None once agreement is broken.  For common fixed
-points the identity joins every equalizer, so the state is the set of
-common fixed points, a bitmask over the points that each pick ANDs with
-its map's fixed-point set.  One breadth-first closure expands these
+most i maps.  Its state is the running equalizer restriction, packed in
+one ``int`` (``enumeration.code_layout``): a byte-aligned field per point
+holding the agreed value + 1, or 0 once agreement is broken.  A pick's
+child is a fixed handful of int operations on the state and the map's
+code, and its size one ``bit_count``; the map search writes the codes
+(``_Search``'s ``"codes"`` output) and a class encodes its members once
+(``HomotopyClass._codes``), so no pool is encoded after the fact.  For
+common fixed points the identity joins every equalizer, so the state is
+the set of common fixed points, a bitmask over the points that each pick
+ANDs with its map's fixed-point set.  One breadth-first closure expands these
 states in layers of total picks and keeps each distinct one once, so the
 first layer that reaches a size gives the fewest picks realizing it,
 which answers every arity up to the largest at once.  The closure is one
@@ -16,7 +21,9 @@ return.  It stops once every size it has not found is known
 unreachable: at the full range 0..#X; when only #X is missing and no
 selection can agree everywhere (the ceiling stop); and, for common fixed
 points, when #X - 1 is missing (alone, or with an #X the ceiling
-settles) and no continuous self-map fixes all points but one.  A common
+settles) and no continuous self-map fixes all points but one
+(``_reachable_sizes``, which also makes a budgeted F, CFS_i or CFS union
+that holds every reachable size exact).  A common
 fixed-point set of #X - 1 points needs such a map among its picks: they
 all fix those points, and not all of them fix the last one, x.  A
 self-map that fixes all but x and sends x to y is continuous iff y lies
@@ -26,9 +33,11 @@ charged to no meter.  F(cube) = 0..6, 8 then stops after 1 940 of the
 15 488 self-maps.  A spectrum with a gap below #X - 1 stops at none of
 these, so its closure exhausts.  Over a pool listed in full (the class
 pools of ``homotopy_spectra``), the children of a state come from the
-pool's value bitsets (``enumeration.value_bitsets``): the members are
-split by whether they agree with the state at each point where it still
-agrees, and each part is one distinct child, so no duplicate is built.
+value bitsets of the pool's assignment tuples
+(``enumeration.value_bitsets``), indexed by the state's fields: the
+members are split by whether they agree with the state at each point
+where it still agrees, and each part is one distinct child, so no
+duplicate is built.
 The groups are searched smallest pool first.
 
 The closure reads its pool from the Hom-space search as it goes (a
@@ -57,7 +66,7 @@ every size not seen is known unreachable.
 from __future__ import annotations
 
 from ._record import Record
-from .enumeration import EnumerationBudget, Meter, _Search, value_bitsets
+from .enumeration import EnumerationBudget, Meter, _Codes, _Search, code_layout, value_bitsets
 from .images import DigitalImage, _require_at_least, _require_int, is_totally_disconnected
 
 
@@ -161,9 +170,17 @@ def _equalizer_closure(
     pool.
 
     A state is what the picks so far agree on: without ``fixed`` a
-    restriction, the agreed value at each point or None once agreement is
-    broken; with ``fixed`` the bitmask of their common fixed points, so a
-    pick is one ``&`` and a size one ``bit_count``.  States are expanded in
+    restriction, as a code of ``enumeration.code_layout``, the agreed
+    value + 1 in each point's field or 0 once agreement is broken; with
+    ``fixed`` the bitmask of their common fixed points, so a pick is one
+    ``&``.  Without ``fixed`` every pool holds map codes, and a child
+    costs a few int operations: with ``x = r ^ m``, ``e = guards ^ (((x
+    | guards) - lows) & guards)`` holds the guard bit of each field where
+    r and m agree (no field borrows from the next, as the guard is never
+    set in a code), and the child is ``r & (e - (e >> (bits - 1)))``,
+    those fields filled below their guard.  A broken field of r never
+    agrees with a member, whose fields are a whole map's.  Either way a
+    size is one ``bit_count`` of the agreement mask.  States are expanded in
     layers of total picks, so the first layer that records a value holds its
     fewest picks, and the full-range, ceiling and min-mode stops are sound
     wherever they fire.  The closure stops once every size of 0..#X it has
@@ -174,8 +191,8 @@ def _equalizer_closure(
     in), so this is tested, once, when nothing but #X and a settled #X - 1
     is missing (``_agree_everywhere``).  With ``fixed``, X settles #X - 1
     where no continuous self-map fixes all points but one
-    (``DigitalImage._fixes_all_but_one``, read only when nothing but
-    #X - 1 and #X is missing): a common fixed-point set of #X - 1 points
+    (``_reachable_sizes``, read only when at most two sizes are
+    missing): a common fixed-point set of #X - 1 points
     needs one among its picks, since every pick fixes those points and
     not every pick fixes the last.  Coincidences of #X - 1 points need no
     such map, so a closure over maps never settles #X - 1.  Layer one is
@@ -188,10 +205,12 @@ def _equalizer_closure(
     picks in total and completes every selection the second would.
 
     The first state that expands against a pool walks its members, one
-    child each.  Without ``fixed``, a later state against a listed pool of
-    maps splits the pool by its value bitsets, built then (``_children``),
-    into one part per distinct child, and walks one member of each part: a
-    closure that stops inside its first expansion builds no bitset.  A
+    child each.  A later state against a listed pool of map codes that
+    keeps its assignment tuples (``enumeration._Codes``, as a class's
+    ``_codes`` are) splits the pool by the value bitsets of those tuples,
+    built then (``_children``), into one part per distinct child, and
+    walks one member of each part: a closure that stops inside its first
+    expansion builds no bitset.  A
     ``_Pool`` and the fixed-point sets (one ``&`` a child) are always
     walked.  When the meter trips in layer one of a ``_Pool`` of
     fixed-point sets, the sets its search wrote before the trip are
@@ -216,16 +235,14 @@ def _equalizer_closure(
         min_picks[value] = picks
         if min_mode and value == 0:
             raise _Stop
-        # stop once every size not recorded is known unreachable: only #X - 1
-        # and #X can be, and #X is tested last, as only it reads the pools
+        # stop once every size not recorded is known unreachable: every
+        # reachable size but #X is recorded, and #X is tested last, as only
+        # it reads the pools
         found = len(min_picks)
         if found >= n_points - 1:
-            low, top = n_points - 1 in min_picks, n_points in min_picks
-            if (
-                # the sizes not recorded are among #X - 1 and #X
-                found + (not low) + (not top) == n_points + 1
-                and (low or (fixed is not None and not fixed._fixes_all_but_one))
-                and (top or not _agree_everywhere(pools, n_points, fixed is not None))
+            top = n_points in min_picks
+            if found - top == _reachable_sizes(n_points, fixed) - 1 and (
+                top or not _agree_everywhere(pools, n_points, fixed is not None)
             ):
                 raise _Stop
 
@@ -234,9 +251,13 @@ def _equalizer_closure(
     seen: list[dict] = [{} for _ in pools]
     # listed pools of maps split their children from value bitsets, built
     # at the second state that expands against the pool
-    split = fixed is None and not isinstance(pools[0], _Pool)
+    split = isinstance(pools[0], _Codes)
     expanded = [0] * len(pools)
     bitsets: list = [None] * len(pools)
+    coded = fixed is None
+    if coded:
+        layout = code_layout(n_points, n_values)
+        lows, guards, top_bit = layout.lows, layout.guards, layout.bits - 1
     layer = {(0, 1): pools[0]}
     picks = 1
     try:
@@ -280,21 +301,21 @@ def _equalizer_closure(
                         expanded[h] += 1
                         if split and expanded[h] > 1:
                             if bitsets[h] is None:
-                                bitsets[h] = value_bitsets(pool, n_points, n_values)
+                                bitsets[h] = value_bitsets(pool.rows, n_points, n_values)
                             # one member per distinct child, the pool charged in
                             # one addition
-                            walk, charge = _children(r, pool, bitsets[h]), 0
+                            walk, charge = _children(r, pool, bitsets[h], layout), 0
                             meter.nodes += len(pool)
                         for m in walk:
                             meter.nodes += charge
                             if meter.nodes >= meter.check_at and meter.over():
                                 return min_picks
-                            if fixed is not None:
-                                new = r & m
-                                size = new.bit_count()
+                            if coded:
+                                # e: the guard bit of each field where r and m agree
+                                e = guards ^ (((r ^ m) | guards) - lows) & guards
+                                new = r & (e - (e >> top_bit))
                             else:
-                                new = tuple([v if v == w else None for v, w in zip(r, m)])
-                                size = n_points - new.count(None)
+                                new = e = r & m
                             if new == unchanged:
                                 continue
                             if keep:
@@ -302,8 +323,10 @@ def _equalizer_closure(
                                     continue
                                 group_seen[new] = j
                                 out.append(new)
-                            if records and size not in min_picks:
-                                record(size, picks)
+                            if records:
+                                size = e.bit_count()
+                                if size not in min_picks:
+                                    record(size, picks)
             layer = {key: states for key, states in following.items() if states}
     except _Stop:
         pass
@@ -323,20 +346,20 @@ def _agree_everywhere(pools: list, n: int, fixed: bool) -> bool:
     )
 
 
-def _children(r: tuple, pool: tuple, at: list[list[int]]) -> list[tuple]:
-    """One member of pool per distinct equalizer restriction it leaves of r.
+def _children(r: int, pool, at: list[list[int]], layout) -> list[int]:
+    """One member of pool per distinct child it makes of the state r.
 
     ``at[p][v]`` is the bitset of the members that send p to v.  Splitting
     the members by whether they agree with r, at each point where r still
-    agrees, leaves one part per distinct agreement set, so per distinct
-    child; the lowest member of each part stands for it, and no other
-    member is read.
+    agrees (a nonzero field of ``layout``), leaves one part per distinct
+    agreement set, so per distinct child; the lowest member of each part
+    stands for it, and no other member is read.
     """
     parts = [(1 << len(pool)) - 1]
-    for p, v in enumerate(r):
-        if v is None:
+    for p, field in enumerate(layout.fields(r)):
+        if not field:
             continue
-        agree = at[p][v]
+        agree = at[p][field - 1]
         halves = []
         for part in parts:
             inside = part & agree
@@ -346,6 +369,16 @@ def _children(r: tuple, pool: tuple, at: list[list[int]]) -> list[tuple]:
                 halves.append(part)
         parts = halves
     return [pool[(part & -part).bit_length() - 1] for part in parts]
+
+
+def _reachable_sizes(n_points: int, fixed: DigitalImage | None) -> int:
+    """How many sizes of 0..#X a closure can reach, #X included.
+
+    Every one, but #X - 1 for the fixed-point sets of an X that no
+    continuous self-map fixes in all points but one
+    (``DigitalImage._fixes_all_but_one``).
+    """
+    return n_points + 1 - (fixed is not None and not fixed._fixes_all_but_one)
 
 
 def _streamed_picks(
@@ -376,7 +409,7 @@ def _streamed_picks(
     This is CS and CFS, and HFS and MCF where a greedy chain contracts X
     (every class is then Hom(X, X)).
     """
-    search = _Search(domain, codomain, None, meter, "fixed" if fixed else "maps")
+    search = _Search(domain, codomain, None, meter, "fixed" if fixed else "codes")
     return _equalizer_closure(
         [(_Pool(search), arity)],
         domain.n_points,
@@ -397,12 +430,16 @@ def _fewest_picks(
     """``_streamed_picks`` on Hom(X, Y), or with ``fixed`` on Hom(X, X), under one budget.
 
     Returns ({achievable size: fewest picks realizing it}, exact); exact
-    iff the budget stopped nothing, as the operation's meter records.  The
-    result cap stops nothing here.
+    iff the budget stopped nothing, as the operation's meter records, or
+    the answer holds every size a closure can reach (``_reachable_sizes``):
+    the fewest picks of every size recorded are exact at any stop, since
+    each layer reads the whole pool before the next starts.  The result
+    cap stops nothing here.
     """
     meter = Meter(budget)
     min_picks = _streamed_picks(x_img, x_img if fixed else y_img, meter, arity, fixed)
-    return min_picks, meter.stop is None
+    reach = _reachable_sizes(x_img.n_points, x_img if fixed else None)
+    return min_picks, meter.stop is None or len(min_picks) == reach
 
 
 def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:
@@ -506,14 +543,10 @@ def fixed_point_spectrum(
     self-map is built.  An answer that holds every size a self-map can
     reach is exact even when a budget cut the search short: all of 0..#X,
     or all but #X - 1 where no self-map fixes all points but one
-    (``DigitalImage._fixes_all_but_one``).
+    (``_reachable_sizes``), as for CFS_i and the CFS union.
     """
     min_picks, exact = _fewest_picks(x_img, x_img, 1, budget, fixed=True)
-    values = _within(min_picks, 1)
-    if not exact:
-        # every size of 0..#X, but #X - 1 where no self-map fixes all points but one
-        exact = len(values) == x_img.n_points + x_img._fixes_all_but_one
-    return Spectrum(values=values, exact=exact)
+    return Spectrum(values=_within(min_picks, 1), exact=exact)
 
 
 def common_fixed_spectrum(

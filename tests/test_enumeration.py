@@ -40,11 +40,14 @@ from digitop import (
 )
 from digitop.enumeration import (
     Meter,
+    _Search,
     assignments_in_context,
+    code_layout,
     enumerate_assignments,
 )
 from digitop.verify import random_image
 from oracles import all_maps_oracle, one_step_oracle
+from test_spectra import tiny_pairs
 
 
 def _tiny_images():
@@ -273,3 +276,54 @@ def test_allowed_masks_restrict_the_search():
     assert got == [m.assignment for m in one_step_neighbors(f).maps]
     # a point allowed no value leaves no map
     assert assignments_in_context(c6, c6, Meter(), (0,) + allowed[1:]) == ([], True, 0)
+
+
+def _maps_and_codes(x_img, y_img, budget):
+    """The "maps" and "codes" searches of X -> Y under budget, with the result count at each pause."""
+    max_results = budget.max_results if budget else None
+    runs = []
+    for output in ("maps", "codes"):
+        search = _Search(x_img, y_img, None, Meter(budget), output, max_results)
+        pauses = [len(search.results) for _ in search.batches()]
+        runs.append((search, pauses))
+    return runs
+
+
+def _decoded(x_img, y_img, codes):
+    """Map codes as assignment tuples: each field holds its point's value + 1."""
+    layout = code_layout(x_img.n_points, y_img.n_points)
+    return [tuple(field - 1 for field in layout.fields(code)) for code in codes]
+
+
+@given(
+    tiny_pairs(),
+    st.one_of(
+        st.none(),
+        st.builds(lambda k: EnumerationBudget(max_results=k), st.integers(1, 60)),
+        st.builds(lambda k: EnumerationBudget(max_nodes=k), st.integers(1, 300)),
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_code_output_is_the_map_output_encoded(pair, budget):
+    x_img, y_img = pair
+    (maps, maps_pauses), (codes, codes_pauses) = _maps_and_codes(x_img, y_img, budget)
+    assert _decoded(x_img, y_img, codes.results) == maps.results
+    assert codes_pauses == maps_pauses
+    assert (codes.exhausted, codes.meter.nodes, codes.count) == (
+        maps.exhausted,
+        maps.meter.nodes,
+        maps.count,
+    )
+
+
+@pytest.mark.parametrize("n_values, bits", [(127, 8), (128, 16), (200, 16)])
+def test_codes_into_a_large_codomain_take_wider_fields(n_values, bits):
+    # a 3-point path into a cycle: 127 values fit 8-bit fields below their
+    # guard bit, 128 and 200 need 16
+    x_img, y_img = interval(0, 2), cycle(n_values)
+    assert code_layout(3, n_values).bits == bits
+    (maps, maps_pauses), (codes, codes_pauses) = _maps_and_codes(x_img, y_img, None)
+    assert len(maps.results) == 9 * n_values
+    assert _decoded(x_img, y_img, codes.results) == maps.results
+    assert codes_pauses == maps_pauses
+    assert codes.meter.nodes == maps.meter.nodes

@@ -45,7 +45,7 @@ import digitop.enumeration as enumeration
 import digitop.homotopy as homotopy
 import digitop.homotopy_spectra as homotopy_spectra
 import digitop.images as images
-from digitop.enumeration import Meter, enumerate_assignments
+from digitop.enumeration import Meter, code_layout, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of, _search_classes
 from digitop.spectra import _equalizer_closure
 from oracles import hcs_oracle, hfs_oracle, mj_oracle
@@ -257,6 +257,8 @@ def test_two_closures_of_one_engine_enumerate_hom_once(monkeypatch):
 def test_ceiling_stop_with_overlapping_pools(pools, fixed, expected, nodes):
     meter = Meter()
     x_img = interval(0, 1) if fixed else None  # the 2 points the fixed-point sets lie in
+    if not fixed:
+        pools = [code_layout(2, 2).encode(pool) for pool in pools]
     min_picks = _equalizer_closure([(pool, 1) for pool in pools], 2, 2, x_img, meter)
     assert meter.stop is None and set(min_picks) == expected
     assert meter.nodes == nodes

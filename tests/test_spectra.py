@@ -40,7 +40,7 @@ from digitop import (
     tee4,
 )
 from digitop import spectra
-from digitop.enumeration import Meter, _Search, enumerate_assignments
+from digitop.enumeration import Meter, _Search, code_layout, enumerate_assignments
 from digitop.spectra import _equalizer_closure, _fewest_picks, _Pool
 from oracles import (
     all_maps_oracle,
@@ -194,6 +194,33 @@ def test_a_node_budget_keeps_the_fixed_sets_its_search_wrote(image, max_nodes):
     assert (s.values, s.exact) == ((1,), False)
 
 
+@pytest.mark.parametrize(
+    "x_img, max_nodes, arity, values",
+    [
+        # two edges, (0, 1) and (2, 3): every size 0..4 is read before the budget trips
+        (DigitalImage(points=((0,), (1,), (2,), (3,)), adjacency=Explicit({(0, 1), (2, 3)})),
+         40, 1, (0, 1, 2, 3, 4)),
+        # no self-map of C5 fixes all points but one, so 4 is unreachable
+        (cycle(5), 105, 2, (0, 1, 2, 3, 5)),
+    ],
+)
+def test_a_budgeted_fixed_point_spectrum_holding_every_reachable_size_is_exact(
+    x_img, max_nodes, arity, values
+):
+    budget = EnumerationBudget(max_nodes=max_nodes)
+    meter = Meter(budget)
+    assert sorted(spectra._streamed_picks(x_img, x_img, meter, arity, True)) == list(values)
+    assert meter.stop == "node budget"
+    results = [
+        common_fixed_spectrum(x_img, arity, budget),
+        common_fixed_spectrum_union(x_img, arity, budget),
+    ]
+    if arity == 1:
+        results.append(fixed_point_spectrum(x_img, budget))
+    for s in results:
+        assert (s.values, s.exact) == (values, True)
+
+
 def test_fixed_point_spectrum_matches_oracle():
     for x_img in _tiny_images():
         assert fixed_point_spectrum(x_img).as_set() == fixed_spectrum_oracle(x_img)
@@ -269,7 +296,7 @@ def test_fixed_spectra_are_pinned():
     # and the closure pay from one meter; each exact one equals its
     # unbudgeted row and each inexact one is a subset of it
     digest = hashlib.sha256(json.dumps(list(_fixed_rows())).encode()).hexdigest()[:16]
-    assert digest == "09d508a5718de460"
+    assert digest == "8b834fcd542db342"
 
 
 def test_budget_marks_inexact():
@@ -305,7 +332,7 @@ def test_a_stop_ends_the_enumeration_within_its_budget():
     s = coincidence_spectrum_by_search(c, c, 2, budget)
     assert s.exact
     assert s.values == tuple(range(9))
-    search = _Search(c, c, None, Meter(), "maps")
+    search = _Search(c, c, None, Meter(), "codes")
     meter = Meter()
     min_picks = _equalizer_closure([(_Pool(search), 2)], 8, 8, None, meter)
     assert meter.stop is None and sorted(min_picks) == list(range(9))
@@ -324,6 +351,40 @@ def tiny_images(draw, max_points):
 def tiny_pairs():
     """(X, Y) with X of at most 4 points and Y of at most 3."""
     return st.tuples(tiny_images(4), tiny_images(3))
+
+
+def _state_code(layout, state):
+    """The code of a closure state: value + 1 at each agreeing point, 0 where agreement broke."""
+    return sum((v + 1) << layout.shifts[p] for p, v in enumerate(state) if v is not None)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_coded_child_is_the_tuple_rule(data):
+    # r is a state with broken fields (None), m and the probe w are maps;
+    # the closure over the groups [r], [m] records the size of r's child by
+    # m, and over [r], [m], [w] the size of that child's own child by w, so
+    # the child agrees with every probe exactly where the tuple rule does
+    n_values = data.draw(st.sampled_from((1, 2, 127, 128, 300)))
+    n = data.draw(st.integers(1, 6))
+    value = st.integers(0, n_values - 1)
+    r = data.draw(st.lists(st.one_of(st.none(), value), min_size=n, max_size=n))
+    # each point of m and w either takes the agreed value or any value
+    m = [data.draw(st.sampled_from([v, u]) if v is not None else value) for v, u in
+         zip(r, data.draw(st.lists(value, min_size=n, max_size=n)))]
+    want = tuple(v if v == u else None for v, u in zip(r, m))
+    w = [data.draw(st.sampled_from([v, u]) if v is not None else value) for v, u in
+         zip(want, data.draw(st.lists(value, min_size=n, max_size=n)))]
+    layout = code_layout(n, n_values)
+
+    def size(*states):
+        meter = Meter()
+        groups = [([_state_code(layout, state)], 1) for state in states]
+        (recorded,) = _equalizer_closure(groups, n, n_values, None, meter)
+        return recorded
+
+    assert size(r, m) == n - want.count(None)
+    assert size(r, m, w) == sum(v is not None and v == u for v, u in zip(want, w))
 
 
 @given(tiny_pairs())
@@ -483,7 +544,7 @@ def _eager_fewest_picks(x_img, y_img, arity, budget, fixed):
     enumeration has no result cap, as the stream it models reads none.
     """
     meter = Meter(budget)
-    search = _Search(x_img, y_img, None, meter, "fixed" if fixed else "maps").run()
+    search = _Search(x_img, y_img, None, meter, "fixed" if fixed else "codes").run()
     pool = search.results
     if not pool:
         return {}, False
@@ -683,8 +744,10 @@ def test_equalizer_search_matches_brute_force_in_any_group_order(pair, data):
 
     def search(order):
         meter = Meter()
+        layout = code_layout(x_img.n_points, y_img.n_points)
+        coded = [(layout.encode(pool), mult) for pool, mult in order]
         min_picks = _equalizer_closure(
-            order, x_img.n_points, y_img.n_points, None, meter, min_mode
+            coded, x_img.n_points, y_img.n_points, None, meter, min_mode
         )
         return min_picks, meter.stop is None
 
