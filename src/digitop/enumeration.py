@@ -16,8 +16,8 @@ last point a search first keeps the values of the batch that its limits
 allow, charging them in one addition whenever no limit can trip inside the
 batch, and then one leaf records them.  A search writes one list,
 ``results``: its maps as assignment tuples, or as packed ``int`` codes
-(``code_layout``: a byte-aligned field of value + 1 per point, which the
-search extends one field a position, so a leaf writes a code with one OR),
+(``code_layout``: a byte-aligned field of value + 1 per point; a leaf
+packs its assignment once and ORs in each value's field),
 or for self-maps only their distinct fixed-point sets, at most two per
 batch; or it only counts.
 
@@ -31,9 +31,8 @@ way the results, their order and the node counts are the same.
 
 from __future__ import annotations
 
-import sys
+import struct
 import time
-from array import array
 from functools import lru_cache
 
 from ._record import Record
@@ -109,8 +108,8 @@ def value_bitsets(pool, n_points: int, n_values: int) -> list[list[int]]:
     return [[int.from_bytes(b, "little") for b in row] for row in rows]
 
 
-# an array typecode per field width in bytes
-_TYPECODES = {array(tc).itemsize: tc for tc in "QLIHB"}
+# a struct format character per field width in bytes (standard sizes)
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 class _Codes(list):
@@ -123,44 +122,41 @@ class _CodeLayout:
     """The packed ``int`` codes of maps from ``n_points`` points into ``n_values``.
 
     A code holds one field of ``bits`` bits per point, the field of point p
-    at bit ``shifts[p]``: the point's value + 1, or, in a state of the
-    equalizer closure, 0 where agreement is broken.  A field is a whole
-    array item, 8 bits while ``n_values`` < 128 and 16 while it is below
-    2**15 (then 32, then 64), so its top bit, the guard, is never set in a
-    code; ``lows`` has a 1 in every field and ``guards`` every guard bit.
-    Codes pass to and from bytes in the host's byte order, one array item
-    per point, so ``encode`` and ``fields`` are one C-level conversion each.
+    at bit ``shifts[p]``, ``bits * p``: the point's value + 1, or, in a
+    state of the equalizer closure, 0 where agreement is broken.  A field
+    is 8 bits while ``n_values`` < 128 and 16 while it is below 2**15
+    (then 32, then 64), so its top bit, the guard, is never set in a code;
+    ``lows`` has a 1 in every field and ``guards`` every guard bit.  Codes
+    pass to and from little-endian bytes, one unsigned struct item per
+    point (``pack`` and ``unpack``), so ``encode`` and ``fields`` are one
+    C-level conversion each, whatever the field width.
     """
 
-    __slots__ = ("bits", "lows", "guards", "shifts", "typecode", "width")
+    __slots__ = ("bits", "lows", "guards", "shifts", "width", "pack", "unpack")
 
     def __init__(self, n_points: int, n_values: int):
         size = 1
         while n_values >> (8 * size - 1):
             size *= 2
         self.bits = bits = 8 * size
-        self.typecode = _TYPECODES[size]
         self.width = size * n_points
         # every field's low bit: 0x0101...01, summed as a geometric series
         self.lows = ((1 << bits * n_points) - 1) // ((1 << bits) - 1)
         self.guards = self.lows << (bits - 1)
-        places = range(n_points) if sys.byteorder == "little" else range(n_points - 1, -1, -1)
-        self.shifts = [bits * p for p in places]
+        self.shifts = [bits * p for p in range(n_points)]
+        items = struct.Struct(f"<{n_points}{_FORMATS[size]}")
+        self.pack, self.unpack = items.pack, items.unpack
 
     def encode(self, assignments) -> _Codes:
         """The codes of maps given as assignment tuples, in their order, which it keeps."""
-        tc, order, lows, from_bytes = self.typecode, sys.byteorder, self.lows, int.from_bytes
-        if tc == "B":
-            # bytes() packs a tuple of small ints in half the time of an array
-            codes = _Codes([from_bytes(bytes(a), order) + lows for a in assignments])
-        else:
-            codes = _Codes([from_bytes(array(tc, a).tobytes(), order) + lows for a in assignments])
+        pack, lows, from_bytes = self.pack, self.lows, int.from_bytes
+        codes = _Codes([from_bytes(pack(*a), "little") + lows for a in assignments])
         codes.rows = assignments
         return codes
 
-    def fields(self, code: int) -> memoryview:
+    def fields(self, code: int) -> tuple[int, ...]:
         """The fields of a code in point order: value + 1, or 0 where agreement is broken."""
-        return memoryview(code.to_bytes(self.width, sys.byteorder)).cast(self.typecode)
+        return self.unpack(code.to_bytes(self.width, "little"))
 
 
 @lru_cache(maxsize=None)
@@ -241,9 +237,10 @@ class _Search:
 
     ``output`` says what the one list ``results`` holds: ``"maps"``, the
     maps as assignment tuples; ``"codes"``, the maps as codes of
-    ``code_layout``: the search keeps the code of each position's prefix
-    as it descends (the other outputs pay one test of ``coded`` a node
-    for it), and the leaf ORs the last point's field into it; ``"fixed"``
+    ``code_layout``: the leaf packs the assignment once, the last point's
+    field left 0, and ORs each value's field into it, so a batch costs
+    one C-level conversion and no other output pays a test a node;
+    ``"fixed"``
     (self-maps only), each distinct
     fixed-point set as a bitmask over the points, in the order of its
     first map; or ``"count"``, nothing, with the maps only counted in
@@ -309,10 +306,10 @@ class _Search:
         pending = [0] * n  # the untried candidates at each position
         coded = output == "codes"
         if coded:
-            # the code of the values at the positions before each position
-            prefix = [0] * n
-            shifts = code_layout(n, len(closed)).shifts
-            shifts = [shifts[x] for x in order]  # by position
+            # a leaf packs its assignment once and ORs in the last point's field
+            layout = code_layout(n, len(closed))
+            pack, shift = layout.pack, layout.shifts[v]
+            others = layout.lows ^ 1 << shift  # value + 1 in every other field
         k = 0
         cands = allowed[0]  # the first point has no earlier neighbor
         while True:
@@ -325,8 +322,6 @@ class _Search:
                         self.exhausted = False
                         return
                     assign[order[k]] = low.bit_length() - 1
-                    if coded:
-                        prefix[k + 1] = prefix[k] | low.bit_length() << shifts[k]
                     k += 1
                     cands = allowed[k]
                     for u in earlier[k]:
@@ -361,7 +356,8 @@ class _Search:
                         assign[v] = low.bit_length() - 1
                         results.append(tuple(assign))
                 elif coded:
-                    code, shift = prefix[last], shifts[last]
+                    # this output never sets assign[v], so v's field packs as 0
+                    code = int.from_bytes(pack(*assign), "little") + others
                     while cands:
                         low = cands & -cands
                         cands ^= low

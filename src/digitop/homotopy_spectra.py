@@ -29,7 +29,9 @@ the operation does, the equalizer search included, so a node or time
 budget bounds the whole operation, and it is the one record of whether
 the budget stopped it (``Meter.stop``): the helpers here return sizes and
 whether the classes are complete, and the operation reads its meter once,
-at the end, for ``exact``.  ``hcs_of_classes`` and ``hfs_of_classes``
+at the end, for ``exact``; a spectrum that holds every size a closure
+can reach is exact however the meter stopped, as CFS_i is
+(``spectra._reachable_sizes``).  ``hcs_of_classes`` and ``hfs_of_classes``
 always search the classes they are given, on a meter of their own.
 """
 
@@ -41,7 +43,7 @@ from .errors import InvalidInputError
 from .homotopy import HomotopyClass, _Homotopy
 from .images import DigitalImage, _require_at_least
 from .maps import DigitalMap, _require_common_images, identity
-from .spectra import Spectrum, _equalizer_closure, _streamed_picks
+from .spectra import Spectrum, _equalizer_closure, _reachable_sizes, _streamed_picks
 
 
 class HomotopySpectrumResult(Record):
@@ -201,10 +203,24 @@ def _sizes(
 
 
 def _result(
-    sizes: tuple[int, ...], complete: bool, meter: Meter, arity: int
+    sizes: tuple[int, ...],
+    complete: bool,
+    meter: Meter,
+    x_img: DigitalImage,
+    arity: int,
+    fixed: bool,
 ) -> HomotopySpectrumResult:
-    """An operation's spectrum; exact iff every class is whole and the meter never tripped."""
-    values = Spectrum(values=sizes, exact=complete and meter.stop is None, i=arity)
+    """The spectrum of an operation with arity maps or classes out of x_img.
+
+    Exact iff every class is whole, and the meter never tripped or the
+    sizes are all that a closure can reach (``spectra._reachable_sizes``),
+    the rule of CFS_i, which HFS is on the streamed route.
+    """
+    exact = complete and (
+        meter.stop is None
+        or len(sizes) == _reachable_sizes(x_img.n_points, x_img if fixed else None)
+    )
+    values = Spectrum(values=sizes, exact=exact, i=arity)
     return HomotopySpectrumResult(
         values=values,
         classes_complete=complete,
@@ -217,12 +233,15 @@ def _spectrum_of_classes(
 ) -> HomotopySpectrumResult:
     classes = tuple(classes)
     meter = Meter(budget)
-    return _result(*_search_classes(classes, meter, fixed, min_mode=False), meter, len(classes))
+    sizes, complete = _search_classes(classes, meter, fixed, min_mode=False)
+    x_img = classes[0].representative.domain
+    return _result(sizes, complete, meter, x_img, len(classes), fixed)
 
 
 def _spectrum(maps, budget: EnumerationBudget | None, fixed: bool) -> HomotopySpectrumResult:
     maps, engine = _engine_of(maps, budget, fixed)
-    return _result(*_sizes(engine, maps, fixed, min_mode=False), engine.meter, len(maps))
+    sizes, complete = _sizes(engine, maps, fixed, min_mode=False)
+    return _result(sizes, complete, engine.meter, engine.domain, len(maps), fixed)
 
 
 def _minimum(

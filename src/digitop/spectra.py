@@ -22,8 +22,8 @@ unreachable: at the full range 0..#X; when only #X is missing and no
 selection can agree everywhere (the ceiling stop); and, for common fixed
 points, when #X - 1 is missing (alone, or with an #X the ceiling
 settles) and no continuous self-map fixes all points but one
-(``_reachable_sizes``, which also makes a budgeted F, CFS_i or CFS union
-that holds every reachable size exact).  A common
+(``_reachable_sizes``, which also makes a budgeted F, CFS_i, CFS union,
+HFS or HCS that holds every reachable size exact).  A common
 fixed-point set of #X - 1 points needs such a map among its picks: they
 all fix those points, and not all of them fix the last one, x.  A
 self-map that fixes all but x and sends x to y is continuous iff y lies
@@ -191,8 +191,8 @@ def _equalizer_closure(
     in), so this is tested, once, when nothing but #X and a settled #X - 1
     is missing (``_agree_everywhere``).  With ``fixed``, X settles #X - 1
     where no continuous self-map fixes all points but one
-    (``_reachable_sizes``, read only when at most two sizes are
-    missing): a common fixed-point set of #X - 1 points
+    (``_reachable_sizes``, read only when #X - 1 alone is missing below
+    #X): a common fixed-point set of #X - 1 points
     needs one among its picks, since every pick fixes those points and
     not every pick fixes the last.  Coincidences of #X - 1 points need no
     such map, so a closure over maps never settles #X - 1.  Layer one is
@@ -237,13 +237,18 @@ def _equalizer_closure(
             raise _Stop
         # stop once every size not recorded is known unreachable: every
         # reachable size but #X is recorded, and #X is tested last, as only
-        # it reads the pools
+        # it reads the pools.  Whether #X - 1 is reachable is asked only when
+        # it alone is missing below #X: the first ask builds X's answer.
         found = len(min_picks)
         if found >= n_points - 1:
             top = n_points in min_picks
-            if found - top == _reachable_sizes(n_points, fixed) - 1 and (
-                top or not _agree_everywhere(pools, n_points, fixed is not None)
-            ):
+            below = found - top  # the sizes recorded below #X
+            if (
+                below == n_points
+                or below == n_points - 1
+                and n_points - 1 not in min_picks
+                and _reachable_sizes(n_points, fixed) == n_points
+            ) and (top or not _agree_everywhere(pools, n_points, fixed is not None)):
                 raise _Stop
 
     last = len(pools) - 1
@@ -438,8 +443,9 @@ def _fewest_picks(
     """
     meter = Meter(budget)
     min_picks = _streamed_picks(x_img, x_img if fixed else y_img, meter, arity, fixed)
-    reach = _reachable_sizes(x_img.n_points, x_img if fixed else None)
-    return min_picks, meter.stop is None or len(min_picks) == reach
+    return min_picks, meter.stop is None or len(min_picks) == _reachable_sizes(
+        x_img.n_points, x_img if fixed else None
+    )
 
 
 def _within(min_picks: dict[int, int], i: int) -> tuple[int, ...]:

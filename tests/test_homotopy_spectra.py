@@ -45,6 +45,7 @@ import digitop.enumeration as enumeration
 import digitop.homotopy as homotopy
 import digitop.homotopy_spectra as homotopy_spectra
 import digitop.images as images
+import digitop.spectra as spectra
 from digitop.enumeration import Meter, code_layout, enumerate_assignments
 from digitop.homotopy_spectra import _classes_of, _search_classes
 from digitop.spectra import _equalizer_closure
@@ -190,6 +191,53 @@ def test_a_gap_in_the_spectrum_is_searched_exhaustively():
     result = hcs_of_classes([cls_f, cls_g, cls_g])
     assert result.values.exact
     assert result.values.values == tuple(range(7))
+
+
+@pytest.mark.parametrize("n_values, bits", [(127, 8), (128, 16), (300, 16)])
+def test_classes_into_a_large_codomain_split_on_wider_fields(monkeypatch, n_values, bits):
+    # C6 into itself padded with isolated points: the classes of the
+    # identity and of a constant hold the maps into C6, and the closure
+    # splits them by the fields of codes as wide as the padded codomain
+    # makes them, with the answer and node count of C6 into C6
+    c6 = cycle(6)
+    padded = DigitalImage(
+        points=tuple((i,) for i in range(n_values)), adjacency=Explicit(set(c6.adjacency.edges))
+    )
+    widths = []
+    children = spectra._children
+
+    def counted(r, pool, at, layout):
+        widths.append(layout.bits)
+        return children(r, pool, at, layout)
+
+    monkeypatch.setattr(spectra, "_children", counted)
+    for y_img in (c6, padded):
+        maps = [from_assignment(c6, y_img, a) for a in (tuple(range(6)), (0,) * 6)]
+        for picks, nodes, splits in ((maps, 5_076, 5), (maps + maps[1:], 127_746, 150)):
+            widths.clear()
+            classes = _classes_of(picks, None, fixed=False)
+            assert [len(cls.assignments) for cls in classes] == [6, 846, 846][: len(picks)]
+            meter = Meter()
+            sizes, complete = _search_classes(classes, meter, False, False)
+            assert complete and sorted(sizes) == [0, 1, 2, 3, 4]
+            assert meter.nodes == nodes
+            assert widths == [8 if y_img is c6 else bits] * splits
+            result = hcs_of_classes(classes)
+            assert result.values.exact and result.values.values == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("x_img, max_nodes", [(interval(0, 3), 29), (tee4(), 38)])
+def test_a_budgeted_hfs_holding_every_reachable_size_is_exact(x_img, max_nodes):
+    # X contracts, so HFS of k copies of the identity is CFS_k(X), streamed,
+    # and the budget trips after the search has read every size 0..4
+    budget = EnumerationBudget(max_nodes=max_nodes)
+    for k in (1, 2, 3):
+        meter = Meter(budget)
+        assert sorted(spectra._streamed_picks(x_img, x_img, meter, k, True)) == [0, 1, 2, 3, 4]
+        assert meter.stop == "node budget"
+        result = hfs([identity(x_img)] * k, budget)
+        assert result.values == common_fixed_spectrum(x_img, k, budget)
+        assert (result.values.values, result.values.exact) == ((0, 1, 2, 3, 4), True)
 
 
 @pytest.mark.parametrize("n, nodes", [(5, 7), (6, 11)])
